@@ -10,16 +10,18 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import gameio
 from .games import (Game, GameFormatError, SizeCapError, chsh,
                     independent_set_game, magic_square, parallel_repetition)
-from .gamegraph import (build_game_graph, build_weighted_game_graph,
-                        cycle_graph, dimacs_sidecar, to_dimacs, to_plain_graph)
-from .independence import classical_value
-from .quantum import (lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
+from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
+                        dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
+from .independence import weighted_independence
+from .quantum import (InvalidQuantumIndependentSet, lift_qis_to_strategy,
+                      qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
-from .sdp import NotXorGame, quantum_upper_bound, xor_tsirelson_value
+from .sdp import NotXorGame, weighted_theta, xor_tsirelson_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,45 +71,29 @@ def _load_game(source: str) -> Game:
 
 def build_report(g: Game, tol: float, force_weighted: bool,
                  vertex_cap: int, with_timings: bool,
-                 max_iterations: int = 200_000) -> dict:
-    """Run the full pipeline game -> graph -> alpha -> theta."""
+                 max_iterations: int = 200_000) -> tuple[dict, GameGraph]:
+    """Run the full pipeline game -> graph -> alpha -> theta; returns the
+    report and the game graph it was computed on."""
     timings: dict[str, float] = {}
-    weighted = force_weighted or not (g.is_boolean() and g.is_uniform())
 
     t0 = time.perf_counter()
-    gg = build_weighted_game_graph(g) if weighted else build_game_graph(g)
-    graph = to_plain_graph(gg)
+    gg = pipeline_graph(g, force_weighted)
+    weights, divisor = gg.objective()
+    weighted = gg.weights is not None
     timings["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if weighted:
-        from .independence import weighted_independence
-        alpha = weighted_independence(graph, gg.weight_array(), vertex_cap)
-        omega = alpha.value
-        omega_exact = None
-    else:
-        from .independence import independence_number
-        alpha = independence_number(graph, vertex_cap)
-        from fractions import Fraction
-        frac = Fraction(len(alpha.witness), g.k)
-        omega = float(frac)
+    alpha = weighted_independence(gg.graph, weights, vertex_cap)
+    omega = alpha.value / divisor
+    omega_exact = None
+    if not weighted:
+        frac = Fraction(len(alpha.witness), divisor)
         omega_exact = f"{frac.numerator}/{frac.denominator}"
     timings["alpha"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if gg.n == 0:
-        from .sdp import ThetaResult
-        import numpy as np
-        theta = ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)))
-        theta_over_k = 0.0
-    elif weighted:
-        from .sdp import weighted_theta
-        theta = weighted_theta(graph, gg.weight_array(), tol, max_iterations)
-        theta_over_k = theta.value
-    else:
-        from .sdp import lovasz_theta
-        theta = lovasz_theta(graph, tol, max_iterations)
-        theta_over_k = theta.value / g.k
+    theta = weighted_theta(gg.graph, weights, tol, max_iterations)
+    theta_over_k = theta.value / divisor
     timings["theta"] = time.perf_counter() - t0
 
     xor_value = None
@@ -147,8 +133,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     }
     if with_timings:
         report["timings"] = timings
-    report["_game_graph"] = gg  # internal, stripped before emission
-    return report
+    return report, gg
 
 
 def _render_text(report: dict) -> str:
@@ -196,12 +181,11 @@ def cmd_analyze(args) -> int:
         g = _load_game(args.game)
         if args.rep > 1:
             g = parallel_repetition(g, args.rep)
-        report = build_report(g, args.tol, args.weighted, args.max_verts,
-                              args.timings, args.max_iter)
+        report, gg = build_report(g, args.tol, args.weighted, args.max_verts,
+                                  args.timings, args.max_iter)
     except (GameFormatError, SizeCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    gg = report.pop("_game_graph")
     if args.export_graph:
         with open(args.export_graph, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs(gg))
@@ -222,7 +206,6 @@ def cmd_verify_qis(args) -> int:
         if args.rep > 1:
             g = parallel_repetition(g, args.rep)
         if args.graph:
-            from .gamegraph import parse_dimacs
             with open(args.graph, "r", encoding="utf-8") as fh:
                 target = parse_dimacs(fh.read())
         else:
@@ -244,7 +227,6 @@ def cmd_verify_qis(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    from .quantum import InvalidQuantumIndependentSet
     try:
         g = _load_game(args.game)
         if args.rep > 1:
@@ -303,8 +285,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="force the weighted pipeline")
     p.add_argument("--max-verts", type=int, default=512,
                    help="vertex cap for the exact solver (default 512)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="reserved; all current algorithms are deterministic")
     p.add_argument("--max-iter", type=int, default=200_000,
                    help="iteration cap for the semidefinite solver")
     p.add_argument("--export-graph", metavar="PATH",
@@ -341,6 +321,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # argparse's own exit code 2 is this CLI's non-convergence code
+    if getattr(args, "rep", 1) < 1:
+        print("error: --rep must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not getattr(args, "tol", 1.0) > 0.0:
+        print("error: --tol must be positive", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "catalog" and args.action == "emit" and not args.name:
         print("error: catalog emit requires a game name", file=sys.stderr)
         return EXIT_USAGE

@@ -8,9 +8,7 @@ set therefore picks at most one consistent answer pair per question pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .games import Game
 
@@ -87,52 +85,51 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 class GameGraph:
     """Graph on the winning quadruples of a game, in lexicographic order.
 
-    ``weights`` is None for the plain 0/1 construction; for the weighted
-    construction weight(v) = predicate(v) * pi(x, y).
+    Vertex i of ``graph`` is the quadruple ``vertices[i]``.  ``weights`` is
+    None for the plain 0/1 construction; for the weighted construction
+    weight(v) = predicate(v) * pi(x, y).
     """
 
     vertices: tuple[tuple[int, int, int, int], ...]
-    edges: frozenset[tuple[int, int]]
+    graph: Graph
     source_k: int
     weights: tuple[float, ...] | None = None
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return self.graph.n
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.graph.num_edges
 
-    def weight_array(self) -> np.ndarray:
+    def objective(self) -> tuple[tuple[float, ...], int]:
+        """Vertex weights and divisor of the bound pipeline.
+
+        The classical value is the maximum-weight independent set over the
+        divisor, and weighted theta over the divisor bounds the entangled
+        value: unit weights over k for the 0/1 construction, the weights
+        over 1 for the weighted one.
+        """
         if self.weights is None:
-            raise ValueError("game graph carries no weights")
-        return np.asarray(self.weights)
+            return (1.0,) * self.n, self.source_k
+        return self.weights, 1
 
 
-def _edges_for_vertices(vertices) -> frozenset[tuple[int, int]]:
-    """Adjacency rule applied within groups that share x or share y."""
-    by_x: dict[int, list[int]] = {}
-    by_y: dict[int, list[int]] = {}
-    for idx, (x, y, a, b) in enumerate(vertices):
-        by_x.setdefault(x, []).append(idx)
-        by_y.setdefault(y, []).append(idx)
-    edges = set()
-    for group in by_x.values():
-        for p in range(len(group)):
-            i = group[p]
-            for q in range(p + 1, len(group)):
-                j = group[q]
-                if vertices[i][2] != vertices[j][2]:
-                    edges.add((i, j))
-    for group in by_y.values():
-        for p in range(len(group)):
-            i = group[p]
-            for q in range(p + 1, len(group)):
-                j = group[q]
-                if vertices[i][3] != vertices[j][3]:
-                    edges.add((i, j))
-    return frozenset(edges)
+def _adjacency(vertices) -> Graph:
+    """Adjacency rule: same x with a different a, or same y with a different b."""
+    rows = [0] * len(vertices)
+    for q in (0, 1):  # question x with answer a, then y with answer b
+        answered: dict[tuple[int, int], int] = {}
+        asked: dict[int, int] = {}
+        for idx, v in enumerate(vertices):
+            bit = 1 << idx
+            key = (v[q], v[q + 2])
+            answered[key] = answered.get(key, 0) | bit
+            asked[v[q]] = asked.get(v[q], 0) | bit
+        for idx, v in enumerate(vertices):
+            rows[idx] |= asked[v[q]] & ~answered[v[q], v[q + 2]]
+    return Graph(len(vertices), tuple(rows))
 
 
 def build_game_graph(g: Game) -> GameGraph:
@@ -141,7 +138,7 @@ def build_game_graph(g: Game) -> GameGraph:
         raise ValueError(
             "game has a non-boolean predicate; use build_weighted_game_graph")
     vertices = tuple(g.winning_quadruples())
-    return GameGraph(vertices, _edges_for_vertices(vertices), g.k)
+    return GameGraph(vertices, _adjacency(vertices), g.k)
 
 
 def build_weighted_game_graph(g: Game) -> GameGraph:
@@ -163,19 +160,30 @@ def build_weighted_game_graph(g: Game) -> GameGraph:
                         vertices.append((x, y, a, b))
                         weights.append(w)
     vertices = tuple(vertices)
-    return GameGraph(vertices, _edges_for_vertices(vertices), g.k,
-                     tuple(weights))
+    return GameGraph(vertices, _adjacency(vertices), g.k, tuple(weights))
+
+
+def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
+    """The game graph the bound pipeline runs on.
+
+    Uniform 0/1 games get the 0/1 construction, so their values come out as
+    alpha/k and theta/k; every other game, and any game when ``weighted`` is
+    set, gets the weighted construction.
+    """
+    if weighted or not (g.is_boolean() and g.is_uniform()):
+        return build_weighted_game_graph(g)
+    return build_game_graph(g)
 
 
 def to_plain_graph(gg: GameGraph) -> Graph:
-    """Drop labels and weights, keeping only the adjacency structure."""
-    return Graph.from_edges(gg.n, gg.edges)
+    """The adjacency of a game graph, without labels or weights."""
+    return gg.graph
 
 
 def to_dimacs(gg: GameGraph) -> str:
     """DIMACS-style edge list (1-based vertex numbers)."""
     lines = [f"p edge {gg.n} {gg.num_edges}"]
-    for i, j in sorted(gg.edges):
+    for i, j in gg.graph.edges():
         lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 

@@ -1,10 +1,10 @@
 """Exact (weighted) maximum independent set and classical game values.
 
-The classical value of a game with a 0/1 predicate and uniform questions is
-alpha(game graph) / (number of question pairs); with general predicates and
-distributions it is the maximum weight of an independent set of the weighted
-game graph.  A vectorized enumeration over all deterministic strategy pairs
-is kept alongside as an independent oracle.
+The classical value of a game is the maximum weight of an independent set of
+its game graph over the graph's divisor: unit weights over the number of
+question pairs for a 0/1 predicate with uniform questions, the weights
+predicate * probability over 1 otherwise.  A vectorized enumeration over all
+deterministic strategy pairs is kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .games import ClassicalStrategy, Game, SizeCapError
-from .gamegraph import (GameGraph, Graph, build_game_graph,
-                        build_weighted_game_graph, to_plain_graph)
+from .gamegraph import GameGraph, Graph, pipeline_graph
 
 DEFAULT_VERTEX_CAP = 512
 DEFAULT_BRUTE_CAP = 1 << 24
@@ -117,29 +116,30 @@ def _mask_to_witness(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def independence_number(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
-    """Exact maximum independent set size with a witness."""
+def _independence(g: Graph, weights: list[float],
+                  vertex_cap: int) -> IndependenceResult:
     if g.n > vertex_cap:
         raise SizeCapError(f"graph has {g.n} vertices (cap {vertex_cap})")
-    weights = [1.0] * g.n
-    value, mask, nodes = _max_weight_independent_set(g.n, list(g.rows), weights)
+    _, mask, nodes = _max_weight_independent_set(g.n, list(g.rows), weights)
     witness = _mask_to_witness(mask)
-    return IndependenceResult(float(len(witness)), witness, nodes)
+    return IndependenceResult(float(sum(weights[v] for v in witness)), witness,
+                              nodes)
+
+
+def independence_number(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
+    """Exact maximum independent set size with a witness."""
+    return _independence(g, [1.0] * g.n, vertex_cap)
 
 
 def weighted_independence(g: Graph, weights,
                           vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
     """Exact maximum-weight independent set with a witness."""
-    if g.n > vertex_cap:
-        raise SizeCapError(f"graph has {g.n} vertices (cap {vertex_cap})")
     weights = [float(w) for w in weights]
     if len(weights) != g.n:
         raise ValueError("weight vector length does not match vertex count")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    value, mask, nodes = _max_weight_independent_set(g.n, list(g.rows), weights)
-    witness = _mask_to_witness(mask)
-    return IndependenceResult(sum(weights[v] for v in witness), witness, nodes)
+    return _independence(g, weights, vertex_cap)
 
 
 @dataclass(frozen=True)
@@ -172,23 +172,18 @@ def _strategy_from_witness(g: Game, gg: GameGraph, witness) -> ClassicalStrategy
 def classical_value(g: Game, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ClassicalValueResult:
     """Exact classical value via the game graph.
 
-    Uniform 0/1 games use the unweighted independence number divided by the
-    number of question pairs (an exact rational); everything else uses the
-    maximum-weight independent set of the weighted game graph.
+    The maximum-weight independent set of the pipeline graph over its
+    divisor; for uniform 0/1 games that is alpha/k, also given as an exact
+    rational.
     """
-    if g.is_boolean() and g.is_uniform():
-        gg = build_game_graph(g)
-        alpha = independence_number(to_plain_graph(gg), vertex_cap)
-        exact = Fraction(len(alpha.witness), g.k)
-        value = float(exact)
-    else:
-        gg = build_weighted_game_graph(g)
-        alpha = weighted_independence(to_plain_graph(gg), gg.weight_array(),
-                                      vertex_cap)
-        exact = None
-        value = alpha.value
+    gg = pipeline_graph(g)
+    weights, divisor = gg.objective()
+    alpha = weighted_independence(gg.graph, weights, vertex_cap)
+    exact = (Fraction(len(alpha.witness), divisor) if gg.weights is None
+             else None)
     strategy = _strategy_from_witness(g, gg, alpha.witness)
-    return ClassicalValueResult(value, exact, strategy, alpha, gg)
+    return ClassicalValueResult(alpha.value / divisor, exact, strategy, alpha,
+                                gg)
 
 
 @dataclass(frozen=True)

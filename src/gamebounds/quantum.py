@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game
-from .gamegraph import GameGraph, Graph
+from .gamegraph import GameGraph, Graph, build_game_graph
 
 MEASUREMENT_TOL = 1e-9
 STATE_TOL = 1e-10
@@ -66,7 +66,7 @@ class QuantumStrategy:
         state = np.asarray(self.state, dtype=complex).ravel()
         if state.shape[0] != self.dA * self.dB:
             raise ValueError("state length must be dA*dB")
-        if abs(np.linalg.norm(state) - 1.0) > STATE_TOL:
+        if not abs(np.linalg.norm(state) - 1.0) <= STATE_TOL:
             raise ValueError("state is not normalized")
         for side, dim, fams in (("alice", self.dA, self.alice),
                                 ("bob", self.dB, self.bob)):
@@ -77,11 +77,11 @@ class QuantumStrategy:
                     if p.shape != (dim, dim):
                         raise ValueError(
                             f"{side} input {x} outcome {a}: wrong dimension")
-                    if _projector_defect(p) > tol:
+                    if not _projector_defect(p) <= tol:
                         raise ValueError(
                             f"{side} input {x} outcome {a}: not a projector")
                     total += p
-                if np.linalg.norm(total - np.eye(dim)) > tol:
+                if not np.linalg.norm(total - np.eye(dim)) <= tol:
                     raise ValueError(
                         f"{side} input {x}: measurement does not sum to identity")
 
@@ -213,6 +213,9 @@ class QuantumIndependentSet:
             if np.asarray(mat).shape != (self.d, self.d):
                 raise ValueError(
                     f"certificate entry ({i},{v}) has the wrong shape")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(
+                    f"certificate entry ({i},{v}) has non-finite entries")
 
     def projector(self, i: int, v: int) -> np.ndarray:
         mat = self.projectors.get((i, v))
@@ -251,12 +254,12 @@ class QisReport:
     violations: tuple[QisViolation, ...]
 
 
-def _edge_lookup(graph) -> tuple[int, set[tuple[int, int]]]:
+def _adjacency(graph) -> Graph:
     """Accept a GameGraph or a plain Graph."""
     if isinstance(graph, GameGraph):
-        return graph.n, {tuple(sorted(e)) for e in graph.edges}
+        return graph.graph
     if isinstance(graph, Graph):
-        return graph.n, {tuple(sorted(e)) for e in graph.edges()}
+        return graph
     raise TypeError(f"expected GameGraph or Graph, got {type(graph).__name__}")
 
 
@@ -265,10 +268,11 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
     """Check measurement validity and the cross-measurement orthogonality rule.
 
     Violations are returned as data rather than raised: a verifier's job is
-    to report how badly a claimed certificate fails.
+    to report how badly a claimed certificate fails.  Every defect must
+    compare <= tol to pass, so a NaN defect is a violation.
     """
-    n, edges = _edge_lookup(graph)
-    if qis.n_vertices != n:
+    adjacency = _adjacency(graph)
+    if qis.n_vertices != adjacency.n:
         raise ValueError("certificate and graph disagree on the vertex count")
     violations: list[QisViolation] = []
     eye = np.eye(qis.d)
@@ -277,12 +281,12 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
         for v in qis.support_vertices(i):
             p = qis.projector(i, v)
             defect = _projector_defect(p.astype(complex))
-            if defect > tol:
+            if not defect <= tol:
                 violations.append(QisViolation("projector", i, None, v, None,
                                                defect))
             total += p
         defect = float(np.linalg.norm(total - eye))
-        if defect > tol:
+        if not defect <= tol:
             violations.append(QisViolation("completeness", i, None, None, None,
                                            defect))
     supports = [qis.support_vertices(i) for i in range(qis.t)]
@@ -290,11 +294,11 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
         for j in range(i + 1, qis.t):
             for u in supports[i]:
                 for v in supports[j]:
-                    if u != v and tuple(sorted((u, v))) not in edges:
+                    if u != v and not adjacency.has_edge(u, v):
                         continue
                     norm = float(np.linalg.norm(
                         qis.projector(i, u) @ qis.projector(j, v)))
-                    if norm > tol:
+                    if not norm <= tol:
                         violations.append(QisViolation(
                             "orthogonality", i, j, u, v, norm))
     return QisReport(not violations, tuple(violations))
@@ -307,7 +311,7 @@ def qis_from_vertex_set(graph, vertices) -> QuantumIndependentSet:
     scalar projectors make every cross product trivially zero whenever the
     listed vertices really are independent and distinct.
     """
-    n, _ = _edge_lookup(graph)
+    n = _adjacency(graph).n
     vertices = list(vertices)
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices must be distinct")
@@ -381,8 +385,6 @@ def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
     is what makes the product measurements complete over the winning
     quadruples.  The output is re-verified before being returned.
     """
-    from .gamegraph import build_game_graph
-
     if not g.is_boolean():
         raise ValueError("conversion requires a 0/1 predicate")
     if s.dA != s.dB:

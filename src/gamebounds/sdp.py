@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolvers and an ADMM semidefinite solver for theta numbers.
+"""An ADMM semidefinite solver for theta numbers and the XOR correlation program.
 
 The theta number is computed from the trace-normalized formulation
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game
-from .gamegraph import (GameGraph, Graph, build_game_graph,
-                        build_weighted_game_graph, to_plain_graph)
+from .gamegraph import GameGraph, Graph, pipeline_graph
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_TOL = 1e-7
@@ -41,45 +40,6 @@ def as_symmetric(m, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if m.size and float(np.max(np.abs(m - m.T))) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (m + m.T)
-
-
-def jacobi_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns);
-    m = Q diag(w) Q^T.  Plain rotations, no pivot search: sweeps visit all
-    upper-triangle entries until every off-diagonal is negligible.
-    """
-    a = as_symmetric(m).copy()
-    n = a.shape[0]
-    q = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), q
-    scale = max(1.0, float(np.max(np.abs(a))))
-    threshold = 1e-15 * scale
-    for _ in range(100):  # sweeps; convergence is quadratic near the end
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= threshold / n:
-                    continue
-                # rotation angle zeroing a[p, r]
-                theta = 0.5 * np.arctan2(2.0 * apr, a[r, r] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot_p = c * a[:, p] - s * a[:, r]
-                rot_r = s * a[:, p] + c * a[:, r]
-                a[:, p], a[:, r] = rot_p, rot_r
-                rot_p = c * a[p, :] - s * a[r, :]
-                rot_r = s * a[p, :] + c * a[r, :]
-                a[p, :], a[r, :] = rot_p, rot_r
-                rot_p = c * q[:, p] - s * q[:, r]
-                rot_r = s * q[:, p] + c * q[:, r]
-                q[:, p], q[:, r] = rot_p, rot_r
-    order = np.argsort(a.diagonal())
-    return a.diagonal()[order].copy(), q[:, order].copy()
 
 
 def project_psd(m) -> np.ndarray:
@@ -245,19 +205,13 @@ class QuantumBoundResult:
 
 def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL,
                         max_iterations: int = MAX_ITERATIONS) -> QuantumBoundResult:
-    """Entangled-value upper bound: theta(game graph)/k for uniform 0/1
-    games, weighted theta of the weighted game graph otherwise."""
-    if g.is_boolean() and g.is_uniform():
-        gg = build_game_graph(g)
-        if gg.n == 0:  # nothing is ever won
-            empty = ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)))
-            return QuantumBoundResult(0.0, empty, g.k, False, gg)
-        theta = lovasz_theta(to_plain_graph(gg), tol, max_iterations)
-        return QuantumBoundResult(theta.value / g.k, theta, g.k, False, gg)
-    gg = build_weighted_game_graph(g)
-    theta = weighted_theta(to_plain_graph(gg), gg.weight_array(), tol,
-                           max_iterations)
-    return QuantumBoundResult(theta.value, theta, g.k, True, gg)
+    """Entangled-value upper bound: weighted theta of the pipeline graph over
+    its divisor, which is theta(game graph)/k for uniform 0/1 games."""
+    gg = pipeline_graph(g)
+    weights, divisor = gg.objective()
+    theta = weighted_theta(gg.graph, weights, tol, max_iterations)
+    return QuantumBoundResult(theta.value / divisor, theta, g.k,
+                              gg.weights is not None, gg)
 
 
 # ---------------------------------------------------------------------------

@@ -85,15 +85,18 @@ def test_analyze_file_and_parse_error(tmp_path, capsys):
 
 
 def test_analyze_export_graph(tmp_path, capsys):
-    out_path = tmp_path / "graph.dimacs"
-    code, _, _ = run_cli(capsys, "analyze", "chsh",
-                         "--export-graph", str(out_path))
-    assert code == 0
-    graph = parse_dimacs(out_path.read_text())
-    assert graph.n == 8 and graph.num_edges == 12
-    sidecar = json.loads((tmp_path / "graph.dimacs.json").read_text())
-    assert sidecar["num_vertices"] == 8
-    assert sidecar["vertices"][0]["quadruple"] == [0, 0, 0, 0]
+    # only the weighted pipeline's sidecar carries vertex weights
+    for flags, weight in (([], None), (["--weighted"], 0.25)):
+        out_path = tmp_path / "graph.dimacs"
+        code, _, _ = run_cli(capsys, "analyze", "chsh", *flags,
+                             "--export-graph", str(out_path))
+        assert code == 0
+        graph = parse_dimacs(out_path.read_text())
+        assert graph.n == 8 and graph.num_edges == 12
+        sidecar = json.loads((tmp_path / "graph.dimacs.json").read_text())
+        assert sidecar["num_vertices"] == 8
+        assert sidecar["vertices"][0]["quadruple"] == [0, 0, 0, 0]
+        assert sidecar["vertices"][0].get("weight") == weight
 
 
 def test_catalog_list_and_emit(capsys):
@@ -130,6 +133,25 @@ def test_verify_qis_valid_and_invalid(tmp_path, capsys):
     malformed.write_text("{]")
     code, _, err = run_cli(capsys, "verify-qis", "chsh", str(malformed))
     assert code == 1
+
+
+def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
+    doc = qis_to_dict(qis_from_vertex_set(build_game_graph(chsh()), [0]))
+    doc["projectors"][0]["matrix"] = [[float("nan")]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify-qis", "chsh", str(path))
+    assert code == 1
+    assert out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--rep", "0"), ("--rep", "-1"),
+                                         ("--tol", "-1")])
+def test_analyze_rejects_out_of_range_values(capsys, flag, value):
+    code, out, err = run_cli(capsys, "analyze", "chsh", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_lift_command(tmp_path, capsys):

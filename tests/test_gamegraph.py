@@ -14,7 +14,7 @@ def test_chsh_game_graph_counts():
     gg = build_game_graph(chsh())
     assert gg.n == 8
     assert gg.num_edges == 12
-    assert gg.edges == frozenset(naive_game_graph_edges(gg.vertices))
+    assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
 
 
 def test_all_ones_1122_graph():
@@ -22,7 +22,7 @@ def test_all_ones_1122_graph():
     assert gg.n == 4
     # every pair differing in a is adjacent, and every pair differing in b;
     # only identical answer pairs are non-adjacent, so this is K4
-    assert gg.edges == frozenset(naive_game_graph_edges(gg.vertices))
+    assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
     assert gg.num_edges == 6
 
 
@@ -41,10 +41,10 @@ def test_edge_rule_matches_naive_reference():
     for _ in range(30):
         g = random_boolean_game(rng)
         gg = build_game_graph(g)
-        assert gg.edges == frozenset(naive_game_graph_edges(gg.vertices))
+        assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
         # no edge between same-x vertices sharing the answer a via the x-rule:
         # verify no self-inconsistent adjacency was produced
-        for i, j in gg.edges:
+        for i, j in gg.graph.edges():
             xi, yi, ai, bi = gg.vertices[i]
             xj, yj, aj, bj = gg.vertices[j]
             assert (xi == xj and ai != aj) or (yi == yj and bi != bj)
@@ -57,15 +57,18 @@ def test_weighted_graph_uniform_matches_unweighted():
         gg = build_game_graph(g)
         wgg = build_weighted_game_graph(g)
         assert wgg.vertices == gg.vertices
-        assert wgg.edges == gg.edges
-        assert np.allclose(wgg.weight_array(), 1.0 / g.k)
+        assert wgg.graph == gg.graph
+        assert np.allclose(wgg.weights, 1.0 / g.k)
+        # the bound pipeline's objective: unit weights over k, weights over 1
+        assert gg.objective() == ((1.0,) * gg.n, g.k)
+        assert wgg.objective() == (wgg.weights, 1)
 
 
 def test_weighted_chsh_with_skewed_distribution():
     pi = np.array([[0.5, 1 / 6], [1 / 6, 1 / 6]])
     g = Game("chsh-skew", 2, 2, 2, 2, chsh().predicate, pi)
     wgg = build_weighted_game_graph(g)
-    weights = wgg.weight_array()
+    weights = wgg.weights
     heavy = [w for v, w in zip(wgg.vertices, weights) if v[:2] == (0, 0)]
     light = [w for v, w in zip(wgg.vertices, weights) if v[:2] != (0, 0)]
     assert len(heavy) == 2 and np.allclose(heavy, 0.5)
@@ -106,7 +109,7 @@ def test_to_plain_graph_preserves_adjacency():
     gg = build_game_graph(chsh())
     graph = to_plain_graph(gg)
     assert graph.n == 8 and graph.num_edges == 12
-    for i, j in gg.edges:
+    for i, j in naive_game_graph_edges(gg.vertices):
         assert graph.has_edge(i, j) and graph.has_edge(j, i)
     empty = build_game_graph(
         Game("none", 1, 1, 1, 1, np.zeros((1, 1, 1, 1)), np.ones((1, 1))))
@@ -126,7 +129,8 @@ def test_dimacs_round_trip():
     assert text.startswith("p edge 8 12\n")
     parsed = parse_dimacs(text)
     assert parsed.n == 8
-    assert {tuple(sorted(e)) for e in parsed.edges()} == set(gg.edges)
+    assert ({tuple(sorted(e)) for e in parsed.edges()}
+            == naive_game_graph_edges(gg.vertices))
     sidecar = dimacs_sidecar(gg)
     assert sidecar["num_vertices"] == 8
     assert sidecar["vertices"][0]["quadruple"] == [0, 0, 0, 0]

@@ -212,6 +212,25 @@ def test_classical_embedding_on_isg_graph_is_valid():
     assert report.valid
 
 
+def test_nan_certificate_is_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumIndependentSet(1, 1, 3, {(0, 0): np.array([[np.nan]])})
+    # a NaN that slips past construction still fails every defect check
+    qis = QuantumIndependentSet(1, 1, 3, {(0, 0): np.ones((1, 1))})
+    qis.projectors[(0, 0)] = np.array([[np.nan]])
+    report = verify_quantum_independent_set(cycle_graph(3), qis)
+    assert not report.valid
+    assert {v.kind for v in report.violations} == {"projector", "completeness"}
+
+
+def test_nan_state_is_rejected():
+    s = chsh_optimal_strategy()
+    nan_state = QuantumStrategy(2, 2, np.full(4, np.nan, dtype=complex),
+                                s.alice, s.bob)
+    with pytest.raises(ValueError, match="not normalized"):
+        nan_state.validate()
+
+
 def test_classical_embedding_on_plain_graph():
     c5 = cycle_graph(5)
     qis = qis_from_vertex_set(c5, [0, 2])
@@ -334,10 +353,9 @@ def test_lift_two_dimensional_certificate():
     # the lift must still clear t/k
     g = chsh()
     gg = build_game_graph(g)
-    graph = {frozenset(e) for e in gg.edges}
 
     def independent(vs):
-        return all(frozenset((u, v)) not in graph
+        return all(not gg.graph.has_edge(u, v)
                    for u in vs for v in vs if u != v)
 
     first = classical_value(g).alpha.witness  # size 3

@@ -5,10 +5,10 @@ from gamebounds.games import all_ones, chsh, independent_set_game, xor_game
 from gamebounds.gamegraph import (build_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
                                   to_plain_graph)
-from gamebounds.independence import independence_number
-from gamebounds.sdp import (NotXorGame, as_symmetric, jacobi_eigh,
-                            lovasz_theta, project_psd, quantum_upper_bound,
-                            weighted_theta, xor_tsirelson_value)
+from gamebounds.independence import independence_number, weighted_independence
+from gamebounds.sdp import (NotXorGame, as_symmetric, lovasz_theta,
+                            project_psd, quantum_upper_bound, weighted_theta,
+                            xor_tsirelson_value)
 
 from conftest import random_graph
 
@@ -16,41 +16,7 @@ SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
 
 
-# --- eigensolver ----------------------------------------------------------
-
-def test_jacobi_identity():
-    w, q = jacobi_eigh(np.eye(3))
-    assert np.allclose(w, [1.0, 1.0, 1.0])
-    assert np.allclose(q @ q.T, np.eye(3))
-
-
-def test_jacobi_diagonal():
-    w, _ = jacobi_eigh(np.diag([2.0, -1.0]))
-    assert np.allclose(w, [-1.0, 2.0])
-
-
-def test_jacobi_two_by_two_exchange():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    w, q = jacobi_eigh(m)
-    assert np.allclose(w, [-1.0, 1.0])
-    for col, val in zip(q.T, w):
-        assert np.allclose(m @ col, val * col, atol=1e-12)
-
-
-def test_jacobi_contract_on_random_matrices():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        n = int(rng.integers(1, 12))
-        m = rng.normal(size=(n, n))
-        m = m + m.T
-        w, q = jacobi_eigh(m)
-        norm = max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm((q * w) @ q.T - m) <= 1e-10 * norm
-        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(w) >= -1e-12)
-        # independent route: numpy's LAPACK eigenvalues
-        assert np.allclose(w, np.linalg.eigvalsh(m), atol=1e-9 * norm)
-
+# --- symmetric input ------------------------------------------------------
 
 def test_as_symmetric_rejects_asymmetry():
     with pytest.raises(ValueError, match="not symmetric"):
@@ -205,7 +171,6 @@ def test_sandwich_on_random_graphs():
 
 def test_weighted_sandwich_on_random_game_graphs():
     from gamebounds.gamegraph import build_weighted_game_graph, to_plain_graph
-    from gamebounds.independence import weighted_independence
     from conftest import random_boolean_game
     rng = np.random.default_rng(26)
     tol = 1e-7
@@ -215,10 +180,25 @@ def test_weighted_sandwich_on_random_game_graphs():
         if gg.n == 0:
             continue
         graph = to_plain_graph(gg)
-        w = gg.weight_array()
+        w = gg.weights
         alpha_w = weighted_independence(graph, w).value
         theta_w = weighted_theta(graph, w, tol)
         assert alpha_w <= theta_w.dual_bound + 10 * tol
+
+
+@pytest.mark.parametrize("game", [chsh(), independent_set_game(
+    cycle_graph(5), 2)], ids=["chsh", "isg-c5-t2"])
+def test_unit_weights_reproduce_unweighted_solvers(game):
+    # the uniform 0/1 pipeline runs the weighted solvers on unit weights;
+    # its reports stay byte-identical only if this holds exactly
+    graph = build_game_graph(game).graph
+    ones = [1.0] * graph.n
+    plain, unit = lovasz_theta(graph), weighted_theta(graph, ones)
+    assert (unit.value, unit.dual_bound, unit.gap, unit.iterations,
+            unit.converged) == (plain.value, plain.dual_bound, plain.gap,
+                                plain.iterations, plain.converged)
+    assert np.array_equal(unit.primal_matrix, plain.primal_matrix)
+    assert weighted_independence(graph, ones) == independence_number(graph)
 
 
 # --- entangled-value bounds -----------------------------------------------
