@@ -15,6 +15,10 @@ Grammar (lowest to highest precedence):
 Values are integers. Boolean operators and comparisons return 0/1 and treat
 any nonzero operand as true; % is the mathematical modulo (result has the
 sign of the divisor, so non-negative here).
+
+Parentheses and unary operators may nest at most MAX_NESTING deep, so that
+neither parsing nor evaluation can exhaust the interpreter's stack; chains
+of binary operators may be of any length.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 VARIABLES = ("x", "y", "a", "b")
+MAX_NESTING = 32
 
 
 class DslError(ValueError):
@@ -83,6 +88,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -138,11 +144,20 @@ class _Parser:
     def mul_expr(self):
         return self._left_chain(self.unary_expr, ("*", "%"))
 
+    def nested(self, at, parse):
+        """Run parse one nesting level deeper, refusing past MAX_NESTING."""
+        if self.nesting == MAX_NESTING:
+            raise DslError(f"nested more than {MAX_NESTING} levels deep", at)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
+
     def unary_expr(self):
         kind, val, at = self.peek()
         if kind == "op" and val in ("not", "-"):
             self.take()
-            return ("unary", val, self.unary_expr())
+            return ("unary", val, self.nested(at, self.unary_expr))
         return self.atom()
 
     def atom(self):
@@ -152,7 +167,7 @@ class _Parser:
         if kind == "var":
             return ("var", val)
         if kind == "op" and val == "(":
-            node = self.or_expr()
+            node = self.nested(at, self.or_expr)
             self.expect_op(")")
             return node
         raise DslError("expected a value", at)
@@ -173,8 +188,20 @@ def eval_expr(node, env: dict[str, int]) -> int:
     if kind == "unary":
         v = eval_expr(node[2], env)
         return (0 if v else 1) if node[1] == "not" else -v
-    _, op, left, right = node
-    lv = eval_expr(left, env)
+    # a chain a op b op c ... nests to the left; walk it with a loop, so
+    # that only parentheses and unary operators deepen the recursion
+    chain = []
+    while node[0] == "binary":
+        chain.append(node)
+        node = node[2]
+    value = eval_expr(node, env)
+    for _, op, _, right in reversed(chain):
+        value = _apply(op, value, right, env)
+    return value
+
+
+def _apply(op: str, lv: int, right, env: dict[str, int]) -> int:
+    """lv op right; and/or evaluate right only when it decides the value."""
     if op == "and":
         return 1 if (lv != 0 and eval_expr(right, env) != 0) else 0
     if op == "or":

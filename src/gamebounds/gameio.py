@@ -33,6 +33,16 @@ def _require(doc: dict, key: str, types) -> object:
     return value
 
 
+def _numbers(values: list, key: str) -> np.ndarray:
+    """A JSON list of numbers as a float array."""
+    if not all(isinstance(v, (int, float)) for v in values):
+        raise GameFormatError(f"{key}: entries must be numbers")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise GameFormatError(f"{key}: entries must be finite") from None
+
+
 def game_from_dict(doc: dict) -> Game:
     """Build a validated Game from a parsed document."""
     if not isinstance(doc, dict):
@@ -53,6 +63,8 @@ def game_from_dict(doc: dict) -> Game:
             "predicate: exactly one of 'winning', 'dsl', 'table' is required")
     kind = given[0]
     if kind == "winning":
+        if not isinstance(pred["winning"], list):
+            raise GameFormatError("predicate.winning: must be a list")
         table = np.zeros((nx, ny, na, nb))
         for q in pred["winning"]:
             if not (isinstance(q, list) and len(q) == 4
@@ -73,7 +85,7 @@ def game_from_dict(doc: dict) -> Game:
         if not isinstance(flat, list) or len(flat) != nx * ny * na * nb:
             raise GameFormatError(
                 f"predicate.table: expected {nx * ny * na * nb} entries")
-        table = np.asarray(flat, dtype=float).reshape(nx, ny, na, nb)
+        table = _numbers(flat, "predicate.table").reshape(nx, ny, na, nb)
 
     dist_field = doc.get("distribution", "uniform")
     if isinstance(dist_field, str):
@@ -84,7 +96,7 @@ def game_from_dict(doc: dict) -> Game:
     elif isinstance(dist_field, list):
         if len(dist_field) != nx * ny:
             raise GameFormatError(f"distribution: expected {nx * ny} entries")
-        dist = np.asarray(dist_field, dtype=float).reshape(nx, ny)
+        dist = _numbers(dist_field, "distribution").reshape(nx, ny)
     else:
         raise GameFormatError("distribution: must be 'uniform' or a flat list")
 
@@ -99,6 +111,8 @@ def parse_game(text: str) -> Game:
         raise GameFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise GameFormatError("document is nested too deeply") from None
     return game_from_dict(doc)
 
 

@@ -51,6 +51,10 @@ class Game:
             self.nx, self.ny))
         if min(self.nx, self.ny, self.na, self.nb) < 1:
             raise GameFormatError("all set sizes must be positive")
+        if not np.all(np.isfinite(lam)):
+            raise GameFormatError("predicate: entries must be finite")
+        if not np.all(np.isfinite(pi)):
+            raise GameFormatError("distribution: entries must be finite")
         if np.any(lam < 0.0) or np.any(lam > 1.0):
             raise GameFormatError("predicate: entries must lie in [0, 1]")
         if np.any(pi < 0.0):

@@ -9,6 +9,7 @@ deterministic strategy pairs is kept alongside as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,8 +138,8 @@ def weighted_independence(g: Graph, weights,
     weights = [float(w) for w in weights]
     if len(weights) != g.n:
         raise ValueError("weight vector length does not match vertex count")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
+    if not all(math.isfinite(w) and w >= 0.0 for w in weights):
+        raise ValueError("weights must be finite and non-negative")
     return _independence(g, weights, vertex_cap)
 
 

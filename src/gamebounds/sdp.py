@@ -1,16 +1,28 @@
-"""An ADMM semidefinite solver for theta numbers and the XOR correlation program.
+"""Semidefinite solvers for theta numbers and the XOR correlation program.
 
 The theta number is computed from the trace-normalized formulation
 
     maximize  <C, X>   s.t.  tr X = 1,  X_uv = 0 for every edge (u, v),  X >= 0,
 
 with C the all-ones matrix (weighted: C_uv = sqrt(w_u * w_v)).  The solver
-alternates projection onto the affine constraint set (closed form) and onto
-the PSD cone (eigenvalue clipping), with a scaled dual update and residual
-balancing of the penalty parameter.  A feasibility-repaired primal matrix
-provides a true lower bound on the optimum and a repaired dual multiplier a
-true upper bound, so value and dual_bound always bracket the exact theta
-up to eigensolver precision.
+is picked by the constraint count m = edges + 1:
+
+- up to IPM_MAX_CONSTRAINTS, a primal-dual interior-point method (HKM
+  direction, Mehrotra predictor-corrector) that factors the m x m Schur
+  complement every iteration.  It aims for a bracket tol wide and stops
+  there, or when a factorization fails or STALL_STEPS steps in a row do not
+  narrow the bracket, keeping the narrowest bracket seen.  The XOR program
+  (unit diagonal) always uses it.
+- above it, ADMM: projection onto the affine constraint set (closed form)
+  alternates with projection onto the PSD cone (eigenvalue clipping), with a
+  scaled dual update and residual balancing of the penalty parameter.  It
+  stops once its residuals pass and the bracket is certified.
+
+Both feed one certificate.  A feasibility-repaired primal matrix provides a
+true lower bound on the optimum and a repaired dual multiplier a true upper
+bound, so value and dual_bound always bracket the exact theta up to
+eigensolver precision; converged=True means this bracket closed to 10*tol
+(times the largest objective entry, when that exceeds 1).
 """
 
 from __future__ import annotations
@@ -25,6 +37,21 @@ from .gamegraph import GameGraph, Graph, pipeline_graph
 SYMMETRY_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 200_000
+
+# Theta programs with at most this many constraints m (edges + 1) go to the
+# interior-point solver, larger ones to ADMM.  The interior-point solver is
+# faster at every size measured, up to m = 1261, but its Schur matrix takes
+# 8 m^2 bytes: 1.3 MB here, against 5.8 GB for CHSH^3.  On the benchmark's
+# theta battery (largest m = 390) process peak RSS grew from 39.4 to 41.5 MB.
+IPM_MAX_CONSTRAINTS = 400
+# interior-point steps go this fraction of the way to the PSD boundary
+STEP_FRACTION = 0.95
+SCHUR_SHIFTS = (1e-12, 1e-10)
+STALL_STEPS = 3
+# row blocks of the Schur matrix are built this many entries at a time, and
+# the in-place Cholesky works on blocks of _BLOCK columns
+_SCHUR_BLOCK_ENTRIES = 1 << 14
+_BLOCK = 64
 
 
 class NotXorGame(ValueError):
@@ -70,12 +97,12 @@ class ThetaResult:
 
 def _admm_sdp(c: np.ndarray, project_affine, tol: float,
               max_iterations: int,
-              certify=None) -> tuple[np.ndarray, np.ndarray, int, bool]:
+              certify) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """maximize <c, X> over {affine set} ∩ {PSD}; returns (Z, scaled dual u,
     iterations, converged).
 
     project_affine must be the orthogonal projection onto the affine set.
-    When residuals pass, the optional certify(z, dual) callback decides
+    When residuals pass, the certify(z, dual) callback decides
     whether the primal/dual certificates are tight enough; if not, the
     residual target is tightened and iteration continues.  converged=True
     therefore means "certified", not merely "stalled".
@@ -103,7 +130,7 @@ def _admm_sdp(c: np.ndarray, project_affine, tol: float,
             dual_res = rho * np.linalg.norm(z - z_prev)
             limit = residual_target * (1.0 + x_norm)
             if primal_res < limit and dual_res < limit:
-                if certify is None or certify(z, rho * u):
+                if certify(z, rho * u):
                     converged = True
                     break
                 if residual_target <= 1e-13:
@@ -119,18 +146,204 @@ def _admm_sdp(c: np.ndarray, project_affine, tol: float,
     return z, rho * u, it, converged
 
 
+def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the lower triangle of the positive definite a, read from its
+    lower triangle, with its Cholesky factor L, a block column at a time, so
+    that no second m x m array is allocated (numpy's cholesky makes two).
+    Returns the inverses of L's diagonal blocks, which _cho_solve needs;
+    raises LinAlgError when a is not numerically positive definite."""
+    m = a.shape[0]
+    inverses = []
+    for s in range(0, m, _BLOCK):
+        e = min(s + _BLOCK, m)
+        left = a[s:e, :s]
+        diag = np.linalg.cholesky(a[s:e, s:e] - left @ left.T)
+        inverses.append(np.linalg.inv(diag))
+        a[s:e, s:e] = diag
+        a[e:, s:e] = (a[e:, s:e] - a[e:, :s] @ left.T) @ inverses[-1].T
+    return inverses
+
+
+def _cho_solve(low: np.ndarray, inverses: list[np.ndarray],
+               r: np.ndarray) -> np.ndarray:
+    """Solve L L^T v = r by block forward and back substitution, given what
+    _cholesky_in_place left in low and returned."""
+    v = r.copy()
+    blocks = [(s, s + len(li), li) for s, li in
+              zip(range(0, len(r), _BLOCK), inverses)]
+    for s, e, li in blocks:
+        v[s:e] = li @ (v[s:e] - low[s:e, :s] @ v[:s])
+    for s, e, li in reversed(blocks):
+        v[s:e] = li.T @ (v[s:e] - low[e:, s:e].T @ v[e:])
+    return v
+
+
+def _step_to_boundary(li: np.ndarray, d: np.ndarray) -> float:
+    """Step length along d from the positive definite L L^T, given
+    li = L^-1: STEP_FRACTION of the distance to the PSD boundary, capped
+    at 1."""
+    lam_min = float(np.linalg.eigvalsh(li @ d @ li.T)[0])
+    if lam_min >= -STEP_FRACTION:
+        return 1.0
+    return STEP_FRACTION / -lam_min
+
+
+def _factor_schur(schur, x: np.ndarray, zi: np.ndarray,
+                  low: np.ndarray) -> list[np.ndarray]:
+    """Build the Schur matrix into low and factor it there; returns the
+    diagonal-block inverses that _cho_solve needs with low.
+
+    Near a degenerate optimum M tends to a singular matrix and rounding
+    makes it indefinite, so a failed factorization is retried on a rebuilt
+    M with its diagonal raised by each relative shift of SCHUR_SHIFTS in
+    turn; the last failure raises LinAlgError."""
+    shifts = (0.0,) + SCHUR_SHIFTS
+    for shift in shifts:
+        schur(x, zi, low)
+        low.flat[::low.shape[0] + 1] *= 1.0 + shift
+        try:
+            return _cholesky_in_place(low)
+        except np.linalg.LinAlgError:
+            if shift == shifts[-1]:
+                raise
+
+
+def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
+    """One Mehrotra predictor-corrector step along the HKM direction from the
+    interior point (x, y, z), with low the m x m Schur matrix's storage;
+    returns the new point.  Raises LinAlgError when X, Z or the Schur
+    matrix fails to factor."""
+    n = c.shape[0]
+    lxi = np.linalg.inv(np.linalg.cholesky(x))
+    lzi = np.linalg.inv(np.linalg.cholesky(z))
+    # Z^-1 as lzi^T lzi is exactly symmetric; inv(z) is not, and near a
+    # degenerate optimum its asymmetry makes the computed Schur matrix
+    # indefinite
+    zi = lzi.T @ lzi
+    inverses = _factor_schur(schur, x, zi, low)
+    r_p = b - a_map(x)
+    r_d = a_adj(y) - c - z
+    mu = float(np.sum(x * z)) / n
+    # the constraint matrices are mutually orthogonal, so A A^T is diagonal
+    gram = a_map(a_adj(np.ones_like(y)))
+
+    def direction(k_zi):
+        # Newton step for X dZ + dX Z = K, with K given as K Z^-1
+        dy = _cho_solve(low, inverses, a_map(k_zi - x @ r_d @ zi) - r_p)
+        dz = a_adj(dy) + r_d
+        dx = k_zi - x @ dz @ zi
+        dx = 0.5 * (dx + dx.T)
+        # with M ill-conditioned dy is inexact; project dX back onto
+        # A(dX) = r_p so that the primal iterate stays feasible
+        dx += a_adj((r_p - a_map(dx)) / gram)
+        return dx, dy, dz
+
+    dx, dy, dz = direction(-x)
+    ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
+    mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / n
+    sigma = min(1.0, (mu_aff / mu) ** 3)
+    dx, dy, dz = direction(sigma * mu * zi - x - dx @ dz @ zi)
+    ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
+    z = z + ad * dz
+    return x + ap * dx, y + ad * dy, 0.5 * (z + z.T)
+
+
+def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
+             x: np.ndarray, y: np.ndarray, max_iterations: int,
+             width, target: float
+             ) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
+    s.t. Z = a_adj(y) - c PSD; returns (X, dual, iterations, bracket width).
+
+    Primal-dual interior point with the HKM direction and Mehrotra's
+    predictor-corrector (Helmberg, Rendl, Vanderbei and Wolkowicz 1996).
+    a_map(W) is the constraint map for any square W (it reads the
+    symmetric part) and a_adj its adjoint; the constraint matrices must be
+    mutually orthogonal.  schur(X, Z^-1, out) writes the matrix
+    M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
+    read; one out array serves every iteration.
+    The start (x, y) must make X and Z positive definite.  dual =
+    c - a_adj(y) has the sign of the ADMM dual, so the callers' repair code
+    reads either solver; width(X, dual) is the width of their repaired
+    bracket.  Iteration stops once the width is at most target, or when a
+    factorization fails, STALL_STEPS steps in a row do not narrow the
+    bracket or max_iterations runs out; the iterate with the narrowest
+    bracket is returned.
+    """
+    z = a_adj(y) - c
+    best = (np.inf, x, c - a_adj(y))
+    low = np.zeros((len(y), len(y)))
+    stalled = 0
+    it = 0
+    for it in range(1, max_iterations + 1):
+        try:
+            x, y, z = _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low)
+        except np.linalg.LinAlgError:
+            break
+        dual = c - a_adj(y)
+        gap = width(x, dual)
+        if gap < best[0]:
+            best, stalled = (gap, x, dual), 0
+        else:
+            stalled += 1
+        if gap <= target or stalled == STALL_STEPS:
+            break
+    gap, x, dual = best
+    return x, dual, it, gap
+
+
+def _ipm_theta(c: np.ndarray, edges, max_iterations: int, width,
+               target: float):
+    """Theta by the interior-point core: constraint 0 is tr X = 1, constraint
+    e = (i, j) is <(E_ij + E_ji)/2, X> = X_ij = 0."""
+    n = c.shape[0]
+    ei = np.array([i for i, _ in edges], dtype=np.intp)
+    ej = np.array([j for _, j in edges], dtype=np.intp)
+    m = len(edges) + 1
+    b = np.zeros(m)
+    b[0] = 1.0
+
+    def a_map(w):
+        return np.concatenate(([np.trace(w)], 0.5 * (w[ei, ej] + w[ej, ei])))
+
+    def a_adj(y):
+        out = np.diag(np.full(n, y[0]))
+        out[ei, ej] = out[ej, ei] = 0.5 * y[1:]
+        return out
+
+    def schur(x, zi, out):
+        # lower triangle only, which is all that _cholesky_in_place reads
+        out[0, 0] = np.sum(x * zi)
+        w = x @ zi
+        out[1:, 0] = 0.5 * (w[ei, ej] + w[ej, ei])
+        # M_ef = (X_jk Zi_il + X_jl Zi_ik + X_ik Zi_jl + X_il Zi_jk) / 4 for
+        # e = (i, j), f = (k, l), built a block of rows at a time
+        rows = max(1, _SCHUR_BLOCK_ENTRIES // m)
+        for s in range(0, m - 1, rows):
+            e = min(s + rows, m - 1)
+            i, j, fk, fl = ei[s:e], ej[s:e], ei[:e], ej[:e]
+            xi, xj, zi_i, zi_j = x[i], x[j], zi[i], zi[j]
+            block = out[1 + s:1 + e, 1:1 + e]
+            np.multiply(xj[:, fk], zi_i[:, fl], out=block)
+            block += xj[:, fl] * zi_i[:, fk]
+            block += xi[:, fk] * zi_j[:, fl]
+            block += xi[:, fl] * zi_j[:, fk]
+            block *= 0.25
+
+    # X = I/n and Z = t I - C with t above the Gershgorin bound of C are
+    # strictly feasible
+    y = np.zeros(m)
+    y[0] = 1.0 + float(np.max(np.sum(np.abs(c), axis=1)))
+    return _ipm_sdp(c, b, a_map, a_adj, schur, np.eye(n) / n, y,
+                    max_iterations, width, target)
+
+
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                           max_iterations: int) -> ThetaResult:
     n = graph.n
     edge_mask = np.zeros((n, n), dtype=bool)
     for i, j in graph.edges():
         edge_mask[i, j] = edge_mask[j, i] = True
-
-    def project_affine(m):
-        out = m.copy()
-        out[edge_mask] = 0.0
-        out += (1.0 - np.trace(out)) / n * np.eye(n)
-        return out
 
     def repair(z, dual):
         # Primal: zero the edge entries exactly, shift away any negative
@@ -155,14 +368,28 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
         dual_bound = float(np.linalg.eigvalsh(c - y)[-1])
         return value, dual_bound, repaired
 
-    scale = max(1.0, float(np.max(np.abs(c))))
-
-    def certify(z, dual):
+    def width(z, dual):
         value, dual_bound, _ = repair(z, dual)
-        return dual_bound - value <= 10.0 * tol * scale
+        return dual_bound - value
 
-    z, dual, iterations, converged = _admm_sdp(c, project_affine, tol,
-                                               max_iterations, certify)
+    scale = max(1.0, float(np.max(np.abs(c))))
+    limit = 10.0 * tol * scale
+    edges = graph.edges()
+    if len(edges) + 1 <= IPM_MAX_CONSTRAINTS:
+        # aim for tol, as ADMM's residual target does, but certify at 10*tol
+        z, dual, iterations, gap = _ipm_theta(c, edges, max_iterations,
+                                              width, tol * scale)
+        converged = gap <= limit
+    else:
+        def project_affine(m):
+            out = m.copy()
+            out[edge_mask] = 0.0
+            out += (1.0 - np.trace(out)) / n * np.eye(n)
+            return out
+
+        z, dual, iterations, converged = _admm_sdp(
+            c, project_affine, tol, max_iterations,
+            lambda z, dual: width(z, dual) <= limit)
     value, dual_bound, repaired = repair(z, dual)
     return ThetaResult(value, dual_bound, dual_bound - value, iterations,
                        converged, repaired)
@@ -183,8 +410,8 @@ def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL,
     w = np.asarray(weights, dtype=float)
     if w.shape != (graph.n,):
         raise ValueError("weight vector length does not match vertex count")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be non-negative")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and non-negative")
     if graph.n == 0:
         return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)))
     root = np.sqrt(w)
@@ -253,11 +480,6 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
     c[:g.nx, g.nx:] = d / 2.0
     c[g.nx:, :g.nx] = d.T / 2.0
 
-    def project_affine(m):
-        out = m.copy()
-        np.fill_diagonal(out, 1.0)
-        return out
-
     def bracket(z, dual):
         # Dual: C - dual = Diag(t) at optimality; shifting t makes
         # Diag(t) - C PSD, and sum(t) upper-bounds the correlation term.
@@ -279,13 +501,16 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
         lower = float(np.sum(c * gram))
         return lower, upper
 
-    def certify(z, dual):
+    def width(z, dual):
         lower, upper = bracket(z, dual)
-        return upper - lower <= max(10.0 * tol, 1e-10)
+        return upper - lower
 
-    z, dual, iterations, converged = _admm_sdp(c, project_affine, tol,
-                                               max_iterations, certify)
-    lower, upper = bracket(z, dual)
+    # unit diagonal: A_k = E_kk, so M = X o Z^-1; X = I and
+    # Z = t I - C with t above the Gershgorin bound of C are strictly feasible
+    y = np.full(n, 1.0 + float(np.max(np.sum(np.abs(c), axis=1))))
+    x, dual, _, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
+                             np.eye(n), y, max_iterations, width, tol)
+    lower, upper = bracket(x, dual)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.
     return constant + 0.5 * (lower + upper)

@@ -154,6 +154,20 @@ def test_analyze_rejects_out_of_range_values(capsys, flag, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("predicate", [
+    {"table": [float("nan")] * 16},
+    {"dsl": "(" * 2000 + "x" + ")" * 2000}], ids=["nan", "deep-dsl"])
+def test_analyze_rejects_bad_game_files(tmp_path, capsys, predicate):
+    doc = {"name": "bad", "nx": 2, "ny": 2, "na": 2, "nb": 2,
+           "predicate": predicate}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lift_command(tmp_path, capsys):
     g = chsh()
     gg = build_game_graph(g)

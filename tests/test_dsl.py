@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gamebounds.dsl import DslError, eval_expr, parse_expr, parse_predicate_dsl
+from gamebounds.dsl import (MAX_NESTING, DslError, eval_expr, parse_expr,
+                            parse_predicate_dsl)
 from gamebounds.games import chsh
 
 
@@ -63,3 +64,19 @@ def test_tables_are_boolean():
 def test_modulo_by_zero():
     with pytest.raises(DslError, match="modulo by zero"):
         eval_expr(parse_expr("x % y"), {"x": 1, "y": 0})
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000,
+                                  "not " * 2000 + "x", "-" * 2000 + "x"])
+def test_deep_nesting_is_refused(text):
+    with pytest.raises(DslError, match="nested more than"):
+        parse_expr(text)
+
+
+def test_nesting_limit_and_long_chains():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert eval_expr(parse_expr(deepest), {"x": 3}) == 3
+    # chains nest to the left without bound, and still evaluate
+    assert eval_expr(parse_expr(" + ".join(["x"] * 5000)), {"x": 1}) == 5000
+    assert eval_expr(parse_expr(" - ".join(["1"] * 3000)), {}) == -2998
+    assert eval_expr(parse_expr("0 and x % 0"), {"x": 1}) == 0

@@ -1,0 +1,90 @@
+"""Property tests: any game document or DSL predicate either analyzes or is
+refused with exit code 1 and a single error line, never a traceback."""
+
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gamebounds.cli import main
+from gamebounds.dsl import DslError, parse_predicate_dsl
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+scalars = (st.none() | st.booleans() | st.integers(-2, 4)
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+json_values = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=12)
+sizes = st.integers(-1, 3) | json_values
+
+dsl_tokens = st.sampled_from(
+    ["x", "y", "a", "b", "0", "1", "2", "(", ")", "+", "-", "*", "%", "==",
+     "!=", "and", "or", "xor", "not", "$", "q"])
+dsl_text = st.lists(dsl_tokens, max_size=30).map(" ".join)
+nested_dsl_text = st.builds(lambda depth, op, inner: (op + " ") * depth + inner,
+                            st.integers(0, 3000), st.sampled_from(["not", "-"]),
+                            dsl_text) | st.builds(
+    lambda depth, inner: "(" * depth + inner + ")" * depth,
+    st.integers(0, 3000), dsl_text)
+
+numbers = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-1, 2)
+entries = numbers | json_values
+predicates = st.one_of(
+    st.fixed_dictionaries({"winning": st.lists(
+        st.lists(st.integers(-1, 3), min_size=4, max_size=4) | json_values,
+        max_size=6) | scalars}),
+    st.fixed_dictionaries({"dsl": dsl_text | nested_dsl_text | scalars}),
+    st.fixed_dictionaries({"table": st.lists(entries, max_size=20)
+                           | scalars}),
+    json_values)
+distributions = (st.just("uniform") | st.lists(entries, max_size=10)
+                 | json_values)
+# half of the documents have well-formed sizes, so that the predicate and
+# distribution readers are reached; the rest may be junk anywhere
+documents = st.fixed_dictionaries(
+    {"name": st.text(max_size=4), "nx": st.integers(1, 3),
+     "ny": st.integers(1, 3), "na": st.integers(1, 2), "nb": st.integers(1, 2),
+     "predicate": predicates},
+    optional={"distribution": distributions}) | (st.fixed_dictionaries(
+        {"name": st.text(max_size=4) | json_values, "nx": sizes, "ny": sizes,
+         "na": sizes, "nb": sizes, "predicate": predicates},
+        optional={"distribution": distributions}) | json_values)
+
+
+def _analyze(tmp_path, capsys, text):
+    path = tmp_path / "game.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["analyze", str(path), "--json"])
+    captured = capsys.readouterr()
+    if code == 0:
+        json.loads(captured.out)
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+@SETTINGS
+@given(doc=documents)
+def test_any_game_document_analyzes_or_exits_1(tmp_path, capsys, doc):
+    _analyze(tmp_path, capsys, json.dumps(doc))
+
+
+@SETTINGS
+@given(text=st.text(max_size=60))
+def test_any_file_text_analyzes_or_exits_1(tmp_path, capsys, text):
+    _analyze(tmp_path, capsys, text)
+
+
+@SETTINGS
+@given(text=dsl_text | nested_dsl_text)
+def test_dsl_evaluates_or_raises_dsl_error(text):
+    try:
+        table = parse_predicate_dsl(text, 2, 2, 2, 2)
+    except DslError:
+        return
+    assert set(np.unique(table)) <= {0.0, 1.0}

@@ -154,6 +154,16 @@ def test_game_invariants_rejected():
              np.full((2, 2), 0.3))
 
 
+@pytest.mark.parametrize("where, bad", [("predicate", np.nan),
+                                        ("predicate", np.inf),
+                                        ("distribution", np.nan)])
+def test_non_finite_entries_rejected(where, bad):
+    lam, pi = np.ones((2, 2, 2, 2)), np.full((2, 2), 0.25)
+    (lam if where == "predicate" else pi).flat[0] = bad
+    with pytest.raises(GameFormatError, match=f"{where}: entries must be finite"):
+        Game("bad", 2, 2, 2, 2, lam, pi)
+
+
 def test_constructed_games_validate():
     rng = np.random.default_rng(11)
     for _ in range(25):

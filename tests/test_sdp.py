@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gamebounds.games import all_ones, chsh, independent_set_game, xor_game
-from gamebounds.gamegraph import (build_game_graph, complete_graph,
+from gamebounds import sdp
+from gamebounds.games import (all_ones, chsh, independent_set_game,
+                              magic_square, xor_game)
+from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
                                   to_plain_graph)
 from gamebounds.independence import independence_number, weighted_independence
@@ -83,8 +85,12 @@ def test_theta_c5_with_independent_dual_certificate():
 
 def test_theta_result_invariants():
     tol = 1e-7
+    # the magic-square game graph lies above the interior-point crossover,
+    # so both solvers are checked
+    above = build_game_graph(magic_square()).graph
+    assert above.num_edges + 1 > sdp.IPM_MAX_CONSTRAINTS
     for graph in (cycle_graph(5), complete_graph(4),
-                  to_plain_graph(build_game_graph(chsh()))):
+                  to_plain_graph(build_game_graph(chsh())), above):
         res = lovasz_theta(graph, tol)
         x = res.primal_matrix
         assert abs(np.trace(x) - 1.0) <= 1e-8
@@ -95,6 +101,32 @@ def test_theta_result_invariants():
         assert res.gap == pytest.approx(res.dual_bound - res.value)
         # converged means certified: the bracket closes to 10*tol
         assert res.converged and abs(res.gap) <= 10 * tol
+
+
+def _criterion7_random_graphs(count):
+    """The first random graphs of the criterion-7 battery."""
+    rng = np.random.default_rng(4096)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(2, 15))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < rng.uniform(0.2, 0.8)]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def test_interior_point_agrees_with_admm(monkeypatch):
+    tol = 1e-7
+    graphs = [cycle_graph(5), to_plain_graph(build_game_graph(chsh()))]
+    graphs += _criterion7_random_graphs(4)
+    ipm = [lovasz_theta(g, tol) for g in graphs]
+    monkeypatch.setattr(sdp, "IPM_MAX_CONSTRAINTS", 0)
+    admm = [lovasz_theta(g, tol) for g in graphs]
+    for a, b in zip(ipm, admm):
+        assert a.converged and b.converged
+        assert a.iterations < b.iterations
+        assert abs(a.value - b.value) <= 10 * tol
+        assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
 
 
 def test_theta_chsh_graph():
@@ -121,6 +153,14 @@ def test_weighted_theta_scaling():
     for c in (0.25, 2.0):
         res = weighted_theta(g, np.full(5, c))
         assert res.value == pytest.approx(c * base, abs=1e-5 * max(1, c))
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_weighted_solvers_reject_bad_weights(bad):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        weighted_theta(cycle_graph(3), [1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        weighted_independence(cycle_graph(3), [1.0, bad, 1.0])
 
 
 def test_weighted_theta_chsh_quarter_weights():
@@ -235,9 +275,24 @@ def test_quantum_upper_bound_weighted_dispatch():
     assert abs(res.bound - uniform.bound) > 1e-3  # skew actually matters
 
 
-def test_tsirelson_chsh():
-    value = xor_tsirelson_value(chsh())
-    assert value == pytest.approx(0.8535533905932737, abs=1e-6)
+def _odd_cycle_game(n):
+    """x uniform, y in {x, x+1}: answers must agree when y = x and differ
+    when y = x+1.  Entangled value cos^2(pi/4n) (Cleve, Hoyer, Toner and
+    Watrous, 2004)."""
+    f = np.zeros((n, n), dtype=int)
+    pi = np.zeros((n, n))
+    for x in range(n):
+        pi[x, x] = pi[x, (x + 1) % n] = 1.0 / (2 * n)
+        f[x, (x + 1) % n] = 1
+    return xor_game(f, pi)
+
+
+@pytest.mark.parametrize("game,value", [
+    (chsh(), 0.8535533905932737),
+    *[(_odd_cycle_game(n), np.cos(np.pi / (4 * n)) ** 2)
+      for n in (5, 9, 15, 31)]], ids=["chsh", "5", "9", "15", "31"])
+def test_tsirelson_odd_cycles(game, value):
+    assert xor_tsirelson_value(game) == pytest.approx(value, abs=1e-6)
 
 
 def test_tsirelson_constant_game():
