@@ -18,7 +18,7 @@ from .independence import (IndependenceResult, ClassicalValueResult,
                            BruteForceResult, independence_number,
                            weighted_independence, classical_value,
                            classical_value_brute)
-from .sdp import (ThetaResult, project_psd, lovasz_theta, weighted_theta,
+from .sdp import (ThetaResult, lovasz_theta, weighted_theta,
                   quantum_upper_bound, xor_tsirelson_value, NotXorGame)
 from .quantum import (QuantumStrategy, QuantumIndependentSet,
                       winning_probability, supp, check_lemma1,

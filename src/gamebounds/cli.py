@@ -13,13 +13,13 @@ import time
 from fractions import Fraction
 
 from . import gameio
-from .games import (Game, GameFormatError, SizeCapError, chsh,
-                    independent_set_game, magic_square, parallel_repetition)
+from .games import (Game, chsh, independent_set_game, magic_square,
+                    parallel_repetition)
 from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
                         dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
 from .independence import weighted_independence
-from .quantum import (InvalidQuantumIndependentSet, lift_qis_to_strategy,
-                      qis_from_dict, strategy_to_dict,
+from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
+                      lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
 from .sdp import NotXorGame, weighted_theta, xor_tsirelson_value
 
@@ -69,6 +69,19 @@ def _load_game(source: str) -> Game:
     return gameio.load_game(source)
 
 
+def _load_qis(path: str) -> QuantumIndependentSet:
+    """Read a certificate file; a malformed one raises ValueError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return qis_from_dict(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"certificate document: missing field {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"certificate document: {exc}") from None
+    except RecursionError:
+        raise ValueError("certificate document is nested too deeply") from None
+
+
 def build_report(g: Game, tol: float, force_weighted: bool,
                  vertex_cap: int, with_timings: bool,
                  max_iterations: int = 200_000) -> tuple[dict, GameGraph]:
@@ -99,7 +112,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     xor_value = None
     try:
         t0 = time.perf_counter()
-        xor_value = xor_tsirelson_value(g)
+        xor_value = xor_tsirelson_value(g, max_iterations=max_iterations)
         timings["xor_value"] = time.perf_counter() - t0
     except NotXorGame:
         pass
@@ -183,7 +196,7 @@ def cmd_analyze(args) -> int:
             g = parallel_repetition(g, args.rep)
         report, gg = build_report(g, args.tol, args.weighted, args.max_verts,
                                   args.timings, args.max_iter)
-    except (GameFormatError, SizeCapError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.export_graph:
@@ -210,11 +223,9 @@ def cmd_verify_qis(args) -> int:
                 target = parse_dimacs(fh.read())
         else:
             target = build_game_graph(g)
-        with open(args.qis, "r", encoding="utf-8") as fh:
-            qis = qis_from_dict(json.load(fh))
+        qis = _load_qis(args.qis)
         report = verify_quantum_independent_set(target, qis, args.tol)
-    except (GameFormatError, OSError, ValueError, json.JSONDecodeError,
-            KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if report.valid:
@@ -232,17 +243,14 @@ def cmd_lift(args) -> int:
         if args.rep > 1:
             g = parallel_repetition(g, args.rep)
         gg = build_game_graph(g)
-        with open(args.qis, "r", encoding="utf-8") as fh:
-            qis = qis_from_dict(json.load(fh))
-    except (GameFormatError, OSError, ValueError, json.JSONDecodeError,
-            KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        strategy = lift_qis_to_strategy(g, gg, qis)
+        qis = _load_qis(args.qis)
+        strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
     except InvalidQuantumIndependentSet as exc:
         print(f"invalid quantum independent set: {exc}", file=sys.stderr)
         return EXIT_INVALID_QIS
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     value = winning_probability(g, strategy)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -275,7 +283,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--rep", type=int, default=1, metavar="N",
                        help="analyze the N-fold parallel repetition")
         p.add_argument("--tol", type=float, default=1e-7,
-                       help="solver tolerance (default 1e-7)")
+                       help="tolerance (default %(default)g)")
 
     p = sub.add_parser("analyze", help="run the bound pipeline on a game")
     p.add_argument("game", help="catalog name or path to a game JSON file")
@@ -310,7 +318,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", metavar="PATH",
                    help="write the lifted strategy JSON here")
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(func=cmd_lift, tol=1e-9)
 
     p = sub.add_parser("catalog", help="list or emit built-in games")
     p.add_argument("action", choices=["list", "emit"])
@@ -324,6 +332,9 @@ def main(argv=None) -> int:
     # argparse's own exit code 2 is this CLI's non-convergence code
     if getattr(args, "rep", 1) < 1:
         print("error: --rep must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "max_iter", 1) < 1:
+        print("error: --max-iter must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if not getattr(args, "tol", 1.0) > 0.0:
         print("error: --tol must be positive", file=sys.stderr)

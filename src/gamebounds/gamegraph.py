@@ -210,7 +210,7 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
+            if len(parts) != 4 or parts[1] != "edge" or n is not None:
                 raise ValueError(f"line {lineno}: malformed problem line")
             n = int(parts[2])
         elif parts[0] == "e":
@@ -218,7 +218,11 @@ def parse_dimacs(text: str) -> Graph:
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line")
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            u, v = int(parts[1]), int(parts[2])
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(
+                    f"line {lineno}: edge endpoint outside 1..{n}")
+            edges.append((u - 1, v - 1))
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:

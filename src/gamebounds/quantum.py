@@ -109,18 +109,15 @@ def _pair_probability(p: np.ndarray, q: np.ndarray, m: np.ndarray,
     return float(np.real(val))
 
 
-def winning_probability(g: Game, s: QuantumStrategy, *, validate: bool = True,
-                        fast: bool | None = None) -> float:
+def winning_probability(g: Game, s: QuantumStrategy) -> float:
     """Winning probability sum pi * lam * <psi| P^x_a (x) Q^y_b |psi>."""
     if len(s.alice) != g.nx or len(s.bob) != g.ny:
         raise ValueError("strategy does not match the game's input sets")
     if any(len(f) < g.na for f in s.alice) or any(len(f) < g.nb for f in s.bob):
         raise ValueError("strategy has fewer outcomes than the game has answers")
-    if validate:
-        s.validate()
+    s.validate()
     m = np.asarray(s.state, dtype=complex).reshape(s.dA, s.dB)
-    if fast is None:
-        fast = _is_maximally_entangled(m)
+    fast = _is_maximally_entangled(m)
     total = 0.0
     for x in range(g.nx):
         for y in range(g.ny):
@@ -193,6 +190,10 @@ def check_lemma1(m, n, v, tol: float = 1e-9) -> bool:
 # Quantum independent sets
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumIndependentSet:
     """t projective measurements over game-graph vertices, stored sparsely.
@@ -207,8 +208,14 @@ class QuantumIndependentSet:
     projectors: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
+        for name, least in (("t", 0), ("d", 1), ("n_vertices", 0)):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= least):
+                raise ValueError(
+                    f"certificate {name} must be an integer >= {least}")
         for (i, v), mat in self.projectors.items():
-            if not (0 <= i < self.t and 0 <= v < self.n_vertices):
+            if not (_is_integer(i) and _is_integer(v)
+                    and 0 <= i < self.t and 0 <= v < self.n_vertices):
                 raise ValueError(f"certificate entry ({i},{v}) out of range")
             if np.asarray(mat).shape != (self.d, self.d):
                 raise ValueError(
@@ -591,17 +598,15 @@ def qis_to_dict(qis: QuantumIndependentSet) -> dict:
 
 
 def qis_from_dict(doc: dict) -> QuantumIndependentSet:
+    """Read the qis_to_dict shape; QuantumIndependentSet checks the sizes,
+    indices and matrices."""
+    if not isinstance(doc, dict):
+        raise ValueError("certificate document must be a JSON object")
     for key in ("t", "d", "n_vertices", "projectors"):
         if key not in doc:
             raise ValueError(f"certificate document: missing field {key!r}")
-    t, d, n = int(doc["t"]), int(doc["d"]), int(doc["n_vertices"])
-    projectors: dict[tuple[int, int], np.ndarray] = {}
-    for entry in doc["projectors"]:
-        i, v = int(entry["measurement"]), int(entry["vertex"])
-        if not (0 <= i < t and 0 <= v < n):
-            raise ValueError(f"certificate entry ({i},{v}) out of range")
-        mat = np.asarray(entry["matrix"], dtype=float)
-        if mat.shape != (d, d):
-            raise ValueError(f"certificate entry ({i},{v}): wrong shape")
-        projectors[(i, v)] = mat
-    return QuantumIndependentSet(t, d, n, projectors)
+    projectors = {(entry["measurement"], entry["vertex"]):
+                  np.asarray(entry["matrix"], dtype=float)
+                  for entry in doc["projectors"]}
+    return QuantumIndependentSet(doc["t"], doc["d"], doc["n_vertices"],
+                                 projectors)

@@ -4,8 +4,11 @@ The theta number is computed from the trace-normalized formulation
 
     maximize  <C, X>   s.t.  tr X = 1,  X_uv = 0 for every edge (u, v),  X >= 0,
 
-with C the all-ones matrix (weighted: C_uv = sqrt(w_u * w_v)).  The solver
-is picked by the constraint count m = edges + 1:
+with C the all-ones matrix (weighted: C_uv = sqrt(w_u * w_v)).  The program
+is described once: the objective c, the right-hand side b, the constraint
+map a_map with its adjoint a_adj over the edge index (ei, ej), and the Schur
+builder schur.  The constraint count m = edges + 1 picks the solver that
+gets this description:
 
 - up to IPM_MAX_CONSTRAINTS, a primal-dual interior-point method (HKM
   direction, Mehrotra predictor-corrector) that factors the m x m Schur
@@ -13,16 +16,18 @@ is picked by the constraint count m = edges + 1:
   there, or when a factorization fails or STALL_STEPS steps in a row do not
   narrow the bracket, keeping the narrowest bracket seen.  The XOR program
   (unit diagonal) always uses it.
-- above it, ADMM: projection onto the affine constraint set (closed form)
-  alternates with projection onto the PSD cone (eigenvalue clipping), with a
-  scaled dual update and residual balancing of the penalty parameter.  It
-  stops once its residuals pass and the bracket is certified.
+- above it, ADMM: the orthogonal projection onto {a_map(X) = b}, which the
+  interior-point step also applies to its primal direction, alternates with
+  projection onto the PSD cone (eigenvalue clipping), with a scaled dual
+  update and residual balancing of the penalty parameter.  It stops once its
+  residuals pass and the bracket is 10*tol wide.
 
-Both feed one certificate.  A feasibility-repaired primal matrix provides a
-true lower bound on the optimum and a repaired dual multiplier a true upper
-bound, so value and dual_bound always bracket the exact theta up to
-eigensolver precision; converged=True means this bracket closed to 10*tol
-(times the largest objective entry, when that exceeds 1).
+Both return (X, dual, iterations) to one certificate.  A feasibility-repaired
+primal matrix provides a true lower bound on the optimum and a repaired dual
+multiplier a true upper bound, so value and dual_bound always bracket the
+exact theta up to eigensolver precision.  converged is set in one place: the
+repaired bracket is at most 10*tol wide (times the largest objective entry,
+when that exceeds 1).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import numpy as np
 from .games import Game
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
-SYMMETRY_TOL = 1e-12
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 200_000
 
@@ -58,26 +62,6 @@ class NotXorGame(ValueError):
     """The game is not an XOR game (binary outputs, parity-only predicate)."""
 
 
-def as_symmetric(m, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Validate near-symmetry and return the symmetrized copy."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if m.size and float(np.max(np.abs(m - m.T))) > tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
-
-
-def project_psd(m) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
-    m = as_symmetric(m)
-    w, v = np.linalg.eigh(m)
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.T
-    return 0.5 * (out + out.T)
-
-
 @dataclass(frozen=True)
 class ThetaResult:
     """Certified theta computation.
@@ -95,29 +79,33 @@ class ThetaResult:
     primal_matrix: np.ndarray
 
 
-def _admm_sdp(c: np.ndarray, project_affine, tol: float,
-              max_iterations: int,
-              certify) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """maximize <c, X> over {affine set} ∩ {PSD}; returns (Z, scaled dual u,
-    iterations, converged).
+def _affine_projection(a_map, a_adj, m: int):
+    """project(W, r) = W + a_adj((r - a_map(W)) / gram), the orthogonal
+    projection onto {a_map(W) = r}; the m constraint matrices must be
+    mutually orthogonal, so that gram = diag(A A^T) is all of A A^T."""
+    gram = a_map(a_adj(np.ones(m)))
+    return lambda w, r: w + a_adj((r - a_map(w)) / gram)
 
-    project_affine must be the orthogonal projection onto the affine set.
-    When residuals pass, the certify(z, dual) callback decides
-    whether the primal/dual certificates are tight enough; if not, the
-    residual target is tightened and iteration continues.  converged=True
-    therefore means "certified", not merely "stalled".
+
+def _admm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, tol: float,
+              max_iterations: int, bracket,
+              target: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The program of _ipm_sdp by ADMM; returns (Z, scaled dual, iterations).
+
+    When the residuals pass tol, iteration stops if bracket(z, dual) is at
+    most target wide; if not, the residual target is tightened.
     """
     n = c.shape[0]
-    x = project_affine(np.zeros((n, n)))
+    project = _affine_projection(a_map, a_adj, len(b))
+    x = project(np.zeros((n, n)), b)
     z = x.copy()
     u = np.zeros((n, n))
     rho = 1.0
-    converged = False
     it = 0
     check_every = 10
     residual_target = tol
     for it in range(1, max_iterations + 1):
-        x = project_affine(z - u + c / rho)
+        x = project(z - u + c / rho, b)
         z_prev = z
         w, v = np.linalg.eigh(x + u)
         pos = w > 0.0
@@ -130,8 +118,8 @@ def _admm_sdp(c: np.ndarray, project_affine, tol: float,
             dual_res = rho * np.linalg.norm(z - z_prev)
             limit = residual_target * (1.0 + x_norm)
             if primal_res < limit and dual_res < limit:
-                if certify(z, rho * u):
-                    converged = True
+                lower, upper = bracket(z, rho * u)[:2]
+                if upper - lower <= target:
                     break
                 if residual_target <= 1e-13:
                     break  # cannot reasonably tighten further
@@ -143,7 +131,7 @@ def _admm_sdp(c: np.ndarray, project_affine, tol: float,
             elif dual_res > 10.0 * primal_res:
                 rho *= 0.5
                 u *= 2.0
-    return z, rho * u, it, converged
+    return z, rho * u, it
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -224,8 +212,7 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
     r_p = b - a_map(x)
     r_d = a_adj(y) - c - z
     mu = float(np.sum(x * z)) / n
-    # the constraint matrices are mutually orthogonal, so A A^T is diagonal
-    gram = a_map(a_adj(np.ones_like(y)))
+    project = _affine_projection(a_map, a_adj, len(y))
 
     def direction(k_zi):
         # Newton step for X dZ + dX Z = K, with K given as K Z^-1
@@ -235,8 +222,7 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
         dx = 0.5 * (dx + dx.T)
         # with M ill-conditioned dy is inexact; project dX back onto
         # A(dX) = r_p so that the primal iterate stays feasible
-        dx += a_adj((r_p - a_map(dx)) / gram)
-        return dx, dy, dz
+        return project(dx, r_p), dy, dz
 
     dx, dy, dz = direction(-x)
     ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
@@ -250,10 +236,9 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
              x: np.ndarray, y: np.ndarray, max_iterations: int,
-             width, target: float
-             ) -> tuple[np.ndarray, np.ndarray, int, float]:
+             bracket, target: float) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
-    s.t. Z = a_adj(y) - c PSD; returns (X, dual, iterations, bracket width).
+    s.t. Z = a_adj(y) - c PSD; returns (X, dual, iterations).
 
     Primal-dual interior point with the HKM direction and Mehrotra's
     predictor-corrector (Helmberg, Rendl, Vanderbei and Wolkowicz 1996).
@@ -263,11 +248,10 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
     read; one out array serves every iteration.
     The start (x, y) must make X and Z positive definite.  dual =
-    c - a_adj(y) has the sign of the ADMM dual, so the callers' repair code
-    reads either solver; width(X, dual) is the width of their repaired
-    bracket.  Iteration stops once the width is at most target, or when a
-    factorization fails, STALL_STEPS steps in a row do not narrow the
-    bracket or max_iterations runs out; the iterate with the narrowest
+    c - a_adj(y) has the sign of _admm_sdp's dual.  Iteration stops once
+    bracket(X, dual), which returns (lower, upper, ...), is at most target
+    wide, or when a factorization fails, STALL_STEPS steps in a row do not
+    narrow it or max_iterations runs out; the iterate with the narrowest
     bracket is returned.
     """
     z = a_adj(y) - c
@@ -281,34 +265,37 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
         except np.linalg.LinAlgError:
             break
         dual = c - a_adj(y)
-        gap = width(x, dual)
+        lower, upper = bracket(x, dual)[:2]
+        gap = upper - lower
         if gap < best[0]:
             best, stalled = (gap, x, dual), 0
         else:
             stalled += 1
         if gap <= target or stalled == STALL_STEPS:
             break
-    gap, x, dual = best
-    return x, dual, it, gap
+    _, x, dual = best
+    return x, dual, it
 
 
-def _ipm_theta(c: np.ndarray, edges, max_iterations: int, width,
-               target: float):
-    """Theta by the interior-point core: constraint 0 is tr X = 1, constraint
-    e = (i, j) is <(E_ij + E_ji)/2, X> = X_ij = 0."""
-    n = c.shape[0]
-    ei = np.array([i for i, _ in edges], dtype=np.intp)
-    ej = np.array([j for _, j in edges], dtype=np.intp)
-    m = len(edges) + 1
+def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray):
+    """(b, a_map, a_adj, schur) of the theta program on n vertices with the
+    edges (ei[k], ej[k]): constraint 0 is tr X = 1, constraint k + 1 is
+    <(E_ij + E_ji)/2, X> = X_ij = 0."""
+    m = len(ei) + 1
     b = np.zeros(m)
     b[0] = 1.0
+    # flat indices of the edge entries read much faster than (ei, ej) pairs
+    fij, fji = ei * n + ej, ej * n + ei
 
     def a_map(w):
-        return np.concatenate(([np.trace(w)], 0.5 * (w[ei, ej] + w[ej, ei])))
+        f = w.ravel()
+        return np.concatenate(([np.trace(w)], 0.5 * (f[fij] + f[fji])))
 
     def a_adj(y):
-        out = np.diag(np.full(n, y[0]))
-        out[ei, ej] = out[ej, ei] = 0.5 * y[1:]
+        out = np.zeros((n, n))
+        np.fill_diagonal(out, y[0])
+        f = out.ravel()
+        f[fij] = f[fji] = 0.5 * y[1:]
         return out
 
     def schur(x, zi, out):
@@ -330,27 +317,21 @@ def _ipm_theta(c: np.ndarray, edges, max_iterations: int, width,
             block += xi[:, fl] * zi_j[:, fk]
             block *= 0.25
 
-    # X = I/n and Z = t I - C with t above the Gershgorin bound of C are
-    # strictly feasible
-    y = np.zeros(m)
-    y[0] = 1.0 + float(np.max(np.sum(np.abs(c), axis=1)))
-    return _ipm_sdp(c, b, a_map, a_adj, schur, np.eye(n) / n, y,
-                    max_iterations, width, target)
+    return b, a_map, a_adj, schur
 
 
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                           max_iterations: int) -> ThetaResult:
     n = graph.n
-    edge_mask = np.zeros((n, n), dtype=bool)
-    for i, j in graph.edges():
-        edge_mask[i, j] = edge_mask[j, i] = True
+    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    b, a_map, a_adj, schur = _theta_program(n, ei, ej)
 
     def repair(z, dual):
         # Primal: zero the edge entries exactly, shift away any negative
         # eigenvalue, renormalize the trace.  The result is feasible, so its
         # objective is a valid lower bound on theta.
         repaired = z.copy()
-        repaired[edge_mask] = 0.0
+        repaired[ei, ej] = repaired[ej, ei] = 0.0
         repaired = 0.5 * (repaired + repaired.T)
         lam_min = float(np.linalg.eigvalsh(repaired)[0])
         if lam_min < 0.0:
@@ -363,36 +344,30 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
         value = float(np.sum(c * repaired))
         # Dual: at optimality C - dual = s*I + Y with Y supported on the
         # edges; any edge-supported Y gives the upper bound lambda_max(C - Y).
-        y = np.where(edge_mask, c - dual, 0.0)
-        y = 0.5 * (y + y.T)
+        y = np.zeros((n, n))
+        y[ei, ej] = y[ej, ei] = a_map(c - dual)[1:]
         dual_bound = float(np.linalg.eigvalsh(c - y)[-1])
         return value, dual_bound, repaired
 
-    def width(z, dual):
-        value, dual_bound, _ = repair(z, dual)
-        return dual_bound - value
-
     scale = max(1.0, float(np.max(np.abs(c))))
     limit = 10.0 * tol * scale
-    edges = graph.edges()
-    if len(edges) + 1 <= IPM_MAX_CONSTRAINTS:
-        # aim for tol, as ADMM's residual target does, but certify at 10*tol
-        z, dual, iterations, gap = _ipm_theta(c, edges, max_iterations,
-                                              width, tol * scale)
-        converged = gap <= limit
+    if len(b) <= IPM_MAX_CONSTRAINTS:
+        # X = I/n and Z = t I - C with t above the Gershgorin bound of C are
+        # strictly feasible.  Aim for tol, as ADMM's residual target does,
+        # but certify at 10*tol.
+        y = np.zeros(len(b))
+        y[0] = 1.0 + float(np.max(np.sum(np.abs(c), axis=1)))
+        x, dual, iterations = _ipm_sdp(c, b, a_map, a_adj, schur,
+                                       np.eye(n) / n, y, max_iterations,
+                                       repair, tol * scale)
     else:
-        def project_affine(m):
-            out = m.copy()
-            out[edge_mask] = 0.0
-            out += (1.0 - np.trace(out)) / n * np.eye(n)
-            return out
-
-        z, dual, iterations, converged = _admm_sdp(
-            c, project_affine, tol, max_iterations,
-            lambda z, dual: width(z, dual) <= limit)
-    value, dual_bound, repaired = repair(z, dual)
-    return ThetaResult(value, dual_bound, dual_bound - value, iterations,
-                       converged, repaired)
+        x, dual, iterations = _admm_sdp(c, b, a_map, a_adj, tol,
+                                        max_iterations, repair, limit)
+    value, dual_bound, repaired = repair(x, dual)
+    gap = dual_bound - value
+    converged = gap <= limit
+    return ThetaResult(value, dual_bound, gap, iterations, converged,
+                       repaired)
 
 
 def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL,
@@ -501,15 +476,11 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
         lower = float(np.sum(c * gram))
         return lower, upper
 
-    def width(z, dual):
-        lower, upper = bracket(z, dual)
-        return upper - lower
-
     # unit diagonal: A_k = E_kk, so M = X o Z^-1; X = I and
     # Z = t I - C with t above the Gershgorin bound of C are strictly feasible
     y = np.full(n, 1.0 + float(np.max(np.sum(np.abs(c), axis=1))))
-    x, dual, _, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                             np.eye(n), y, max_iterations, width, tol)
+    x, dual, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
+                          np.eye(n), y, max_iterations, bracket, tol)
     lower, upper = bracket(x, dual)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.

@@ -146,12 +146,45 @@ def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--rep", "0"), ("--rep", "-1"),
-                                         ("--tol", "-1")])
+                                         ("--tol", "-1"), ("--max-iter", "0")])
 def test_analyze_rejects_out_of_range_values(capsys, flag, value):
     code, out, err = run_cli(capsys, "analyze", "chsh", flag, value)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _exits_1_with_one_error_line(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("text", [
+    # empty certificates: one of size 4 would certify omega* = 1 for CHSH
+    '{"t": 4, "d": 0, "n_vertices": 8, "projectors": []}',
+    '{"t": -3, "d": 1, "n_vertices": 8, "projectors": []}',
+    '{"t": 1e400, "d": 1, "n_vertices": 8, "projectors": []}',
+    "[" * 100_000 + "]" * 100_000], ids=["d0", "t-3", "overflow", "deep"])
+def test_bad_certificates_exit_1(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for command in ("verify-qis", "lift"):
+        _exits_1_with_one_error_line(capsys, command, "chsh", str(path))
+
+
+def test_dimacs_endpoint_out_of_range(tmp_path, capsys):
+    qis_path = tmp_path / "qis.json"
+    qis_path.write_text(json.dumps(qis_to_dict(
+        qis_from_vertex_set(build_game_graph(chsh()), [0]))))
+    graph_path = tmp_path / "graph.dimacs"
+    graph_path.write_text("p edge 8 1\ne 9 1\n")
+    err = _exits_1_with_one_error_line(capsys, "verify-qis", "chsh",
+                                       str(qis_path), "--graph",
+                                       str(graph_path))
+    assert "line 2" in err
 
 
 @pytest.mark.parametrize("predicate", [
@@ -186,6 +219,20 @@ def test_lift_command(tmp_path, capsys):
     bad_path.write_text(json.dumps(qis_to_dict(qis_from_vertex_set(gg, [0, 1]))))
     code, _, err = run_cli(capsys, "lift", "chsh", str(bad_path))
     assert code == 3
+
+
+def test_lift_tolerance_option(tmp_path, capsys):
+    g = chsh()
+    doc = qis_to_dict(qis_from_vertex_set(build_game_graph(g),
+                                          classical_value(g).alpha.witness))
+    doc["projectors"][0]["matrix"] = [[1.0 + 1e-7]]
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, "lift", "chsh", str(path))
+    assert code == 3
+    code, out, _ = run_cli(capsys, "lift", "chsh", str(path), "--tol", "1e-6")
+    assert code == 0
+    assert "winning probability: 0.75" in out
 
 
 def test_analyze_magic_square(capsys):

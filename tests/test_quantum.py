@@ -88,12 +88,12 @@ def test_winning_probability_matches_kron_reference():
 
 
 def test_fast_path_matches_dense_path():
+    # both states are maximally entangled, so the trace shortcut is taken
     cases = [(magic_square(), magic_square_strategy()),
              (chsh(), chsh_optimal_strategy())]
     for g, s in cases:
-        dense = winning_probability(g, s, fast=False)
-        fast = winning_probability(g, s, fast=True)
-        assert dense == pytest.approx(fast, abs=1e-12)
+        assert winning_probability(g, s) == pytest.approx(
+            _kron_reference_value(g, s), abs=1e-12)
 
 
 def test_invalid_measurement_rejected():
@@ -418,6 +418,12 @@ def test_qis_json_round_trip():
 def test_qis_from_dict_validation():
     with pytest.raises(ValueError, match="missing field"):
         qis_from_dict({"t": 1})
+    for t in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="t must be an integer"):
+            qis_from_dict({"t": t, "d": 1, "n_vertices": 2, "projectors": []})
+    for sizes in ((-1, 1, 2), (1, 0, 2), (1, 1, -2)):
+        with pytest.raises(ValueError, match="must be an integer >="):
+            QuantumIndependentSet(*sizes, {})
     with pytest.raises(ValueError, match="out of range"):
         qis_from_dict({"t": 1, "d": 1, "n_vertices": 2,
                        "projectors": [{"measurement": 3, "vertex": 0,

@@ -8,52 +8,13 @@ from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
                                   to_plain_graph)
 from gamebounds.independence import independence_number, weighted_independence
-from gamebounds.sdp import (NotXorGame, as_symmetric, lovasz_theta,
-                            project_psd, quantum_upper_bound, weighted_theta,
-                            xor_tsirelson_value)
+from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
+                            weighted_theta, xor_tsirelson_value)
 
 from conftest import random_graph
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
-
-
-# --- symmetric input ------------------------------------------------------
-
-def test_as_symmetric_rejects_asymmetry():
-    with pytest.raises(ValueError, match="not symmetric"):
-        as_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# --- PSD projection -------------------------------------------------------
-
-def test_project_psd_fixed_point():
-    rng = np.random.default_rng(22)
-    a = rng.normal(size=(5, 5))
-    psd = a @ a.T
-    assert np.allclose(project_psd(psd), psd, atol=1e-10)
-
-
-def test_project_psd_clamps():
-    out = project_psd(np.diag([1.0, -2.0]))
-    assert np.allclose(out, np.diag([1.0, 0.0]))
-    assert np.allclose(project_psd(np.zeros((3, 3))), 0.0)
-
-
-def test_project_psd_idempotent_and_nearest():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        m = rng.normal(size=(6, 6))
-        m = m + m.T
-        p = project_psd(m)
-        assert np.linalg.norm(project_psd(p) - p) <= 1e-10
-        assert np.min(np.linalg.eigvalsh(p)) >= -1e-12
-        # projection is closer than any other PSD candidate we try
-        for _ in range(5):
-            a = rng.normal(size=(6, 6))
-            other = a @ a.T
-            assert (np.linalg.norm(m - p)
-                    <= np.linalg.norm(m - other) + 1e-12)
 
 
 # --- theta number ---------------------------------------------------------
@@ -91,16 +52,23 @@ def test_theta_result_invariants():
     assert above.num_edges + 1 > sdp.IPM_MAX_CONSTRAINTS
     for graph in (cycle_graph(5), complete_graph(4),
                   to_plain_graph(build_game_graph(chsh())), above):
-        res = lovasz_theta(graph, tol)
-        x = res.primal_matrix
-        assert abs(np.trace(x) - 1.0) <= 1e-8
-        assert np.min(np.linalg.eigvalsh(x)) >= -1e-8
-        for i, j in graph.edges():
-            assert abs(x[i, j]) <= 1e-8
-        assert res.dual_bound >= res.value - 10 * tol
-        assert res.gap == pytest.approx(res.dual_bound - res.value)
-        # converged means certified: the bracket closes to 10*tol
-        assert res.converged and abs(res.gap) <= 10 * tol
+        # two steps leave either solver short of the bracket
+        for cap in (sdp.MAX_ITERATIONS, 2):
+            res = lovasz_theta(graph, tol, cap)
+            x = res.primal_matrix
+            assert abs(np.trace(x) - 1.0) <= 1e-8
+            assert np.min(np.linalg.eigvalsh(x)) >= -1e-8
+            for i, j in graph.edges():
+                assert abs(x[i, j]) <= 1e-8
+            assert res.dual_bound >= res.value - 10 * tol
+            assert res.gap == pytest.approx(res.dual_bound - res.value)
+            # converged means certified: the bracket closes to 10*tol
+            # (the objective's largest entry is 1)
+            assert res.converged == (res.gap <= 10 * tol)
+            assert res.converged == (cap == sdp.MAX_ITERATIONS)
+        # a weighted objective scales the certified width by its largest entry
+        res = weighted_theta(graph, np.full(graph.n, 9.0), tol)
+        assert res.converged and res.gap <= 10 * tol * 9.0
 
 
 def _criterion7_random_graphs(count):
