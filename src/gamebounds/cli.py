@@ -1,13 +1,14 @@
 """Command-line front end: analyze games, verify and lift certificates.
 
-Exit codes: 0 success, 1 usage/format errors, 2 solver non-convergence,
-3 invalid quantum independent set.
+Exit codes: 0 success, 1 usage/format errors or a closed stdout, 2 solver
+non-convergence, 3 invalid quantum independent set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -342,7 +343,13 @@ def main(argv=None) -> int:
     if args.command == "catalog" and args.action == "emit" and not args.name:
         print("error: catalog emit requires a game name", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -28,10 +28,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {i}")
             if row >> self.n:
                 raise ValueError(f"adjacency row {i} references vertices >= n")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if bool(self.rows[i] >> j & 1) != bool(self.rows[j] >> i & 1):
+            while row:  # each set bit against its mirror: O(n + edges)
+                j = (row & -row).bit_length() - 1
+                if not self.rows[j] >> i & 1:
                     raise ValueError(f"adjacency not symmetric at ({i},{j})")
+                row &= row - 1
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":

@@ -3,8 +3,8 @@
 The classical value of a game is the maximum weight of an independent set of
 its game graph over the graph's divisor: unit weights over the number of
 question pairs for a 0/1 predicate with uniform questions, the weights
-predicate * probability over 1 otherwise.  A vectorized enumeration over all
-deterministic strategy pairs is kept alongside as an independent oracle.
+predicate * probability over 1 otherwise.  An exhaustive search over one
+player's strategies, the other best-responding, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -212,37 +212,31 @@ def _all_functions(domain: int, codomain: int) -> np.ndarray:
 
 
 def classical_value_brute(g: Game, cap: int = DEFAULT_BRUTE_CAP) -> BruteForceResult:
-    """Exact classical value by enumerating every strategy pair.
-
-    Kept deliberately independent of the game-graph machinery so the two
-    routes can check each other.
+    """Exact classical value: the side with fewer strategies (Alice on a
+    tie) is listed whole, the other best-responds per question; ties go to
+    the lowest listed row, then the lowest answer.  The cap counts strategy
+    pairs.  Independent of the game-graph machinery, as a cross-check.
     """
     n_pairs = (g.na ** g.nx) * (g.nb ** g.ny)
     if n_pairs > cap:
         raise SizeCapError(f"{n_pairs} strategy pairs exceed cap {cap}")
-    fa_all = _all_functions(g.nx, g.na)
-    fb_all = _all_functions(g.ny, g.nb)
-    boolean_uniform = g.is_boolean() and g.is_uniform()
-    if boolean_uniform:
-        wins = np.zeros((fa_all.shape[0], fb_all.shape[0]), dtype=np.uint32)
-        lam = g.predicate.astype(np.uint32)
-        for x in range(g.nx):
-            for y in range(g.ny):
-                wins += lam[x, y][np.ix_(fa_all[:, x], fb_all[:, y])]
-        flat = int(np.argmax(wins))
-        ia, ib = divmod(flat, fb_all.shape[0])
-        best_wins = int(wins[ia, ib])
-        value = best_wins / g.k
-    else:
-        score = np.zeros((fa_all.shape[0], fb_all.shape[0]))
-        for x in range(g.nx):
-            for y in range(g.ny):
-                table = g.distribution[x, y] * g.predicate[x, y]
-                score += table[np.ix_(fa_all[:, x], fb_all[:, y])]
-        flat = int(np.argmax(score))
-        ia, ib = divmod(flat, fb_all.shape[0])
-        best_wins = None
-        value = float(score[ia, ib])
-    strategy = ClassicalStrategy(tuple(int(v) for v in fa_all[ia]),
-                                 tuple(int(v) for v in fb_all[ib]))
-    return BruteForceResult(value, strategy, best_wins, g.k)
+    counted = g.is_boolean() and g.is_uniform()  # sums are exact integers
+    table, divisor = ((g.predicate, g.k) if counted else
+                      (g.predicate * g.distribution[:, :, None, None], 1))
+    alice_listed = g.na ** g.nx <= g.nb ** g.ny
+    if not alice_listed:
+        table = table.transpose(1, 0, 3, 2)
+    listed = _all_functions(table.shape[0], table.shape[2])
+    # score[s, q, r]: the listed side plays row s, the other answers r to q
+    by_answer = table.transpose(0, 2, 1, 3)
+    score = np.zeros((len(listed),) + by_answer.shape[2:])
+    for question, answers in enumerate(listed.T):
+        score += by_answer[question, answers]
+    totals = score.max(axis=2).sum(axis=1)
+    best = int(np.argmax(totals))
+    own = tuple(int(v) for v in listed[best])
+    other = tuple(int(v) for v in score[best].argmax(axis=1))
+    strategy = (ClassicalStrategy(own, other) if alice_listed
+                else ClassicalStrategy(other, own))
+    wins = int(totals[best]) if counted else None
+    return BruteForceResult(float(totals[best]) / divisor, strategy, wins, g.k)

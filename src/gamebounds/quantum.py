@@ -10,6 +10,7 @@ pairwise commuting projectors converts back into a certificate of size k.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +214,8 @@ class QuantumIndependentSet:
             if not (_is_integer(value) and value >= least):
                 raise ValueError(
                     f"certificate {name} must be an integer >= {least}")
+        if self.d > 1 and not self.projectors:
+            raise ValueError("certificate d > 1 needs at least one projector")
         for (i, v), mat in self.projectors.items():
             if not (_is_integer(i) and _is_integer(v)
                     and 0 <= i < self.t and 0 <= v < self.n_vertices):
@@ -223,15 +226,6 @@ class QuantumIndependentSet:
             if not np.all(np.isfinite(mat)):
                 raise ValueError(
                     f"certificate entry ({i},{v}) has non-finite entries")
-
-    def projector(self, i: int, v: int) -> np.ndarray:
-        mat = self.projectors.get((i, v))
-        if mat is None:
-            return np.zeros((self.d, self.d))
-        return mat
-
-    def support_vertices(self, i: int) -> list[int]:
-        return sorted(v for (j, v) in self.projectors if j == i)
 
 
 @dataclass(frozen=True)
@@ -283,10 +277,13 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
         raise ValueError("certificate and graph disagree on the vertex count")
     violations: list[QisViolation] = []
     eye = np.eye(qis.d)
+    supports: dict[int, list[int]] = {}
+    for i, v in sorted(qis.projectors):
+        supports.setdefault(i, []).append(v)
     for i in range(qis.t):
         total = np.zeros((qis.d, qis.d))
-        for v in qis.support_vertices(i):
-            p = qis.projector(i, v)
+        for v in supports.get(i, ()):
+            p = qis.projectors[i, v]
             defect = _projector_defect(p.astype(complex))
             if not defect <= tol:
                 violations.append(QisViolation("projector", i, None, v, None,
@@ -296,18 +293,17 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
         if not defect <= tol:
             violations.append(QisViolation("completeness", i, None, None, None,
                                            defect))
-    supports = [qis.support_vertices(i) for i in range(qis.t)]
-    for i in range(qis.t):
-        for j in range(i + 1, qis.t):
-            for u in supports[i]:
-                for v in supports[j]:
-                    if u != v and not adjacency.has_edge(u, v):
-                        continue
-                    norm = float(np.linalg.norm(
-                        qis.projector(i, u) @ qis.projector(j, v)))
-                    if not norm <= tol:
-                        violations.append(QisViolation(
-                            "orthogonality", i, j, u, v, norm))
+    # only measurements with entries, in ascending order, can be non-orthogonal
+    for i, j in itertools.combinations(supports, 2):
+        for u in supports[i]:
+            for v in supports[j]:
+                if u != v and not adjacency.has_edge(u, v):
+                    continue
+                norm = float(np.linalg.norm(
+                    qis.projectors[i, u] @ qis.projectors[j, v]))
+                if not norm <= tol:
+                    violations.append(QisViolation(
+                        "orthogonality", i, j, u, v, norm))
     return QisReport(not violations, tuple(violations))
 
 

@@ -167,7 +167,10 @@ def _exits_1_with_one_error_line(capsys, *argv):
     '{"t": 4, "d": 0, "n_vertices": 8, "projectors": []}',
     '{"t": -3, "d": 1, "n_vertices": 8, "projectors": []}',
     '{"t": 1e400, "d": 1, "n_vertices": 8, "projectors": []}',
-    "[" * 100_000 + "]" * 100_000], ids=["d0", "t-3", "overflow", "deep"])
+    "[" * 100_000 + "]" * 100_000,
+    # no entry backs the claimed dimension
+    '{"t": 0, "d": 100000000, "n_vertices": 8, "projectors": []}'],
+    ids=["d0", "t-3", "overflow", "deep", "d-unbacked"])
 def test_bad_certificates_exit_1(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -293,3 +296,19 @@ def test_reports_byte_identical_across_processes():
         [sys.executable, "-m", "gamebounds.cli", "analyze", "chsh", "--json"],
         capture_output=True, text=True).stdout for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_closed_stdout_exits_without_traceback(tmp_path):
+    # 5000 empty measurements print 5000 violation lines, far more than a
+    # pipe buffer holds, so the reader closes the pipe mid-output
+    path = tmp_path / "empty.json"
+    path.write_text('{"t": 5000, "d": 1, "n_vertices": 8, "projectors": []}')
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gamebounds.cli", "verify-qis", "chsh",
+         str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("invalid quantum independent set")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err

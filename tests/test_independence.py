@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamebounds.games import (SizeCapError, chsh, independent_set_game,
+from gamebounds.games import (Game, SizeCapError, chsh, independent_set_game,
                               magic_square, parallel_repetition,
                               strategy_value)
 from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
@@ -137,9 +137,15 @@ def test_brute_force_chsh_and_all_ones():
     assert classical_value_brute(all_ones(2, 2, 2, 2)).value == 1.0
 
 
-def test_brute_force_cap():
-    with pytest.raises(SizeCapError):
-        classical_value_brute(magic_square(), cap=100)
+@pytest.mark.parametrize("below", [0, 1], ids=["runs", "raises"])
+def test_brute_force_cap(below):
+    g = magic_square()
+    pairs = g.na ** g.nx * g.nb ** g.ny
+    if below:
+        with pytest.raises(SizeCapError, match=f"{pairs} strategy pairs"):
+            classical_value_brute(g, cap=pairs - below)
+    else:
+        assert classical_value_brute(g, cap=pairs).exact == Fraction(8, 9)
 
 
 def test_brute_matches_nested_loop_reference():
@@ -153,6 +159,32 @@ def test_brute_matches_nested_loop_reference():
 def _exact_wins(g, strategy) -> int:
     return sum(int(g.predicate[x, y, strategy.fa[x], strategy.fb[y]])
                for x in range(g.nx) for y in range(g.ny))
+
+
+# (nx, ny, na, nb): Alice listed on a tie and when she has fewer strategies,
+# Bob listed otherwise, including when he has one answer
+@pytest.mark.parametrize("sizes, alice_listed", [
+    ((2, 2, 2, 2), True), ((3, 2, 2, 3), True), ((2, 3, 3, 2), False),
+    ((3, 4, 3, 1), False), ((1, 4, 2, 3), True), ((4, 2, 3, 4), False)])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+def test_brute_strategy_reaches_value(sizes, alice_listed, uniform):
+    nx, ny, na, nb = sizes
+    assert (na ** nx <= nb ** ny) == alice_listed
+    rng = np.random.default_rng(sum(sizes) + uniform)
+    for _ in range(10):
+        lam = (rng.random(sizes) < 0.5).astype(float)
+        raw = np.ones((nx, ny)) if uniform else rng.integers(1, 10, (nx, ny))
+        g = Game("sized", nx, ny, na, nb, lam, raw / raw.sum())
+        res = classical_value_brute(g)
+        if uniform:
+            assert res.wins == _exact_wins(g, res.strategy)
+            assert res.exact == Fraction(res.wins, g.k)
+        else:
+            assert res.wins is None
+            assert strategy_value(g, res.strategy) == pytest.approx(
+                res.value, abs=1e-12)
+        assert res.value == pytest.approx(exhaustive_strategy_value(g),
+                                          abs=1e-12)
 
 
 def test_graph_route_equals_brute_force_uniform():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,20 @@ def test_qis_json_round_trip():
     assert qis2.t == qis.t and qis2.d == qis.d
     assert set(qis2.projectors) == set(qis.projectors)
     assert verify_quantum_independent_set(gg, qis2).valid
+
+
+def test_verify_pairs_only_measurements_with_entries():
+    # pairing every two of 20,000 claimed measurements is 2e8 loop steps
+    t = 20_000
+    one = np.ones((1, 1))
+    qis = QuantumIndependentSet(t, 1, 8, {(0, 0): one, (t - 1, 0): one})
+    start = time.perf_counter()
+    report = verify_quantum_independent_set(build_game_graph(chsh()), qis)
+    assert time.perf_counter() - start < 5.0
+    kinds = [v.kind for v in report.violations]
+    assert kinds == ["completeness"] * (t - 2) + ["orthogonality"]
+    last = report.violations[-1]
+    assert (last.measurement, last.other_measurement) == (0, t - 1)
 
 
 def test_qis_from_dict_validation():
