@@ -1,13 +1,15 @@
 """Command-line front end: analyze games, verify and lift certificates.
 
-Exit codes: 0 success, 1 usage/format errors or a closed stdout, 2 solver
-non-convergence, 3 invalid quantum independent set.
+Exit codes: 0 success, 1 usage/format errors, unreadable or unwritable
+files or a closed stdout, 2 solver non-convergence, 3 invalid quantum
+independent set.  main() maps every command's errors to these codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -64,10 +66,14 @@ def _to_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def _load_game(source: str) -> Game:
-    if source in CATALOG:
-        return CATALOG[source]()
-    return gameio.load_game(source)
+def _load_game(args) -> Game:
+    """The game named by args.game (a catalog name or a file), repeated
+    args.rep times."""
+    if args.game in CATALOG:
+        g = CATALOG[args.game]()
+    else:
+        g = gameio.load_game(args.game)
+    return parallel_repetition(g, args.rep) if args.rep > 1 else g
 
 
 def _load_qis(path: str) -> QuantumIndependentSet:
@@ -191,15 +197,8 @@ def _render_text(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = _load_game(args.game)
-        if args.rep > 1:
-            g = parallel_repetition(g, args.rep)
-        report, gg = build_report(g, args.tol, args.weighted, args.max_verts,
-                                  args.timings, args.max_iter)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report, gg = build_report(_load_game(args), args.tol, args.weighted,
+                              args.max_verts, args.timings, args.max_iter)
     if args.export_graph:
         with open(args.export_graph, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs(gg))
@@ -215,20 +214,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_qis(args) -> int:
-    try:
-        g = _load_game(args.game)
-        if args.rep > 1:
-            g = parallel_repetition(g, args.rep)
-        if args.graph:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                target = parse_dimacs(fh.read())
-        else:
-            target = build_game_graph(g)
-        qis = _load_qis(args.qis)
-        report = verify_quantum_independent_set(target, qis, args.tol)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_game(args)
+    if args.graph:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            target = parse_dimacs(fh.read())
+    else:
+        target = build_game_graph(g)
+    qis = _load_qis(args.qis)
+    report = verify_quantum_independent_set(target, qis, args.tol)
     if report.valid:
         print(f"valid quantum independent set: t={qis.t} d={qis.d}")
         return EXIT_OK
@@ -239,19 +232,10 @@ def cmd_verify_qis(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    try:
-        g = _load_game(args.game)
-        if args.rep > 1:
-            g = parallel_repetition(g, args.rep)
-        gg = build_game_graph(g)
-        qis = _load_qis(args.qis)
-        strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
-    except InvalidQuantumIndependentSet as exc:
-        print(f"invalid quantum independent set: {exc}", file=sys.stderr)
-        return EXIT_INVALID_QIS
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_game(args)
+    gg = build_game_graph(g)
+    qis = _load_qis(args.qis)
+    strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
     value = winning_probability(g, strategy)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -267,8 +251,7 @@ def cmd_catalog(args) -> int:
             print(name)
         return EXIT_OK
     if args.name not in CATALOG:
-        print(f"error: unknown catalog game {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown catalog game {args.name!r}")
     print(gameio.serialize_game(CATALOG[args.name]()))
     return EXIT_OK
 
@@ -337,8 +320,12 @@ def main(argv=None) -> int:
     if getattr(args, "max_iter", 1) < 1:
         print("error: --max-iter must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if not getattr(args, "tol", 1.0) > 0.0:
+    tol = getattr(args, "tol", 1.0)
+    if not tol > 0.0:
         print("error: --tol must be positive", file=sys.stderr)
+        return EXIT_USAGE
+    if not math.isfinite(tol):
+        print("error: --tol must be finite", file=sys.stderr)
         return EXIT_USAGE
     if args.command == "catalog" and args.action == "emit" and not args.name:
         print("error: catalog emit requires a game name", file=sys.stderr)
@@ -348,6 +335,12 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:  # stdout closed early, as by `| head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except InvalidQuantumIndependentSet as exc:
+        print(f"invalid quantum independent set: {exc}", file=sys.stderr)
+        return EXIT_INVALID_QIS
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

@@ -49,6 +49,15 @@ def _projector_defect(p: np.ndarray) -> float:
                float(np.linalg.norm(p - p.conj().T)))
 
 
+def _measurement_defects(family, dim: int) -> tuple[list[float], float]:
+    """The projector defect of each outcome of a measurement on C^dim and
+    the completeness defect of their sum, which stays real for real
+    outcomes.  Callers test `not defect <= tol`, so a NaN defect fails."""
+    defects = [_projector_defect(np.asarray(p, dtype=complex)) for p in family]
+    total = sum(family, np.zeros((dim, dim)))
+    return defects, float(np.linalg.norm(total - np.eye(dim)))
+
+
 @dataclass(frozen=True)
 class QuantumStrategy:
     """Shared state plus one projective measurement per input, per player.
@@ -72,17 +81,17 @@ class QuantumStrategy:
         for side, dim, fams in (("alice", self.dA, self.alice),
                                 ("bob", self.dB, self.bob)):
             for x, family in enumerate(fams):
-                total = np.zeros((dim, dim), dtype=complex)
+                family = [_as_complex_matrix(p) for p in family]
                 for a, p in enumerate(family):
-                    p = _as_complex_matrix(p)
                     if p.shape != (dim, dim):
                         raise ValueError(
                             f"{side} input {x} outcome {a}: wrong dimension")
-                    if not _projector_defect(p) <= tol:
+                defects, completeness = _measurement_defects(family, dim)
+                for a, defect in enumerate(defects):
+                    if not defect <= tol:
                         raise ValueError(
                             f"{side} input {x} outcome {a}: not a projector")
-                    total += p
-                if not np.linalg.norm(total - np.eye(dim)) <= tol:
+                if not completeness <= tol:
                     raise ValueError(
                         f"{side} input {x}: measurement does not sum to identity")
 
@@ -93,84 +102,55 @@ def _maximally_entangled(d: int) -> np.ndarray:
     return state
 
 
-def _is_maximally_entangled(m: np.ndarray) -> bool:
-    d = m.shape[0]
-    return m.shape[1] == d and bool(
-        np.allclose(m, np.eye(d) / np.sqrt(d), atol=1e-12, rtol=0.0))
-
-
-def _pair_probability(p: np.ndarray, q: np.ndarray, m: np.ndarray,
-                      fast: bool) -> float:
-    """<psi| P (x) Q |psi> with psi reshaped to the matrix m (dA x dB)."""
-    if fast:
-        # maximally entangled state: the probability collapses to a trace
-        val = np.trace(p @ q.T) / m.shape[0]
-    else:
-        val = np.vdot(m, p @ m @ q.T)
-    return float(np.real(val))
-
-
 def winning_probability(g: Game, s: QuantumStrategy) -> float:
-    """Winning probability sum pi * lam * <psi| P^x_a (x) Q^y_b |psi>."""
+    """Winning probability sum pi * lam * <psi| P^x_a (x) Q^y_b |psi>.
+
+    With psi reshaped to the dA x dB matrix M, every term is
+    <psi| P (x) Q |psi> = tr(M^H P M Q^T), whatever the state: M^H P M is
+    formed once per (x, a), and the traces against Bob's first nb
+    projectors are one matrix product.
+    """
     if len(s.alice) != g.nx or len(s.bob) != g.ny:
         raise ValueError("strategy does not match the game's input sets")
     if any(len(f) < g.na for f in s.alice) or any(len(f) < g.nb for f in s.bob):
         raise ValueError("strategy has fewer outcomes than the game has answers")
     s.validate()
     m = np.asarray(s.state, dtype=complex).reshape(s.dA, s.dB)
-    fast = _is_maximally_entangled(m)
-    total = 0.0
-    for x in range(g.nx):
-        for y in range(g.ny):
-            pxy = g.distribution[x, y]
-            if pxy == 0.0:
-                continue
-            for a in range(g.na):
-                for b in range(g.nb):
-                    lam = g.predicate[x, y, a, b]
-                    if lam == 0.0:
-                        continue
-                    total += pxy * lam * _pair_probability(
-                        np.asarray(s.alice[x][a], dtype=complex),
-                        np.asarray(s.bob[y][b], dtype=complex), m, fast)
-    return total
+    alice = np.array([[m.conj().T @ np.asarray(p, dtype=complex) @ m
+                       for p in fam[:g.na]] for fam in s.alice])
+    bob = np.array([[np.asarray(q, dtype=complex) for q in fam[:g.nb]]
+                    for fam in s.bob])
+    # tr(A Q^T) = sum_ij A_ij Q_ij
+    pairs = np.real(alice.reshape(g.nx * g.na, -1)
+                    @ bob.reshape(g.ny * g.nb, -1).T)
+    pairs = pairs.reshape(g.nx, g.na, g.ny, g.nb).transpose(0, 2, 1, 3)
+    return float(np.sum(g.distribution[:, :, None, None] * g.predicate * pairs))
 
 
 # ---------------------------------------------------------------------------
 # Support projectors
 
 
-def _supp_real(m: np.ndarray, tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
+def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
+    """Orthogonal projector onto the column space of a PSD matrix.
+
+    Eigenvalues above tol * lambda_max count as nonzero.  One eigh on the
+    Hermitian part serves real and complex input; input with no imaginary
+    part is taken as real and gives a real projector.
+    """
+    m = np.asarray(m)
+    if not np.any(np.imag(m)):
+        m = np.real(m).astype(float)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     lam_max = float(w[-1]) if w.size else 0.0
     if w.size and float(w[0]) < -tol * max(1.0, abs(lam_max)):
         raise ValueError(
             f"matrix is not positive semidefinite (lambda_min={w[0]:.3e})")
     if lam_max <= 0.0:
         return np.zeros_like(m)
-    keep = w > tol * lam_max
-    vk = v[:, keep]
-    out = vk @ vk.T
-    return 0.5 * (out + out.T)
-
-
-def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of a PSD matrix.
-
-    Eigenvalues above tol * lambda_max count as nonzero.  Complex Hermitian
-    input is handled through the real 2n x 2n embedding
-    [[Re, -Im], [Im, Re]], whose support is the embedding of the support.
-    """
-    m = np.asarray(m)
-    if np.iscomplexobj(m) and np.max(np.abs(np.imag(m))) > 0.0:
-        n = m.shape[0]
-        re, im = np.real(m), np.imag(m)
-        emb = np.block([[re, -im], [im, re]])
-        emb = 0.5 * (emb + emb.T)
-        p = _supp_real(emb, tol)
-        return p[:n, :n] + 1j * p[n:, :n]
-    m = np.real(m).astype(float)
-    return _supp_real(0.5 * (m + m.T), tol)
+    vk = v[:, w > tol * lam_max]
+    out = vk @ vk.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def check_lemma1(m, n, v, tol: float = 1e-9) -> bool:
@@ -276,23 +256,20 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
     if qis.n_vertices != adjacency.n:
         raise ValueError("certificate and graph disagree on the vertex count")
     violations: list[QisViolation] = []
-    eye = np.eye(qis.d)
     supports: dict[int, list[int]] = {}
     for i, v in sorted(qis.projectors):
         supports.setdefault(i, []).append(v)
     for i in range(qis.t):
-        total = np.zeros((qis.d, qis.d))
-        for v in supports.get(i, ()):
-            p = qis.projectors[i, v]
-            defect = _projector_defect(p.astype(complex))
+        vertices = supports.get(i, [])
+        defects, completeness = _measurement_defects(
+            [qis.projectors[i, v] for v in vertices], qis.d)
+        for v, defect in zip(vertices, defects):
             if not defect <= tol:
                 violations.append(QisViolation("projector", i, None, v, None,
                                                defect))
-            total += p
-        defect = float(np.linalg.norm(total - eye))
-        if not defect <= tol:
+        if not completeness <= tol:
             violations.append(QisViolation("completeness", i, None, None, None,
-                                           defect))
+                                           completeness))
     # only measurements with entries, in ascending order, can be non-orthogonal
     for i, j in itertools.combinations(supports, 2):
         for u in supports[i]:
@@ -381,12 +358,16 @@ def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
     """Turn a perfect strategy with pairwise commuting projectors into a
     quantum independent set of size k = |X x Y|.
 
-    Requirements checked, in order: equal local dimensions; winning
-    probability 1 within tol; commutation of every Alice projector with every
-    Bob projector as d x d matrices; annihilation of every losing answer pair
-    at the operator level (P^x_a Q^y_b = 0 whenever the predicate is 0), which
-    is what makes the product measurements complete over the winning
-    quadruples.  The output is re-verified before being returned.
+    Requirements checked, in order: a 0/1 predicate; equal local
+    dimensions; winning probability 1 within tol; no weight on outcomes
+    beyond the answer range; commutation of every Alice projector with every
+    Bob projector as d x d matrices (the error names the largest commutator
+    norm); annihilation of every losing answer pair at the operator level
+    (P^x_a Q^y_b = 0 whenever the predicate is 0, the first failing pair in
+    (x, y, a, b) order is named), which is what makes the product
+    measurements complete over the winning quadruples; real-valued products.
+    The last three share one pass over (x, y, a, b) that also builds the
+    certificate, which is re-verified before being returned.
     """
     if not g.is_boolean():
         raise ValueError("conversion requires a 0/1 predicate")
@@ -407,47 +388,39 @@ def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
                         f"{side}: extra measurement outcome beyond the answer "
                         "range carries weight; conversion needs one projector "
                         "per answer")
-    worst = 0.0
-    for x in range(g.nx):
-        for y in range(g.ny):
-            for a in range(g.na):
-                for b in range(g.nb):
-                    p, q = alice[x][a], bob[y][b]
-                    worst = max(worst, float(np.linalg.norm(p @ q - q @ p)))
-    if worst > tol:
-        raise NonCommutingStrategy(
-            f"projector families do not commute (max commutator norm {worst:.3e})")
-    for x in range(g.nx):
-        for y in range(g.ny):
-            for a in range(g.na):
-                for b in range(g.nb):
-                    if g.predicate[x, y, a, b] == 0.0:
-                        norm = float(np.linalg.norm(alice[x][a] @ bob[y][b]))
-                        if norm > tol:
-                            raise NotPseudoTelepathy(
-                                "strategy does not annihilate losing answer "
-                                f"pair (x={x},y={y},a={a},b={b}): "
-                                f"product norm {norm:.3e}")
     if gg is None:
         gg = build_game_graph(g)
     vertex_index = {quad: idx for idx, quad in enumerate(gg.vertices)}
+    worst = 0.0
+    losing = None
+    complex_product = False
     projectors: dict[tuple[int, int], np.ndarray] = {}
-    for x in range(g.nx):
-        for y in range(g.ny):
-            i = x * g.ny + y
-            for a in range(g.na):
-                for b in range(g.nb):
-                    if g.predicate[x, y, a, b] == 0.0:
-                        continue
-                    prod = alice[x][a] @ bob[y][b]
-                    if float(np.max(np.abs(np.imag(prod)))) > tol:
-                        raise ValueError(
-                            "product projectors are not real-valued")
-                    mat = np.real(prod)
-                    mat = 0.5 * (mat + mat.T)
-                    if float(np.linalg.norm(mat)) == 0.0:
-                        continue
-                    projectors[(i, vertex_index[(x, y, a, b)])] = mat
+    for quad in itertools.product(range(g.nx), range(g.ny), range(g.na),
+                                  range(g.nb)):
+        x, y, a, b = quad
+        p, q = alice[x][a], bob[y][b]
+        prod = p @ q
+        worst = max(worst, float(np.linalg.norm(prod - q @ p)))
+        if g.predicate[quad] == 0.0:
+            norm = float(np.linalg.norm(prod))
+            if losing is None and norm > tol:
+                losing = ("strategy does not annihilate losing answer "
+                          f"pair (x={x},y={y},a={a},b={b}): "
+                          f"product norm {norm:.3e}")
+            continue
+        if float(np.max(np.abs(np.imag(prod)))) > tol:
+            complex_product = True
+        mat = np.real(prod)
+        mat = 0.5 * (mat + mat.T)
+        if float(np.linalg.norm(mat)) != 0.0:
+            projectors[(x * g.ny + y, vertex_index[quad])] = mat
+    if worst > tol:
+        raise NonCommutingStrategy(
+            f"projector families do not commute (max commutator norm {worst:.3e})")
+    if losing is not None:
+        raise NotPseudoTelepathy(losing)
+    if complex_product:
+        raise ValueError("product projectors are not real-valued")
     qis = QuantumIndependentSet(g.k, d, gg.n, projectors)
     report = verify_quantum_independent_set(gg, qis, max(tol, MEASUREMENT_TOL))
     if not report.valid:

@@ -235,8 +235,8 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
 
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             x: np.ndarray, y: np.ndarray, max_iterations: int,
-             bracket, target: float) -> tuple[np.ndarray, np.ndarray, int]:
+             max_iterations: int, bracket,
+             target: float) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
     s.t. Z = a_adj(y) - c PSD; returns (X, dual, iterations).
 
@@ -247,13 +247,18 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     mutually orthogonal.  schur(X, Z^-1, out) writes the matrix
     M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
     read; one out array serves every iteration.
-    The start (x, y) must make X and Z positive definite.  dual =
+    Both programs have a_adj(b) = I, so the start is strictly feasible: X
+    the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
+    y = t b, Z = t I - C, with t above the Gershgorin bound of C.  dual =
     c - a_adj(y) has the sign of _admm_sdp's dual.  Iteration stops once
     bracket(X, dual), which returns (lower, upper, ...), is at most target
     wide, or when a factorization fails, STALL_STEPS steps in a row do not
     narrow it or max_iterations runs out; the iterate with the narrowest
     bracket is returned.
     """
+    n = c.shape[0]
+    x = _affine_projection(a_map, a_adj, len(b))(np.zeros((n, n)), b)
+    y = (1.0 + float(np.max(np.sum(np.abs(c), axis=1)))) * b
     z = a_adj(y) - c
     best = (np.inf, x, c - a_adj(y))
     low = np.zeros((len(y), len(y)))
@@ -352,14 +357,9 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
     scale = max(1.0, float(np.max(np.abs(c))))
     limit = 10.0 * tol * scale
     if len(b) <= IPM_MAX_CONSTRAINTS:
-        # X = I/n and Z = t I - C with t above the Gershgorin bound of C are
-        # strictly feasible.  Aim for tol, as ADMM's residual target does,
-        # but certify at 10*tol.
-        y = np.zeros(len(b))
-        y[0] = 1.0 + float(np.max(np.sum(np.abs(c), axis=1)))
+        # aim for tol, as ADMM's residual target does, but certify at 10*tol
         x, dual, iterations = _ipm_sdp(c, b, a_map, a_adj, schur,
-                                       np.eye(n) / n, y, max_iterations,
-                                       repair, tol * scale)
+                                       max_iterations, repair, tol * scale)
     else:
         x, dual, iterations = _admm_sdp(c, b, a_map, a_adj, tol,
                                         max_iterations, repair, limit)
@@ -476,11 +476,9 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
         lower = float(np.sum(c * gram))
         return lower, upper
 
-    # unit diagonal: A_k = E_kk, so M = X o Z^-1; X = I and
-    # Z = t I - C with t above the Gershgorin bound of C are strictly feasible
-    y = np.full(n, 1.0 + float(np.max(np.sum(np.abs(c), axis=1))))
+    # unit diagonal: A_k = E_kk, so M = X o Z^-1
     x, dual, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                          np.eye(n), y, max_iterations, bracket, tol)
+                          max_iterations, bracket, tol)
     lower, upper = bracket(x, dual)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.

@@ -30,6 +30,14 @@ def test_analyze_chsh_text(capsys):
     assert "bell gap certified (theta/k > omega): true" in out
 
 
+def _validate_against_schema(report):
+    jsonschema = pytest.importorskip("jsonschema")
+    import importlib.resources as resources
+    schema = json.loads(resources.files("gamebounds")
+                        .joinpath("report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+
+
 def test_analyze_chsh_json_schema(capsys):
     code, out, _ = run_cli(capsys, "analyze", "chsh", "--json")
     assert code == 0
@@ -39,12 +47,19 @@ def test_analyze_chsh_json_schema(capsys):
     assert report["theta"]["converged"] is True
     assert abs(report["theta_over_k"] - 0.8535533905932737) < 1e-4
     assert abs(report["xor_value"] - 0.8535533905932737) < 1e-6
+    _validate_against_schema(report)
 
-    jsonschema = pytest.importorskip("jsonschema")
-    import importlib.resources as resources
-    schema = json.loads(resources.files("gamebounds")
-                        .joinpath("report_schema.json").read_text())
-    jsonschema.validate(report, schema)
+
+def test_analyze_timings(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "chsh", "--json", "--timings")
+    assert code == 0
+    report = json.loads(out)
+    assert set(report["timings"]) == {"build_graph", "alpha", "theta",
+                                      "xor_value"}
+    _validate_against_schema(report)
+    del report["timings"]
+    _, plain, _ = run_cli(capsys, "analyze", "chsh", "--json")
+    assert report == json.loads(plain)
 
 
 def test_analyze_reports_are_byte_identical(capsys):
@@ -146,7 +161,8 @@ def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--rep", "0"), ("--rep", "-1"),
-                                         ("--tol", "-1"), ("--max-iter", "0")])
+                                         ("--tol", "-1"), ("--tol", "inf"),
+                                         ("--max-iter", "0")])
 def test_analyze_rejects_out_of_range_values(capsys, flag, value):
     code, out, err = run_cli(capsys, "analyze", "chsh", flag, value)
     assert code == 1
@@ -176,6 +192,22 @@ def test_bad_certificates_exit_1(tmp_path, capsys, text):
     path.write_text(text)
     for command in ("verify-qis", "lift"):
         _exits_1_with_one_error_line(capsys, command, "chsh", str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "chsh", "--export-graph", "{missing}/graph.dimacs"],
+    ["lift", "chsh", "{qis}", "--out", "{missing}/strategy.json"],
+    # the adjacent pair passes at --tol 2, but its lift is no measurement
+    ["lift", "chsh", "{adjacent}", "--tol", "2"]],
+    ids=["export-graph", "lift-out", "lift-invalid-strategy"])
+def test_errors_after_loading_exit_1(tmp_path, capsys, argv):
+    gg = build_game_graph(chsh())
+    paths = {"missing": tmp_path / "missing"}
+    for name, vertices in (("qis", [0]), ("adjacent", [0, 1])):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(qis_to_dict(
+            qis_from_vertex_set(gg, vertices))))
+    _exits_1_with_one_error_line(capsys, *(a.format(**paths) for a in argv))
 
 
 def test_dimacs_endpoint_out_of_range(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_winning_probability_matches_kron_reference():
 
 
 def test_fast_path_matches_dense_path():
-    # both states are maximally entangled, so the trace shortcut is taken
+    # maximally entangled states against the Kronecker-product reference
     cases = [(magic_square(), magic_square_strategy()),
              (chsh(), chsh_optimal_strategy())]
     for g, s in cases:
@@ -348,6 +348,49 @@ def test_conversion_rejects_magic_square_noncommuting():
     # is unavailable; see the acceptance suite for the full story.
     with pytest.raises(NonCommutingStrategy):
         strategy_to_qis(magic_square(), magic_square_strategy())
+
+
+def _agree_game():
+    """One question each, win iff a == b."""
+    from gamebounds.games import Game
+    lam = np.zeros((1, 1, 2, 2))
+    lam[0, 0, 0, 0] = lam[0, 0, 1, 1] = 1.0
+    return Game("agree", 1, 1, 2, 2, lam, np.ones((1, 1)))
+
+
+def test_conversion_rejects_unannihilated_losing_pair():
+    # wins on |00>, but P_1 Q_0 = diag(0, 1) is not zero as an operator
+    s = QuantumStrategy(2, 2, np.array([1.0, 0.0, 0.0, 0.0]),
+                        alice=((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),),
+                        bob=((np.eye(2), np.zeros((2, 2))),))
+    with pytest.raises(NotPseudoTelepathy, match=r"\(x=0,y=0,a=1,b=0\)"):
+        strategy_to_qis(_agree_game(), s)
+
+
+def test_conversion_rejects_complex_products():
+    v = np.array([1.0, 1j]) / np.sqrt(2.0)
+    p = np.outer(v, v.conj())
+    family = ((p, np.eye(2) - p),)
+    s = QuantumStrategy(2, 2, np.kron(v, v), alice=family, bob=family)
+    with pytest.raises(ValueError, match="not real-valued"):
+        strategy_to_qis(_agree_game(), s)
+
+
+def test_conversion_reports_non_commutation_first():
+    # wins on |00>, but diag(1, 1, 0) does not commute with Bob's projectors
+    # and P_0 Q_1, P_1 Q_0 are not zero
+    w = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+    w_perp = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    q0 = np.diag([1.0, 0.0, 0.0]) + np.outer(w, w)
+    state = np.zeros(9)
+    state[0] = 1.0
+    s = QuantumStrategy(3, 3, state,
+                        alice=((np.diag([1.0, 1.0, 0.0]),
+                                np.diag([0.0, 0.0, 1.0])),),
+                        bob=((q0, np.outer(w_perp, w_perp)),))
+    assert winning_probability(_agree_game(), s) == pytest.approx(1.0)
+    with pytest.raises(NonCommutingStrategy):
+        strategy_to_qis(_agree_game(), s)
 
 
 def test_lift_two_dimensional_certificate():
