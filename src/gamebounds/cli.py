@@ -113,7 +113,8 @@ def build_report(g: Game, tol: float, force_weighted: bool,
 
     t0 = time.perf_counter()
     theta = weighted_theta(gg.graph, weights, tol, max_iterations)
-    theta_over_k = theta.value / divisor
+    # the repaired dual bound is an upper bound whatever the solver did
+    theta_over_k = theta.dual_bound / divisor
     timings["theta"] = time.perf_counter() - t0
 
     xor_value = None

@@ -4,11 +4,21 @@ The theta number is computed from the trace-normalized formulation
 
     maximize  <C, X>   s.t.  tr X = 1,  X_uv = 0 for every edge (u, v),  X >= 0,
 
-with C the all-ones matrix (weighted: C_uv = sqrt(w_u * w_v)).  The program
-is described once: the objective c, the right-hand side b, the constraint
-map a_map with its adjoint a_adj over the edge index (ei, ej), and the Schur
-builder schur.  The constraint count m = edges + 1 picks the solver that
-gets this description:
+with C the all-ones matrix (weighted: C_uv = sqrt(w_u * w_v)).  Any optimum
+can be averaged onto the coherent closure of the graph (the smallest
+coherent algebra holding I, J, the adjacency matrix and the vertex weights;
+Schrijver 1979), and the average keeps X PSD, its trace, its objective and
+its zero edges.  So the program has one constraint per edge *class*,
+sum_{e in k} X_e = 0, instead of one per edge.  The classes come from 1-WL
+colour refinement on the vertices (weights in the initial colouring): when
+it separates every vertex, every edge is its own class and the program is
+the per-edge one.  Otherwise 2-WL on pairs gives the closure.
+
+The program is described once: the objective c, the right-hand side b, the
+constraint map a_map with its adjoint a_adj over the class-sorted edges,
+and the Schur builder schur, which computes one representative row per
+class.  The constraint count m = classes + 1 picks the solver that gets
+this description:
 
 - up to IPM_MAX_CONSTRAINTS, a primal-dual interior-point method (HKM
   direction, Mehrotra predictor-corrector) that factors the m x m Schur
@@ -22,12 +32,13 @@ gets this description:
   update and residual balancing of the penalty parameter.  It stops once its
   residuals pass and the bracket is 10*tol wide.
 
-Both return (X, dual, iterations) to one certificate.  A feasibility-repaired
-primal matrix provides a true lower bound on the optimum and a repaired dual
-multiplier a true upper bound, so value and dual_bound always bracket the
-exact theta up to eigensolver precision.  converged is set in one place: the
-repaired bracket is at most 10*tol wide (times the largest objective entry,
-when that exceeds 1).
+Both return (X, dual, iterations) to one certificate, which works edge by
+edge, whatever the classes.  A feasibility-repaired primal matrix provides
+a true lower bound on the optimum and a repaired dual multiplier a true
+upper bound, so value and dual_bound always bracket the exact theta up to
+eigensolver precision; a partition that is too coarse only widens the
+bracket.  converged is set in one place: the repaired bracket is at most
+10*tol wide (times the largest objective entry, when that exceeds 1).
 """
 
 from __future__ import annotations
@@ -42,11 +53,12 @@ from .gamegraph import GameGraph, Graph, pipeline_graph
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 200_000
 
-# Theta programs with at most this many constraints m (edges + 1) go to the
-# interior-point solver, larger ones to ADMM.  The interior-point solver is
-# faster at every size measured, up to m = 1261, but its Schur matrix takes
-# 8 m^2 bytes: 1.3 MB here, against 5.8 GB for CHSH^3.  On the benchmark's
-# theta battery (largest m = 390) process peak RSS grew from 39.4 to 41.5 MB.
+# Theta programs with at most this many constraints m (edge classes + 1) go
+# to the interior-point solver, larger ones to ADMM.  The interior-point
+# solver is faster at every size measured, up to m = 1261, but its Schur
+# matrix takes 8 m^2 bytes: 1.3 MB here, against 5.8 GB for the per-edge
+# CHSH^3 program.  Every catalog game has m <= 18 by classes; asymmetric
+# graphs, whose classes are their edges, reach ADMM above m = 400.
 IPM_MAX_CONSTRAINTS = 400
 # interior-point steps go this fraction of the way to the PSD boundary
 STEP_FRACTION = 0.95
@@ -282,45 +294,129 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     return x, dual, it
 
 
-def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray):
-    """(b, a_map, a_adj, schur) of the theta program on n vertices with the
-    edges (ei[k], ej[k]): constraint 0 is tr X = 1, constraint k + 1 is
-    <(E_ij + E_ji)/2, X> = X_ij = 0."""
-    m = len(ei) + 1
+def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """Colours numbered 0, 1, ... by the sorted distinct pairs (colour,
+    hash); hashed holds exact integers, so equal inputs give equal ids
+    whatever the vertex labelling."""
+    rank = np.unique(hashed.ravel(), return_inverse=True)[1]
+    keys = colours.ravel() * (int(rank.max()) + 1) + rank
+    return np.unique(keys, return_inverse=True)[1].reshape(colours.shape)
+
+
+def _wl_colours(colours: np.ndarray, step) -> np.ndarray:
+    """Refine colours by step(r1[colours], r2[colours]) until the colour
+    count stops growing.  r1 and r2 are random integers below 2^20 from a
+    fixed seed, so sums of up to 2^13 of their products are exact in
+    float64.  A hash collision only merges colours: the result may be
+    coarser than the exact refinement, never finer."""
+    rng = np.random.default_rng(0)
+    count = int(colours.max()) + 1
+    while True:
+        r1, r2 = rng.integers(1, 1 << 20, size=(2, count)).astype(float)
+        refined = _refine(colours, step(r1[colours], r2[colours]))
+        if int(refined.max()) + 1 == count:
+            return colours
+        colours, count = refined, int(refined.max()) + 1
+
+
+def _edge_classes(graph: Graph, vertex_keys: np.ndarray):
+    """(ei, ej, starts, colours): the edges sorted by class, the start of
+    each class in that order, and the symmetric n x n pair colouring the
+    classes come from.
+
+    1-WL colour refinement starts from vertex_keys.  When it separates
+    every vertex, each edge is its own class in graph.edges() order and
+    colours is None.  Otherwise 2-WL refines the pairs (the coherent
+    closure of the graph, up to hash collisions) and each colour is merged
+    with its transpose; classes are numbered by colour, so the partition
+    does not depend on the vertex labelling."""
+    n = graph.n
+    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    adj = np.zeros((n, n))
+    adj[ei, ej] = adj[ej, ei] = 1.0
+    vertex = _wl_colours(np.unique(vertex_keys, return_inverse=True)[1],
+                         lambda r1, r2: adj @ r1)
+    if int(vertex.max()) + 1 == n:
+        return ei, ej, np.arange(len(ei)), None
+    pairs = adj.astype(np.int64)
+    pairs[np.diag_indices(n)] = 2 + vertex
+    pairs = _wl_colours(pairs, np.matmul)
+    colours = _refine(np.minimum(pairs, pairs.T), np.maximum(pairs, pairs.T))
+    cls = colours[ei, ej]
+    order = np.argsort(cls, kind="stable")
+    ei, ej, cls = ei[order], ej[order], cls[order]
+    starts = np.flatnonzero(np.diff(cls, prepend=-1))
+    return ei, ej, starts, colours
+
+
+def _class_average(colours):
+    """w -> w averaged over each class of the pair colouring colours, or
+    None when colours is None."""
+    if colours is None:
+        return None
+    flat = colours.ravel()
+    counts = np.bincount(flat)
+    return lambda w: (np.bincount(flat, w.ravel()) / counts)[colours]
+
+
+def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
+                   starts: np.ndarray, average):
+    """(b, a_map, a_adj, schur) of the theta program on n vertices whose
+    edges (ei, ej) are sorted by class, class k starting at starts[k]:
+    constraint 0 is tr X = 1, constraint k + 1 is <A_k, X> = 0 with
+    A_k = sum of (E_ij + E_ji)/2 over the edges of class k.  average, from
+    _class_average, projects X and Z^-1 before the Schur build; None leaves
+    them as they are."""
+    m = len(starts) + 1
     b = np.zeros(m)
     b[0] = 1.0
+    bounds = np.append(starts, len(ei))
+    sizes = np.diff(bounds)
+    singletons = len(starts) == len(ei)
     # flat indices of the edge entries read much faster than (ei, ej) pairs
     fij, fji = ei * n + ej, ej * n + ei
 
     def a_map(w):
         f = w.ravel()
-        return np.concatenate(([np.trace(w)], 0.5 * (f[fij] + f[fji])))
+        return np.concatenate(([np.trace(w)], np.add.reduceat(
+            0.5 * (f[fij] + f[fji]), starts)))
 
     def a_adj(y):
         out = np.zeros((n, n))
         np.fill_diagonal(out, y[0])
         f = out.ravel()
-        f[fij] = f[fji] = 0.5 * y[1:]
+        f[fij] = f[fji] = 0.5 * np.repeat(y[1:], sizes)
         return out
 
     def schur(x, zi, out):
         # lower triangle only, which is all that _cholesky_in_place reads
+        if average is not None:
+            # the iterates lie in the coherent algebra up to rounding;
+            # projecting them onto it makes every edge of a class see the
+            # same row sums, so one representative row per class serves
+            x, zi = average(x), average(zi)
         out[0, 0] = np.sum(x * zi)
         w = x @ zi
-        out[1:, 0] = 0.5 * (w[ei, ej] + w[ej, ei])
-        # M_ef = (X_jk Zi_il + X_jl Zi_ik + X_ik Zi_jl + X_il Zi_jk) / 4 for
-        # e = (i, j), f = (k, l), built a block of rows at a time
-        rows = max(1, _SCHUR_BLOCK_ENTRIES // m)
+        out[1:, 0] = np.add.reduceat(0.5 * (w[ei, ej] + w[ej, ei]), starts)
+        # M_kl = |k| sum over f = (p, q) in class l of (X_jp Zi_iq +
+        # X_jq Zi_ip + X_ip Zi_jq + X_iq Zi_jp) / 4, with (i, j) the first
+        # edge of class k, built a block of rows at a time; with one edge
+        # per class the block is M's rows and is built in place
+        rows = max(1, _SCHUR_BLOCK_ENTRIES // (len(ei) + 1))
         for s in range(0, m - 1, rows):
             e = min(s + rows, m - 1)
-            i, j, fk, fl = ei[s:e], ej[s:e], ei[:e], ej[:e]
+            i, j = ei[starts[s:e]], ej[starts[s:e]]
+            fk, fl = ei[:bounds[e]], ej[:bounds[e]]
             xi, xj, zi_i, zi_j = x[i], x[j], zi[i], zi[j]
-            block = out[1 + s:1 + e, 1:1 + e]
+            rows_out = out[1 + s:1 + e, 1:1 + e]
+            block = rows_out if singletons else np.empty((e - s, bounds[e]))
             np.multiply(xj[:, fk], zi_i[:, fl], out=block)
             block += xj[:, fl] * zi_i[:, fk]
             block += xi[:, fk] * zi_j[:, fl]
             block += xi[:, fl] * zi_j[:, fk]
-            block *= 0.25
+            if not singletons:
+                np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
+            rows_out *= 0.25 * sizes[s:e, None]
 
     return b, a_map, a_adj, schur
 
@@ -328,14 +424,17 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray):
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                           max_iterations: int) -> ThetaResult:
     n = graph.n
-    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
-    b, a_map, a_adj, schur = _theta_program(n, ei, ej)
+    ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
+    average = _class_average(colours)
+    b, a_map, a_adj, schur = _theta_program(n, ei, ej, starts, average)
 
     def repair(z, dual):
-        # Primal: zero the edge entries exactly, shift away any negative
-        # eigenvalue, renormalize the trace.  The result is feasible, so its
-        # objective is a valid lower bound on theta.
-        repaired = z.copy()
+        # Primal: average over the pair colouring (onto the coherent
+        # algebra, which keeps X PSD and spreads each class sum over its
+        # edges), zero the edge entries exactly, shift away any negative
+        # eigenvalue, renormalize the trace.  The result is feasible for any
+        # colouring, so its objective is a valid lower bound on theta.
+        repaired = z.copy() if average is None else average(z)
         repaired[ei, ej] = repaired[ej, ei] = 0.0
         repaired = 0.5 * (repaired + repaired.T)
         lam_min = float(np.linalg.eigvalsh(repaired)[0])
@@ -348,9 +447,11 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
             repaired /= trace
         value = float(np.sum(c * repaired))
         # Dual: at optimality C - dual = s*I + Y with Y supported on the
-        # edges; any edge-supported Y gives the upper bound lambda_max(C - Y).
+        # edges; any edge-supported Y gives the upper bound lambda_max(C - Y),
+        # so Y takes each edge's own entry of C - dual, whatever the classes.
+        s = c - dual
         y = np.zeros((n, n))
-        y[ei, ej] = y[ej, ei] = a_map(c - dual)[1:]
+        y[ei, ej] = y[ej, ei] = 0.5 * (s[ei, ej] + s[ej, ei])
         dual_bound = float(np.linalg.eigvalsh(c - y)[-1])
         return value, dual_bound, repaired
 
@@ -396,7 +497,8 @@ def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class QuantumBoundResult:
-    """Upper bound on the entangled value, with the theta certificate."""
+    """Upper bound on the entangled value, with the theta certificate:
+    bound is the theta certificate's dual_bound over the divisor."""
 
     bound: float
     theta: ThetaResult
@@ -407,12 +509,13 @@ class QuantumBoundResult:
 
 def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL,
                         max_iterations: int = MAX_ITERATIONS) -> QuantumBoundResult:
-    """Entangled-value upper bound: weighted theta of the pipeline graph over
-    its divisor, which is theta(game graph)/k for uniform 0/1 games."""
+    """Entangled-value upper bound: the certified upper end of weighted theta
+    of the pipeline graph over its divisor, which is theta(game graph)/k
+    for uniform 0/1 games."""
     gg = pipeline_graph(g)
     weights, divisor = gg.objective()
     theta = weighted_theta(gg.graph, weights, tol, max_iterations)
-    return QuantumBoundResult(theta.value / divisor, theta, g.k,
+    return QuantumBoundResult(theta.dual_bound / divisor, theta, g.k,
                               gg.weights is not None, gg)
 
 

@@ -81,6 +81,35 @@ def test_analyze_rep2(capsys):
     assert report["theta_over_k"] > 0.72855
 
 
+@pytest.mark.parametrize("game,tol", [("isg-c5-t2", "0.5"),
+                                      ("chsh", "1000")])
+def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
+    # theta_over_k is the repaired dual bound over k, an upper bound on the
+    # entangled value at any tolerance, so it never falls below omega
+    code, out, _ = run_cli(capsys, "analyze", game, "--tol", tol, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["theta_over_k"] == (report["theta"]["dual_bound"]
+                                      / report["k"])
+    assert report["theta_over_k"] >= report["omega_classical"]
+    assert report["solver_failure"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh"], ["isg-c5-t2"], ["isg-c5-t3"], ["magic-square"],
+    ["magic-square", "--weighted"], ["chsh", "--rep", "2"]],
+    ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square",
+         "magic-square-weighted", "chsh-rep2"])
+def test_catalog_theta_takes_interior_point_steps(capsys, argv):
+    # ADMM takes hundreds of steps on these programs; the interior-point
+    # solver on the class-indexed program takes well under 25
+    code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
+    assert code == 0
+    theta = json.loads(out)["theta"]
+    assert theta["converged"] is True
+    assert theta["iterations"] < 25
+
+
 def test_analyze_weighted_flag(capsys):
     code, out, _ = run_cli(capsys, "analyze", "chsh", "--weighted", "--json")
     assert code == 0

@@ -3,15 +3,16 @@ import pytest
 
 from gamebounds import sdp
 from gamebounds.games import (all_ones, chsh, independent_set_game,
-                              magic_square, xor_game)
-from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
+                              magic_square, parallel_repetition, xor_game)
+from gamebounds.gamegraph import (Graph, build_game_graph,
+                                  build_weighted_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
                                   to_plain_graph)
 from gamebounds.independence import independence_number, weighted_independence
 from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
 
-from conftest import random_graph
+from conftest import random_boolean_game, random_graph
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -44,12 +45,19 @@ def test_theta_c5_with_independent_dual_certificate():
     assert res.value <= SQRT5 + 1e-6
 
 
+def _classes(graph):
+    """sdp._edge_classes of graph with unit vertex weights."""
+    return sdp._edge_classes(graph, np.ones(graph.n))
+
+
 def test_theta_result_invariants():
     tol = 1e-7
-    # the magic-square game graph lies above the interior-point crossover,
-    # so both solvers are checked
-    above = build_game_graph(magic_square()).graph
-    assert above.num_edges + 1 > sdp.IPM_MAX_CONSTRAINTS
+    # colour refinement separates every vertex of this random graph, so each
+    # of its 413 edges is a class of its own and the program lies above the
+    # interior-point crossover: both solvers are checked
+    above = random_graph(np.random.default_rng(0), 32, 0.85)
+    assert _classes(above)[3] is None
+    assert len(_classes(above)[2]) + 1 > sdp.IPM_MAX_CONSTRAINTS
     for graph in (cycle_graph(5), complete_graph(4),
                   to_plain_graph(build_game_graph(chsh())), above):
         # two steps leave either solver short of the bracket
@@ -71,8 +79,9 @@ def test_theta_result_invariants():
         assert res.converged and res.gap <= 10 * tol * 9.0
 
 
-def _criterion7_random_graphs(count):
-    """The first random graphs of the criterion-7 battery."""
+def _criterion7_random_graphs(count, games=0):
+    """The first random graphs of the criterion-7 battery, then the graphs
+    of its first random uniform games that have a vertex."""
     rng = np.random.default_rng(4096)
     graphs = []
     for _ in range(count):
@@ -80,6 +89,10 @@ def _criterion7_random_graphs(count):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < rng.uniform(0.2, 0.8)]
         graphs.append(Graph.from_edges(n, edges))
+    for _ in range(games):
+        graph = to_plain_graph(build_game_graph(random_boolean_game(rng)))
+        if graph.n:
+            graphs.append(graph)
     return graphs
 
 
@@ -88,6 +101,8 @@ def test_interior_point_agrees_with_admm(monkeypatch):
     graphs = [cycle_graph(5), to_plain_graph(build_game_graph(chsh()))]
     graphs += _criterion7_random_graphs(4)
     ipm = [lovasz_theta(g, tol) for g in graphs]
+    # the crossover reads the class count after the partition is made, so
+    # both solvers get the same class-indexed program
     monkeypatch.setattr(sdp, "IPM_MAX_CONSTRAINTS", 0)
     admm = [lovasz_theta(g, tol) for g in graphs]
     for a, b in zip(ipm, admm):
@@ -95,6 +110,113 @@ def test_interior_point_agrees_with_admm(monkeypatch):
         assert a.iterations < b.iterations
         assert abs(a.value - b.value) <= 10 * tol
         assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
+
+
+def _chsh2_graph():
+    return build_game_graph(parallel_repetition(chsh(), 2)).graph
+
+
+def _colour_refinement_is_discrete(graph):
+    """Loop reference for 1-WL: refine by (colour, sorted neighbour
+    colours) until the colour count stops growing."""
+    colours = [0] * graph.n
+    while True:
+        keys = [(colours[i], tuple(sorted(colours[j] for j in range(graph.n)
+                                          if graph.has_edge(i, j))))
+                for i in range(graph.n)]
+        ids = {key: k for k, key in enumerate(sorted(set(keys)))}
+        refined = [ids[key] for key in keys]
+        if len(ids) == len(set(colours)):
+            return len(ids) == graph.n
+        colours = refined
+
+
+def _per_edge_classes(graph, vertex_keys):
+    """Every edge its own class, in graph.edges() order."""
+    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    return ei, ej, np.arange(len(ei)), None
+
+
+def _one_class(graph, vertex_keys):
+    """All edges in one class, too coarse for any graph whose coherent
+    closure has several edge classes.  Pairs are coloured diagonal, edge or
+    non-edge."""
+    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    colours = np.full((graph.n, graph.n), 2)
+    colours[ei, ej] = colours[ej, ei] = 1
+    np.fill_diagonal(colours, 0)
+    return ei, ej, np.zeros(min(1, len(ei)), dtype=np.intp), colours
+
+
+def test_discrete_graphs_keep_one_class_per_edge():
+    graphs = _criterion7_random_graphs(20, games=10)
+    discrete = [g for g in graphs if _colour_refinement_is_discrete(g)]
+    assert len(discrete) == 18
+    for graph in graphs:
+        ei, ej, starts, colours = _classes(graph)
+        if graph in discrete:
+            assert colours is None
+            assert list(zip(ei, ej)) == graph.edges()
+            assert np.array_equal(starts, np.arange(graph.num_edges))
+        else:
+            assert colours is not None
+
+
+def test_too_coarse_partition_still_brackets_theta(monkeypatch):
+    tol = 1e-7
+    graphs = [g for g in _criterion7_random_graphs(20)
+              if _colour_refinement_is_discrete(g)][:4]
+    graphs.append(random_graph(np.random.default_rng(0), 32, 0.85))
+    proper = [lovasz_theta(g, tol) for g in graphs]
+    monkeypatch.setattr(sdp, "_edge_classes", _one_class)
+    for graph, exact in zip(graphs, proper):
+        coarse = lovasz_theta(graph, tol)
+        assert exact.converged
+        assert coarse.value <= exact.dual_bound + 10 * tol
+        assert coarse.dual_bound >= exact.value - 10 * tol
+        # these graphs are asymmetric, so one class gives a looser program
+        # than theta and the repaired bracket stays wide
+        assert not coarse.converged
+
+
+def test_relabelled_graph_gives_the_same_program():
+    tol = 1e-7
+    graph = _chsh2_graph()
+    perm = np.random.default_rng(5).permutation(graph.n)
+    relabelled = Graph.from_edges(graph.n, [(int(perm[i]), int(perm[j]))
+                                            for i, j in graph.edges()])
+    assert len(_classes(relabelled)[2]) == len(_classes(graph)[2])
+    a, b = lovasz_theta(graph, tol), lovasz_theta(relabelled, tol)
+    assert a.converged and b.converged
+    assert a.iterations == b.iterations
+    assert abs(a.value - b.value) <= 10 * tol
+    assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
+
+
+def test_class_program_agrees_with_per_edge_program(monkeypatch):
+    tol = 1e-7
+    graphs = [build_game_graph(magic_square()).graph, _chsh2_graph()]
+    assert [len(_classes(g)[2]) for g in graphs] == [5, 7]
+    by_class = [lovasz_theta(g, tol) for g in graphs]
+    # the per-edge programs (m = 1117 and 673) on the interior-point solver
+    monkeypatch.setattr(sdp, "_edge_classes", _per_edge_classes)
+    monkeypatch.setattr(sdp, "IPM_MAX_CONSTRAINTS", 2000)
+    per_edge = [lovasz_theta(g, tol) for g in graphs]
+    for a, b in zip(by_class, per_edge):
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= 10 * tol
+        assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
+
+
+def test_theta_is_deterministic():
+    gg = build_weighted_game_graph(magic_square())
+    for solve in (lambda: lovasz_theta(_chsh2_graph()),
+                  lambda: weighted_theta(gg.graph, gg.weights),
+                  lambda: lovasz_theta(_criterion7_random_graphs(1)[0])):
+        a, b = solve(), solve()
+        assert (a.value, a.dual_bound, a.gap, a.iterations, a.converged) == (
+            b.value, b.dual_bound, b.gap, b.iterations, b.converged)
+        assert np.array_equal(a.primal_matrix, b.primal_matrix)
 
 
 def test_theta_chsh_graph():
