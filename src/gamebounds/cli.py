@@ -24,7 +24,7 @@ from .independence import weighted_independence
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
-from .sdp import NotXorGame, weighted_theta, xor_tsirelson_value
+from .sdp import NotXorGame, _game_graph_bound, xor_tsirelson_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,9 +112,8 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     timings["alpha"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    theta = weighted_theta(gg.graph, weights, tol, max_iterations)
-    # the repaired dual bound is an upper bound whatever the solver did
-    theta_over_k = theta.dual_bound / divisor
+    bound = _game_graph_bound(gg, tol, max_iterations)
+    theta = bound.theta
     timings["theta"] = time.perf_counter() - t0
 
     xor_value = None
@@ -146,10 +145,14 @@ def build_report(g: Game, tol: float, force_weighted: bool,
             "iterations": theta.iterations,
             "converged": theta.converged,
         },
-        "theta_over_k": float(theta_over_k),
+        "theta_over_k": float(bound.bound),
         "xor_value": xor_value,
-        "bell_gap_certificate": bool(theta_over_k > omega + 10.0 * tol),
-        "solver_failure": bool(omega > theta_over_k + 10.0 * tol),
+        # the gap is certified by the lower end of the theta bracket, the
+        # objective of a feasible primal matrix, so a loose or unconverged
+        # dual bound never sets it; a failure shows against the upper end
+        "bell_gap_certificate": bool(
+            theta.value / divisor > omega + 10.0 * tol),
+        "solver_failure": bool(omega > bound.bound + 10.0 * tol),
         "tolerance": tol,
     }
     if with_timings:

@@ -372,7 +372,6 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
     b[0] = 1.0
     bounds = np.append(starts, len(ei))
     sizes = np.diff(bounds)
-    singletons = len(starts) == len(ei)
     # flat indices of the edge entries read much faster than (ei, ej) pairs
     fij, fji = ei * n + ej, ej * n + ei
 
@@ -400,8 +399,7 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
         out[1:, 0] = np.add.reduceat(0.5 * (w[ei, ej] + w[ej, ei]), starts)
         # M_kl = |k| sum over f = (p, q) in class l of (X_jp Zi_iq +
         # X_jq Zi_ip + X_ip Zi_jq + X_iq Zi_jp) / 4, with (i, j) the first
-        # edge of class k, built a block of rows at a time; with one edge
-        # per class the block is M's rows and is built in place
+        # edge of class k, built a block of rows at a time
         rows = max(1, _SCHUR_BLOCK_ENTRIES // (len(ei) + 1))
         for s in range(0, m - 1, rows):
             e = min(s + rows, m - 1)
@@ -409,13 +407,12 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
             fk, fl = ei[:bounds[e]], ej[:bounds[e]]
             xi, xj, zi_i, zi_j = x[i], x[j], zi[i], zi[j]
             rows_out = out[1 + s:1 + e, 1:1 + e]
-            block = rows_out if singletons else np.empty((e - s, bounds[e]))
+            block = np.empty((e - s, bounds[e]))
             np.multiply(xj[:, fk], zi_i[:, fl], out=block)
             block += xj[:, fl] * zi_i[:, fk]
             block += xi[:, fk] * zi_j[:, fl]
             block += xi[:, fl] * zi_j[:, fk]
-            if not singletons:
-                np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
+            np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
             rows_out *= 0.25 * sizes[s:e, None]
 
     return b, a_map, a_adj, schur
@@ -512,10 +509,15 @@ def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL,
     """Entangled-value upper bound: the certified upper end of weighted theta
     of the pipeline graph over its divisor, which is theta(game graph)/k
     for uniform 0/1 games."""
-    gg = pipeline_graph(g)
+    return _game_graph_bound(pipeline_graph(g), tol, max_iterations)
+
+
+def _game_graph_bound(gg: GameGraph, tol: float,
+                      max_iterations: int) -> QuantumBoundResult:
+    """quantum_upper_bound on a pipeline graph already built."""
     weights, divisor = gg.objective()
     theta = weighted_theta(gg.graph, weights, tol, max_iterations)
-    return QuantumBoundResult(theta.dual_bound / divisor, theta, g.k,
+    return QuantumBoundResult(theta.dual_bound / divisor, theta, gg.source_k,
                               gg.weights is not None, gg)
 
 

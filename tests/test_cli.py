@@ -95,6 +95,22 @@ def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
     assert report["solver_failure"] is False
 
 
+@pytest.mark.parametrize("steps", ["1", "2", "3"])
+def test_unconverged_theta_certifies_no_bell_gap(capsys, steps):
+    # theta/k = omega on isg-c5-t2.  A few interior-point steps leave the
+    # upper end of the bracket above omega + 10 * tol; the gap flag reads
+    # the lower end, the objective of a feasible primal matrix, so it stays
+    # false
+    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--max-iter",
+                           steps, "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["theta"]["converged"] is False
+    assert report["theta_over_k"] > report["omega_classical"] + 1e-3
+    assert report["bell_gap_certificate"] is False
+    assert report["solver_failure"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["chsh"], ["isg-c5-t2"], ["isg-c5-t3"], ["magic-square"],
     ["magic-square", "--weighted"], ["chsh", "--rep", "2"]],
