@@ -3,8 +3,10 @@
 The classical value of a game is the maximum weight of an independent set of
 its game graph over the graph's divisor: unit weights over the number of
 question pairs for a 0/1 predicate with uniform questions, the weights
-predicate * probability over 1 otherwise.  An exhaustive search over one
-player's strategies, the other best-responding, is an independent oracle.
+predicate * probability over 1 otherwise.  The maximum comes from a branch
+and bound whose bound is a first-fit clique cover, peeled off bitsets one
+class at a time.  An exhaustive search over one player's strategies, the
+other best-responding, is an independent oracle.
 """
 
 from __future__ import annotations
@@ -31,83 +33,6 @@ class IndependenceResult:
     nodes_explored: int
 
 
-def _greedy_cover_order(candidates: int, adj: list[int], weights,
-                        order: list[int]):
-    """Greedy clique cover of the candidate set.
-
-    Returns (vertices, bounds): vertices grouped by cover class, and for each
-    position the cumulative bound over classes up to and including its own.
-    Any independent set inside the candidates picks at most one vertex per
-    clique, so the cumulative bound prunes whole suffixes at once.
-    """
-    classes: list[int] = []       # bitmask per clique
-    class_best: list[float] = []  # heaviest vertex per clique
-    members: list[list[int]] = []
-    for v in order:
-        if not (candidates >> v) & 1:
-            continue
-        placed = False
-        for c, mask in enumerate(classes):
-            # v joins a clique only if adjacent to every current member
-            if mask & ~adj[v] == 0:
-                classes[c] |= 1 << v
-                members[c].append(v)
-                if weights[v] > class_best[c]:
-                    class_best[c] = weights[v]
-                placed = True
-                break
-        if not placed:
-            classes.append(1 << v)
-            class_best.append(weights[v])
-            members.append([v])
-    vertices: list[int] = []
-    bounds: list[float] = []
-    running = 0.0
-    for c, group in enumerate(members):
-        running += class_best[c]
-        for v in group:
-            vertices.append(v)
-            bounds.append(running)
-    return vertices, bounds
-
-
-def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float, int, int]:
-    """Branch and bound over bitset candidate sets.
-
-    Vertices are branched in reverse greedy-cover order so the cumulative
-    clique bound prunes early.  Returns (best weight, best mask, nodes).
-    """
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best_weight = 0.0
-    best_mask = 0
-    nodes = 0
-
-    def expand(candidates: int, current_weight: float, current_mask: int):
-        nonlocal best_weight, best_mask, nodes
-        nodes += 1
-        verts, bounds = _greedy_cover_order(candidates, adj, weights, order)
-        prefix = [0] * (len(verts) + 1)
-        for i, v in enumerate(verts):
-            prefix[i + 1] = prefix[i] | (1 << v)
-        for idx in range(len(verts) - 1, -1, -1):
-            if current_weight + bounds[idx] <= best_weight + 1e-12:
-                return
-            v = verts[idx]
-            picked_weight = current_weight + weights[v]
-            picked_mask = current_mask | (1 << v)
-            child = prefix[idx] & ~adj[v]
-            if child:
-                expand(child, picked_weight, picked_mask)
-            elif picked_weight > best_weight + 1e-12:
-                best_weight = picked_weight
-                best_mask = picked_mask
-            # not picking v: fall through to the earlier prefix
-
-    if n:
-        expand((1 << n) - 1, 0.0, 0)
-    return best_weight, best_mask, nodes
-
-
 def _mask_to_witness(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -115,6 +40,75 @@ def _mask_to_witness(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float, int, int]:
+    """Branch and bound over bitset candidate sets.
+
+    Vertices are relabelled once to their positions in (-degree, index)
+    order, so the next candidate is always the lowest set bit.  Each node
+    peels a first-fit clique cover off its candidates: a class starts at the
+    lowest remaining bit and takes, in order, every later remaining vertex
+    adjacent to all its members.  An independent set picks at most one
+    vertex per class, so the cumulative sum of class maxima bounds every
+    prefix of the cover.  Vertices are branched from the end of the cover,
+    each removed from the candidates before the next, so the bound prunes
+    whole prefixes at once.  The search runs from an explicit stack, so its
+    depth is not limited by Python's recursion limit.  Returns (best weight,
+    best mask in the original labels, nodes).
+    """
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    position = {v: p for p, v in enumerate(order)}
+    rows = [sum(1 << position[u] for u in _mask_to_witness(adj[v]))
+            for v in order]
+    w = [weights[v] for v in order]
+    best_weight = 0.0
+    best_mask = 0
+    nodes = 0
+    # frames: [cover, bounds, untried count, remaining candidates, weight, mask]
+    stack: list[list] = []
+
+    def push(candidates: int, weight: float, mask: int):
+        nonlocal nodes
+        nodes += 1
+        cover: list[int] = []
+        bounds: list[float] = []
+        rest, running = candidates, 0.0
+        while rest:
+            q, start, heaviest = rest, len(cover), 0.0
+            while q:
+                low = q & -q
+                i = low.bit_length() - 1
+                cover.append(i)
+                if w[i] > heaviest:
+                    heaviest = w[i]
+                rest ^= low
+                q &= rows[i]
+            running += heaviest
+            bounds.extend([running] * (len(cover) - start))
+        stack.append([cover, bounds, len(cover), candidates, weight, mask])
+
+    if n:
+        push((1 << n) - 1, 0.0, 0)
+    while stack:
+        frame = stack[-1]
+        cover, bounds, idx, remaining, weight, mask = frame
+        idx -= 1
+        if idx < 0 or weight + bounds[idx] <= best_weight + 1e-12:
+            stack.pop()
+            continue
+        i = cover[idx]
+        remaining ^= 1 << i
+        frame[2], frame[3] = idx, remaining
+        picked_weight = weight + w[i]
+        child = remaining & ~rows[i]
+        if child:
+            push(child, picked_weight, mask | 1 << i)
+        elif picked_weight > best_weight + 1e-12:
+            best_weight, best_mask = picked_weight, mask | 1 << i
+        # not picking i: the next frame step tries the earlier cover
+    original = sum(1 << order[p] for p in _mask_to_witness(best_mask))
+    return best_weight, original, nodes
 
 
 def _independence(g: Graph, weights: list[float],

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from gamebounds.cli import main
-from gamebounds.games import chsh
+from gamebounds.cli import CATALOG, build_report, main
+from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
 from gamebounds.independence import classical_value
 from gamebounds.quantum import (QuantumIndependentSet, qis_from_vertex_set,
@@ -124,6 +124,36 @@ def test_catalog_theta_takes_interior_point_steps(capsys, argv):
     theta = json.loads(out)["theta"]
     assert theta["converged"] is True
     assert theta["iterations"] < 25
+
+
+_MAGIC_SQUARE_WITNESS = [(0, 0, 3, 3), (0, 1, 3, 3), (0, 2, 3, 2), (1, 1, 2, 3),
+                         (1, 2, 2, 2), (2, 0, 3, 3), (2, 1, 3, 3), (2, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("name, rep, weighted, nodes, witness", [
+    ("chsh", 1, False, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)]),
+    ("isg-c5-t2", 1, False, 4,
+     [(0, 0, 2, 2), (0, 1, 2, 4), (1, 0, 4, 2), (1, 1, 4, 4)]),
+    ("isg-c5-t3", 1, False, 45,
+     [(0, 0, 2, 2), (0, 2, 2, 4), (1, 1, 2, 2), (1, 2, 2, 4), (2, 0, 4, 2),
+      (2, 1, 4, 2), (2, 2, 4, 4)]),
+    ("magic-square", 1, False, 61, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 2, False, 368,
+     [(0, 0, 2, 2), (0, 1, 2, 2), (1, 2, 1, 1), (1, 3, 1, 0), (2, 0, 2, 2),
+      (2, 1, 2, 2), (2, 3, 2, 0), (3, 1, 3, 2), (3, 2, 3, 1), (3, 3, 3, 0)]),
+    ("magic-square", 1, True, 61, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 1, True, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)])],
+    ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square", "chsh-rep2",
+         "magic-square-weighted", "chsh-weighted"])
+def test_alpha_search_is_pinned(name, rep, weighted, nodes, witness):
+    # analyze prints the node count and the witness, so the branch and bound
+    # must keep its search tree and tie-breaks node for node
+    g = CATALOG[name]()
+    if rep > 1:
+        g = parallel_repetition(g, rep)
+    report, _ = build_report(g, 1e-7, weighted, 512, False)
+    assert report["alpha"]["nodes_explored"] == nodes
+    assert [tuple(w["quadruple"]) for w in report["alpha"]["witness"]] == witness
 
 
 def test_analyze_weighted_flag(capsys):

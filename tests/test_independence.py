@@ -78,6 +78,46 @@ def test_weighted_matches_enumeration():
                                           abs=1e-12)
 
 
+def _first_cover_class(g: Graph) -> list[int]:
+    """The root's first clique-cover class: the first vertex in
+    (-degree, index) order, then every later one adjacent to all members."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    members = []
+    for v in order:
+        if all(g.has_edge(v, u) for u in members):
+            members.append(v)
+    return members
+
+
+def test_weighted_cover_on_relabelled_graphs():
+    # labels out of degree order, zero and tied weights, classes whose
+    # heaviest member is not their first: the search maps positions back to
+    # labels and bounds each class by its maximum
+    rng = np.random.default_rng(19)
+    relabelled = heavier_later = 0
+    for _ in range(30):
+        n = int(rng.integers(8, 15))
+        g = random_graph(rng, n, rng.uniform(0.3, 0.7))
+        w = rng.integers(0, 4, n) * 0.5  # dyadic: every sum is exact
+        degrees = [g.degree(v) for v in range(n)]
+        relabelled += degrees != sorted(degrees, reverse=True)
+        first = _first_cover_class(g)
+        heavier_later += max(w[v] for v in first) > w[first[0]]
+        res = weighted_independence(g, w)
+        assert res.value == max_weight_by_enumeration(g, w)
+        _check_witness(g, res.witness)
+        assert res.value == sum(w[v] for v in res.witness)
+    assert relabelled >= 25 and heavier_later >= 5
+
+
+def test_deep_search_needs_no_recursion():
+    # 1,024 vertices, no edges: the search picks every vertex, one level each
+    g = Game("one-answer", 32, 32, 1, 1, np.ones((32, 32, 1, 1)),
+             np.full((32, 32), 1 / 1024))
+    res = classical_value(g, vertex_cap=1024)
+    assert res.exact == Fraction(1)
+
+
 def test_weighted_chsh_graph_quarter_weights():
     graph = to_plain_graph(build_game_graph(chsh()))
     res = weighted_independence(graph, np.full(8, 0.25))
