@@ -32,13 +32,29 @@ this description:
   update and residual balancing of the penalty parameter.  It stops once its
   residuals pass and the bracket is 10*tol wide.
 
-Both return (X, dual, iterations) to one certificate, which works edge by
-edge, whatever the classes.  A feasibility-repaired primal matrix provides
-a true lower bound on the optimum and a repaired dual multiplier a true
-upper bound, so value and dual_bound always bracket the exact theta up to
-eigensolver precision; a partition that is too coarse only widens the
-bracket.  converged is set in one place: the repaired bracket is at most
-10*tol wide (times the largest objective entry, when that exceeds 1).
+The closure splits into simple blocks, each repeated on the diagonal
+(Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
+2010, used for SDPs by de Klerk, Dobre and Pasechnik 2011): in a suitable
+orthonormal basis every matrix of the algebra is the direct sum of n_i x n_i
+blocks X_i, block i repeated m_i times, with sum n_i m_i = n.  When some
+block repeats and the decomposition passes its check (_block_bases), the
+interior-point method runs on one copy of each block instead of n x n
+matrices: its Cholesky factors, inverses, eigenvalues and products act on
+the block-diagonal matrix of N = sum n_i rows that holds each block once,
+and its inner products weight every row by its block's m_i.  The Schur
+matrix still comes from the representative-row builder, on the lifted sums
+of m_i P_i X_i P_i^T, which it averages onto the algebra.  Graphs that 1-WL
+separates, graphs whose blocks do not repeat and decompositions that fail
+the check take the n x n program.  The choice comes from the input alone.
+
+Every path ends in one full-size certificate, which works edge by edge,
+whatever the classes or blocks.  A feasibility-repaired primal matrix
+provides a true lower bound on the optimum and a repaired dual multiplier a
+true upper bound, so value and dual_bound always bracket the exact theta up
+to eigensolver precision; a partition that is too coarse or a wrong block
+basis only widens the bracket.  converged is set in one place: the repaired
+bracket is at most 10*tol wide (times the largest objective entry, when
+that exceeds 1).
 """
 
 from __future__ import annotations
@@ -80,7 +96,10 @@ class ThetaResult:
 
     value is the objective of a strictly feasible primal matrix (a true lower
     bound); dual_bound comes from a repaired dual-feasible solution (a true
-    upper bound); gap = dual_bound - value.
+    upper bound); gap = dual_bound - value.  m is the number of constraints
+    of the program solved (edge classes + 1) and blocks its (n_i, m_i)
+    block sizes and multiplicities, ((n, 1),) for the n x n program; both
+    are 0 and () when the graph has no vertex.
     """
 
     value: float
@@ -89,6 +108,8 @@ class ThetaResult:
     iterations: int
     converged: bool
     primal_matrix: np.ndarray
+    m: int
+    blocks: tuple[tuple[int, int], ...]
 
 
 def _affine_projection(a_map, a_adj, m: int):
@@ -208,12 +229,13 @@ def _factor_schur(schur, x: np.ndarray, zi: np.ndarray,
                 raise
 
 
-def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
+def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
     """One Mehrotra predictor-corrector step along the HKM direction from the
-    interior point (x, y, z), with low the m x m Schur matrix's storage;
-    returns the new point.  Raises LinAlgError when X, Z or the Schur
-    matrix fails to factor."""
-    n = c.shape[0]
+    interior point (x, y, z), with low the m x m Schur matrix's storage,
+    project the program's _affine_projection and weights the column of
+    row multiplicities that inner products use; returns the new point.
+    Raises LinAlgError when X, Z or the Schur matrix fails to factor."""
+    n = float(np.sum(weights))
     lxi = np.linalg.inv(np.linalg.cholesky(x))
     lzi = np.linalg.inv(np.linalg.cholesky(z))
     # Z^-1 as lzi^T lzi is exactly symmetric; inv(z) is not, and near a
@@ -223,12 +245,12 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
     inverses = _factor_schur(schur, x, zi, low)
     r_p = b - a_map(x)
     r_d = a_adj(y) - c - z
-    mu = float(np.sum(x * z)) / n
-    project = _affine_projection(a_map, a_adj, len(y))
+    mu = float(np.sum(x * z * weights)) / n
+    x_rd_zi = x @ r_d @ zi
 
     def direction(k_zi):
         # Newton step for X dZ + dX Z = K, with K given as K Z^-1
-        dy = _cho_solve(low, inverses, a_map(k_zi - x @ r_d @ zi) - r_p)
+        dy = _cho_solve(low, inverses, a_map(k_zi - x_rd_zi) - r_p)
         dz = a_adj(dy) + r_d
         dx = k_zi - x @ dz @ zi
         dx = 0.5 * (dx + dx.T)
@@ -238,7 +260,7 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
 
     dx, dy, dz = direction(-x)
     ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
-    mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz))) / n
+    mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz) * weights)) / n
     sigma = min(1.0, (mu_aff / mu) ** 3)
     dx, dy, dz = direction(sigma * mu * zi - x - dx @ dz @ zi)
     ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
@@ -247,10 +269,11 @@ def _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low):
 
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             max_iterations: int, bracket,
-             target: float) -> tuple[np.ndarray, np.ndarray, int]:
+             max_iterations: int, bracket, target: float,
+             mult: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
-    s.t. Z = a_adj(y) - c PSD; returns (X, dual, iterations).
+    s.t. Z = a_adj(y) - c PSD; returns (X, y, iterations).
 
     Primal-dual interior point with the HKM direction and Mehrotra's
     predictor-corrector (Helmberg, Rendl, Vanderbei and Wolkowicz 1996).
@@ -258,40 +281,44 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     symmetric part) and a_adj its adjoint; the constraint matrices must be
     mutually orthogonal.  schur(X, Z^-1, out) writes the matrix
     M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
-    read; one out array serves every iteration.
+    read; one out array serves every iteration.  mult, for a block-diagonal
+    program that holds one copy of each block, gives each row the
+    multiplicity of its block: it weights the inner products and counts
+    toward n (None: every row once).
     Both programs have a_adj(b) = I, so the start is strictly feasible: X
     the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
-    y = t b, Z = t I - C, with t above the Gershgorin bound of C.  dual =
-    c - a_adj(y) has the sign of _admm_sdp's dual.  Iteration stops once
-    bracket(X, dual), which returns (lower, upper, ...), is at most target
-    wide, or when a factorization fails, STALL_STEPS steps in a row do not
-    narrow it or max_iterations runs out; the iterate with the narrowest
-    bracket is returned.
+    y = t b, Z = t I - C, with t above the Gershgorin bound of C.
+    Iteration stops once bracket(X, y), which returns (lower, upper, ...),
+    is at most target wide, or when a factorization fails, STALL_STEPS
+    steps in a row do not narrow it or max_iterations runs out; the iterate
+    with the narrowest bracket is returned.
     """
-    n = c.shape[0]
-    x = _affine_projection(a_map, a_adj, len(b))(np.zeros((n, n)), b)
+    size = c.shape[0]
+    weights = np.ones((size, 1)) if mult is None else mult[:, None]
+    project = _affine_projection(a_map, a_adj, len(b))
+    x = project(np.zeros((size, size)), b)
     y = (1.0 + float(np.max(np.sum(np.abs(c), axis=1)))) * b
     z = a_adj(y) - c
-    best = (np.inf, x, c - a_adj(y))
+    best = (np.inf, x, y)
     low = np.zeros((len(y), len(y)))
     stalled = 0
     it = 0
     for it in range(1, max_iterations + 1):
         try:
-            x, y, z = _hkm_step(c, b, a_map, a_adj, schur, x, y, z, low)
+            x, y, z = _hkm_step(c, b, a_map, a_adj, schur, project, weights,
+                                x, y, z, low)
         except np.linalg.LinAlgError:
             break
-        dual = c - a_adj(y)
-        lower, upper = bracket(x, dual)[:2]
+        lower, upper = bracket(x, y)[:2]
         gap = upper - lower
         if gap < best[0]:
-            best, stalled = (gap, x, dual), 0
+            best, stalled = (gap, x, y), 0
         else:
             stalled += 1
         if gap <= target or stalled == STALL_STEPS:
             break
-    _, x, dual = best
-    return x, dual, it
+    _, x, y = best
+    return x, y, it
 
 
 def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
@@ -418,6 +445,139 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
     return b, a_map, a_adj, schur
 
 
+def _wedderburn(colours: np.ndarray):
+    """The simple components of the matrix algebra spanned by the symmetric
+    pair colouring colours, as a list of (copies, n, size) arrays whose
+    columns together form an orthonormal basis of R^n; an element of the
+    algebra acts on every copy of a component as one size x size block.
+    None when the eigenspaces of a component differ in dimension.
+
+    Murota, Kanno, Kojima and Kojima (2010): each eigenspace of a random
+    symmetric element e1 lies in one simple component, with the
+    component's multiplicity as its dimension; a second random element e2
+    links the eigenspaces of one component and no others, and maps a basis
+    of its first eigenspace onto aligned bases of the others.  Column r of
+    every eigenspace of a component then spans its copy r.
+    """
+    rng = np.random.default_rng(0)
+    e1, e2 = rng.standard_normal((2, int(colours.max()) + 1))[:, colours]
+    lam, vec = np.linalg.eigh(e1)
+    tol = 1e-8 * float(np.max(np.abs(lam)))
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol)
+    spaces = np.split(vec, starts[1:], axis=1)
+    coupling = np.add.reduceat((vec.T @ e2 @ vec) ** 2, starts, axis=0)
+    linked = np.add.reduceat(coupling, starts, axis=1) > tol ** 2
+    linked |= np.eye(len(spaces), dtype=bool)
+    while True:
+        joined = linked @ linked
+        if np.array_equal(joined, linked):
+            break
+        linked = joined
+    copies = []
+    for first in np.unique(np.argmax(linked, axis=1)):
+        members = [spaces[a] for a in np.flatnonzero(linked[first])]
+        base = members[0]
+        if any(v.shape[1] != base.shape[1] for v in members):
+            return None
+        image = e2 @ base
+        q = np.stack([base] + [v @ (v.T @ image) for v in members[1:]],
+                     axis=2)
+        q /= np.linalg.norm(q, axis=0)
+        copies.append(q.transpose(1, 0, 2))
+    return copies
+
+
+def _rebuild(copies, w: np.ndarray) -> np.ndarray:
+    """The matrix that has, on every copy of each component in copies, the
+    block of w on its first copy; w itself when w lies in the algebra."""
+    out = np.zeros_like(w)
+    for q in copies:
+        block = q[0].T @ w @ q[0]
+        out += np.concatenate(q @ block, axis=1) @ np.concatenate(q, axis=1).T
+    return out
+
+
+def _block_bases(colours: np.ndarray, c: np.ndarray):
+    """The blocks of the theta program with objective c: a list of
+    (P_i, m_i), P_i the n x n_i orthonormal basis of one copy of block i
+    and m_i its multiplicity.  None unless some block repeats and the
+    decomposition checks out: sum of n_i m_i is n, sum of n_i (n_i + 1) / 2
+    is the colour count (so the symmetric blocks span exactly the algebra)
+    and a third random element of the algebra, plus c, is rebuilt from its
+    blocks."""
+    copies = _wedderburn(colours)
+    if copies is None or all(len(q) == 1 for q in copies):
+        return None
+    n, count = colours.shape[0], int(colours.max()) + 1
+    check = np.random.default_rng(1).standard_normal(count)[colours] + c
+    if (sum(q.shape[0] * q.shape[2] for q in copies) != n
+            or sum(q.shape[2] * (q.shape[2] + 1) // 2 for q in copies) != count
+            or np.linalg.norm(_rebuild(copies, check) - check)
+            > 1e-9 * np.linalg.norm(check)):
+        return None
+    return [(q[0], len(q)) for q in copies]
+
+
+def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
+                     starts: np.ndarray, b: np.ndarray, schur,
+                     max_iterations: int, target: float):
+    """_ipm_sdp on one copy of each block of the theta program, given the
+    bases from _block_bases; returns (X lifted to n x n, y, iterations).
+
+    The program's matrices are block-diagonal N x N, N = sum of n_i, and
+    stay so exactly: every entry outside the blocks is an exact zero, which
+    Cholesky, inverse and products keep.  The Schur matrix is schur, the
+    n x n program's builder, on the lifted sums of m_i P_i X_i P_i^T, which
+    it averages onto the algebra; the bracket of each step is the
+    certificate's repair done in blocks."""
+    n = c.shape[0]
+    p = np.concatenate([q for q, _ in bases], axis=1)
+    owner = np.repeat(np.arange(len(bases)), [q.shape[1] for q, _ in bases])
+    mult = np.array([k for _, k in bases], dtype=float)[owner]
+    mask = owner[:, None] == owner[None, :]
+    inside = np.flatnonzero(mask)
+    size = len(owner)
+    # the in-block entries of I and of each class matrix, one row each
+    rows = [np.eye(size).ravel()[inside]]
+    for s, e in zip(starts, np.append(starts[1:], len(ei))):
+        g = p[ei[s:e]].T @ p[ej[s:e]]
+        rows.append((0.5 * (g + g.T)).ravel()[inside])
+    rows = np.array(rows)
+    weighted = rows * np.repeat(mult, size)[inside]
+
+    def a_map(w):
+        return weighted @ w.ravel()[inside]
+
+    def a_adj(y):
+        out = np.zeros(size * size)
+        out[inside] = y @ rows
+        return out.reshape(size, size)
+
+    def lift(w):
+        return (p * mult) @ w @ p.T
+
+    cb = np.where(mask, p.T @ c @ p, 0.0)
+    gram = a_map(a_adj(np.ones(len(b))))
+
+    def bracket(x, y):
+        # the repair of _theta_from_objective: in the algebra a zero class
+        # sum zeroes every edge of the class
+        sums = a_map(x)
+        x = x - a_adj(np.concatenate(([0.0], sums[1:] / gram[1:])))
+        lam_min = min(0.0, float(np.linalg.eigvalsh(x)[0]))
+        x[np.diag_indices(size)] -= lam_min
+        trace = sums[0] - lam_min * n
+        value = (float(np.sum(cb * x * mult[:, None])) / trace if trace > 0.0
+                 else float(np.diag(cb) @ mult) / n)
+        # C - sum_{k >= 1} y_k A_k = (C - a_adj(y)) + y_0 I
+        return value, float(np.linalg.eigvalsh(cb - a_adj(y))[-1]) + y[0]
+
+    x, y, iterations = _ipm_sdp(
+        cb, b, a_map, a_adj, lambda x, zi, out: schur(lift(x), lift(zi), out),
+        max_iterations, bracket, target, mult)
+    return lift(x), y, iterations
+
+
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                           max_iterations: int) -> ThetaResult:
     n = graph.n
@@ -454,18 +614,28 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
 
     scale = max(1.0, float(np.max(np.abs(c))))
     limit = 10.0 * tol * scale
-    if len(b) <= IPM_MAX_CONSTRAINTS:
-        # aim for tol, as ADMM's residual target does, but certify at 10*tol
-        x, dual, iterations = _ipm_sdp(c, b, a_map, a_adj, schur,
-                                       max_iterations, repair, tol * scale)
-    else:
+    blocks = ((n, 1),)
+    if len(b) > IPM_MAX_CONSTRAINTS:
         x, dual, iterations = _admm_sdp(c, b, a_map, a_adj, tol,
                                         max_iterations, repair, limit)
+    else:
+        # aim for tol, as ADMM's residual target does, but certify at 10*tol
+        bases = None if colours is None else _block_bases(colours, c)
+        if bases is None:
+            x, y, iterations = _ipm_sdp(
+                c, b, a_map, a_adj, schur, max_iterations,
+                lambda z, y: repair(z, c - a_adj(y)), tol * scale)
+        else:
+            x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
+                                                schur, max_iterations,
+                                                tol * scale)
+            blocks = tuple((p.shape[1], k) for p, k in bases)
+        dual = c - a_adj(y)
     value, dual_bound, repaired = repair(x, dual)
     gap = dual_bound - value
     converged = gap <= limit
     return ThetaResult(value, dual_bound, gap, iterations, converged,
-                       repaired)
+                       repaired, len(b), blocks)
 
 
 def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL,
@@ -486,7 +656,7 @@ def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL,
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         raise ValueError("weights must be finite and non-negative")
     if graph.n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)))
+        return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
     root = np.sqrt(w)
     c = np.outer(root, root)
     return _theta_from_objective(graph, c, tol, max_iterations)
@@ -560,10 +730,9 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
     c[:g.nx, g.nx:] = d / 2.0
     c[g.nx:, :g.nx] = d.T / 2.0
 
-    def bracket(z, dual):
-        # Dual: C - dual = Diag(t) at optimality; shifting t makes
-        # Diag(t) - C PSD, and sum(t) upper-bounds the correlation term.
-        t = np.diag(c - dual).copy()
+    def bracket(z, t):
+        # Dual: Diag(t) - C is the dual slack; shifting t makes it PSD, and
+        # sum(t) upper-bounds the correlation term.
         lam_max = float(np.linalg.eigvalsh(c - np.diag(t))[-1])
         upper = float(np.sum(t) + n * max(lam_max, 0.0))
         # Primal: PSD-project, pin the diagonal to exactly 1, then shift
@@ -582,9 +751,9 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
         return lower, upper
 
     # unit diagonal: A_k = E_kk, so M = X o Z^-1
-    x, dual, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                          max_iterations, bracket, tol)
-    lower, upper = bracket(x, dual)
+    x, y, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
+                       max_iterations, bracket, tol)
+    lower, upper = bracket(x, y)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.
     return constant + 0.5 * (lower + upper)

@@ -419,3 +419,21 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err
+
+
+def test_analyze_loads_only_numpy_outside_the_standard_library():
+    code = """
+import sys
+before = set(sys.modules)
+from gamebounds.cli import main
+main(["analyze", "chsh"])
+new = {sys.modules[name] for name in set(sys.modules) - before}
+print(sorted({m.__name__.partition(".")[0] for m in new
+              if getattr(m, "__file__", None)} - set(sys.stdlib_module_names)))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    # modules without a file, such as the runtime state Cython extensions
+    # register, are not packages and are not counted
+    assert proc.stdout.splitlines()[-1] == "['gamebounds', 'numpy']"

@@ -7,7 +7,7 @@ from gamebounds.games import (all_ones, chsh, independent_set_game,
 from gamebounds.gamegraph import (Graph, build_game_graph,
                                   build_weighted_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
-                                  to_plain_graph)
+                                  pipeline_graph, to_plain_graph)
 from gamebounds.independence import independence_number, weighted_independence
 from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
@@ -189,6 +189,7 @@ def test_relabelled_graph_gives_the_same_program():
     a, b = lovasz_theta(graph, tol), lovasz_theta(relabelled, tol)
     assert a.converged and b.converged
     assert a.iterations == b.iterations
+    assert len(a.blocks) == 15 and a.blocks == b.blocks
     assert abs(a.value - b.value) <= 10 * tol
     assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
 
@@ -206,6 +207,111 @@ def test_class_program_agrees_with_per_edge_program(monkeypatch):
         assert a.converged and b.converged
         assert abs(a.value - b.value) <= 10 * tol
         assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
+
+
+def _catalog_graphs():
+    """(graph, objective) of the catalog games in their pipelines, with
+    magic-square in both."""
+    out = []
+    for game, weighted in ((chsh(), False),
+                           (independent_set_game(cycle_graph(5), 2), False),
+                           (independent_set_game(cycle_graph(5), 3), False),
+                           (magic_square(), False), (magic_square(), True),
+                           (parallel_repetition(chsh(), 2), False)):
+        gg = pipeline_graph(game, weighted)
+        root = np.sqrt(gg.objective()[0])
+        out.append((gg.graph, np.outer(root, root)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def chsh3_graph():
+    return build_game_graph(parallel_repetition(chsh(), 3)).graph
+
+
+def test_block_decomposition_rebuilds_the_program(chsh3_graph):
+    cases = _catalog_graphs() + [(chsh3_graph, np.ones((512, 512)))]
+    for graph, c in cases:
+        ei, ej, starts, colours = sdp._edge_classes(graph, np.diag(c))
+        copies = sdp._wedderburn(colours)
+        assert sum(q.shape[0] * q.shape[2] for q in copies) == graph.n
+        matrices = [c]
+        for s, e in zip(starts, np.append(starts[1:], len(ei))):
+            a = np.zeros((graph.n, graph.n))
+            a[ei[s:e], ej[s:e]] = a[ej[s:e], ei[s:e]] = 0.5
+            matrices.append(a)
+        for a in matrices:
+            error = np.linalg.norm(sdp._rebuild(copies, a) - a)
+            assert error <= 1e-10 * np.linalg.norm(a)
+
+
+def test_theta_result_records_its_program():
+    isg3, magic = (build_game_graph(g).graph for g in (
+        independent_set_game(cycle_graph(5), 3), magic_square()))
+    res = lovasz_theta(isg3)
+    assert res.m == 18
+    assert sorted(res.blocks) == sorted(
+        [(1, 1)] * 3 + [(1, 2)] * 9 + [(2, 1)] + [(2, 2)] * 3
+        + [(2, 4)] * 2 + [(3, 4)] * 2)
+    res = lovasz_theta(magic)
+    assert res.m == 6
+    assert sorted(res.blocks) == [(1, 1), (1, 4), (1, 4), (1, 6), (1, 9),
+                                  (1, 12), (1, 18), (2, 9)]
+    # 1-WL separates this graph's vertices: one constraint per edge, n x n
+    discrete = _criterion7_random_graphs(1)[0]
+    assert _classes(discrete)[3] is None
+    res = lovasz_theta(discrete)
+    assert (res.m, res.blocks) == (discrete.num_edges + 1, ((7, 1),))
+
+
+def test_corrupted_blocks_still_bracket_theta(monkeypatch):
+    tol = 1e-7
+    graphs = [g for g, _ in _catalog_graphs()[2:4]]
+    exact = [lovasz_theta(g, tol) for g in graphs]
+    block_bases = sdp._block_bases
+    rng = np.random.default_rng(3)
+
+    def corrupted(colours, c):
+        # bases that are orthonormal but no longer span invariant subspaces
+        return [(np.linalg.qr(p + 0.3 * rng.standard_normal(p.shape))[0], m)
+                for p, m in block_bases(colours, c)]
+
+    monkeypatch.setattr(sdp, "_block_bases", corrupted)
+    for graph, proper in zip(graphs, exact):
+        res = lovasz_theta(graph, tol)
+        assert proper.converged and len(res.blocks) > 1
+        assert res.value <= proper.dual_bound + 10 * tol
+        assert res.dual_bound >= proper.value - 10 * tol
+        assert not res.converged
+
+
+def test_n_by_n_path_is_pinned():
+    # graphs on which no block repeats take the n x n program, pinned bit
+    # for bit: three that 1-WL separates and the battery's random-game-1
+    # (312 classes, every block of multiplicity 1)
+    graphs = _criterion7_random_graphs(20, games=2)
+    pins = [(graphs[0], "0x1.ffffff9477e86p+1", "0x1.000000043425cp+2", 8),
+            (graphs[1], "0x1.7fffffb3b6e29p+1", "0x1.8000001007ea8p+1", 12),
+            (graphs[4], "0x1.7fffffe577987p+1", "0x1.800000088e9d3p+1", 8),
+            (graphs[21], "0x1.1fffffd0ae692p+3", "0x1.200000001bd63p+3", 9)]
+    for graph, value, dual_bound, iterations in pins:
+        res = lovasz_theta(graph)
+        assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
+            value, dual_bound, iterations)
+    assert _classes(graphs[21])[3] is not None
+    assert xor_tsirelson_value(_odd_cycle_game(9)).hex() == (
+        "0x1.fc1c5c63fd64ep-1")
+    assert xor_tsirelson_value(_odd_cycle_game(15)).hex() == (
+        "0x1.fe98fca772ed4p-1")
+
+
+def test_chsh3_theta(chsh3_graph):
+    res = lovasz_theta(chsh3_graph)
+    assert res.converged
+    # the entangled value of CHSH^3 is at least cos^6(pi/8)
+    assert np.cos(np.pi / 8) ** 6 <= res.dual_bound / 64
+    assert res.value <= 64 * 0.65136183645
+    assert res.dual_bound >= 64 * 0.65136183541
 
 
 def test_theta_is_deterministic():
