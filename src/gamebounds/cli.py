@@ -24,7 +24,8 @@ from .independence import weighted_independence
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
-from .sdp import NotXorGame, _game_graph_bound, xor_tsirelson_value
+from .sdp import (DEFAULT_TOL, MAX_ITERATIONS, NotXorGame, _game_graph_bound,
+                  xor_tsirelson_value)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,7 +92,7 @@ def _load_qis(path: str) -> QuantumIndependentSet:
 
 def build_report(g: Game, tol: float, force_weighted: bool,
                  vertex_cap: int, with_timings: bool,
-                 max_iterations: int = 200_000) -> tuple[dict, GameGraph]:
+                 max_iterations: int = MAX_ITERATIONS) -> tuple[dict, GameGraph]:
     """Run the full pipeline game -> graph -> alpha -> theta; returns the
     report and the game graph it was computed on."""
     timings: dict[str, float] = {}
@@ -270,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--rep", type=int, default=1, metavar="N",
                        help="analyze the N-fold parallel repetition")
-        p.add_argument("--tol", type=float, default=1e-7,
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="tolerance (default %(default)g)")
 
     p = sub.add_parser("analyze", help="run the bound pipeline on a game")
@@ -281,7 +282,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="force the weighted pipeline")
     p.add_argument("--max-verts", type=int, default=512,
                    help="vertex cap for the exact solver (default 512)")
-    p.add_argument("--max-iter", type=int, default=200_000,
+    p.add_argument("--max-iter", type=int, default=MAX_ITERATIONS,
                    help="iteration cap for the semidefinite solver")
     p.add_argument("--export-graph", metavar="PATH",
                    help="write the game graph as DIMACS plus a JSON sidecar")

@@ -17,20 +17,15 @@ the per-edge one.  Otherwise 2-WL on pairs gives the closure.
 The program is described once: the objective c, the right-hand side b, the
 constraint map a_map with its adjoint a_adj over the class-sorted edges,
 and the Schur builder schur, which computes one representative row per
-class.  The constraint count m = classes + 1 picks the solver that gets
-this description:
-
-- up to IPM_MAX_CONSTRAINTS, a primal-dual interior-point method (HKM
-  direction, Mehrotra predictor-corrector) that factors the m x m Schur
-  complement every iteration.  It aims for a bracket tol wide and stops
-  there, or when a factorization fails or STALL_STEPS steps in a row do not
-  narrow the bracket, keeping the narrowest bracket seen.  The XOR program
-  (unit diagonal) always uses it.
-- above it, ADMM: the orthogonal projection onto {a_map(X) = b}, which the
-  interior-point step also applies to its primal direction, alternates with
-  projection onto the PSD cone (eigenvalue clipping), with a scaled dual
-  update and residual balancing of the penalty parameter.  It stops once its
-  residuals pass and the bracket is 10*tol wide.
+class.  One solver takes this description, as it takes the XOR program
+(unit diagonal): a primal-dual interior-point method (HKM direction,
+Mehrotra predictor-corrector) that factors the m x m Schur complement
+every iteration, m = classes + 1.  It aims for a bracket tol wide and stops
+there, or when a factorization fails or STALL_STEPS steps in a row do not
+narrow the bracket, keeping the narrowest bracket seen.  The Schur matrix
+takes 8 m^2 bytes, so a theta program with more than MAX_CONSTRAINTS
+constraints raises SizeCapError as soon as its classes are known, before
+any m x m array exists.
 
 The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
@@ -63,19 +58,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import Game
+from .games import Game, SizeCapError
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
 DEFAULT_TOL = 1e-7
 MAX_ITERATIONS = 200_000
 
-# Theta programs with at most this many constraints m (edge classes + 1) go
-# to the interior-point solver, larger ones to ADMM.  The interior-point
-# solver is faster at every size measured, up to m = 1261, but its Schur
-# matrix takes 8 m^2 bytes: 1.3 MB here, against 5.8 GB for the per-edge
-# CHSH^3 program.  Every catalog game has m <= 18 by classes; asymmetric
-# graphs, whose classes are their edges, reach ADMM above m = 400.
-IPM_MAX_CONSTRAINTS = 400
+# A theta program with more constraints m (edge classes + 1) than this is
+# refused.  The Schur matrix takes 8 m^2 bytes, 288 MB here, and a solve at
+# this size already takes about half a minute on one core.  Every catalog
+# game has m <= 18 by classes; graphs that 1-WL separates have one
+# constraint per edge.
+MAX_CONSTRAINTS = 6000
 # interior-point steps go this fraction of the way to the PSD boundary
 STEP_FRACTION = 0.95
 SCHUR_SHIFTS = (1e-12, 1e-10)
@@ -114,57 +108,11 @@ class ThetaResult:
 
 def _affine_projection(a_map, a_adj, m: int):
     """project(W, r) = W + a_adj((r - a_map(W)) / gram), the orthogonal
-    projection onto {a_map(W) = r}; the m constraint matrices must be
+    projection onto {a_map(W) = r}, which gives _ipm_sdp its start and keeps
+    each of its primal steps feasible; the m constraint matrices must be
     mutually orthogonal, so that gram = diag(A A^T) is all of A A^T."""
     gram = a_map(a_adj(np.ones(m)))
     return lambda w, r: w + a_adj((r - a_map(w)) / gram)
-
-
-def _admm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, tol: float,
-              max_iterations: int, bracket,
-              target: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The program of _ipm_sdp by ADMM; returns (Z, scaled dual, iterations).
-
-    When the residuals pass tol, iteration stops if bracket(z, dual) is at
-    most target wide; if not, the residual target is tightened.
-    """
-    n = c.shape[0]
-    project = _affine_projection(a_map, a_adj, len(b))
-    x = project(np.zeros((n, n)), b)
-    z = x.copy()
-    u = np.zeros((n, n))
-    rho = 1.0
-    it = 0
-    check_every = 10
-    residual_target = tol
-    for it in range(1, max_iterations + 1):
-        x = project(z - u + c / rho, b)
-        z_prev = z
-        w, v = np.linalg.eigh(x + u)
-        pos = w > 0.0
-        z = (v[:, pos] * w[pos]) @ v[:, pos].T
-        z = 0.5 * (z + z.T)
-        u = u + x - z
-        if it % check_every == 0 or it == max_iterations:
-            x_norm = np.linalg.norm(x)
-            primal_res = np.linalg.norm(x - z)
-            dual_res = rho * np.linalg.norm(z - z_prev)
-            limit = residual_target * (1.0 + x_norm)
-            if primal_res < limit and dual_res < limit:
-                lower, upper = bracket(z, rho * u)[:2]
-                if upper - lower <= target:
-                    break
-                if residual_target <= 1e-13:
-                    break  # cannot reasonably tighten further
-                residual_target *= 0.25
-            # residual balancing keeps the two residuals comparable
-            if primal_res > 10.0 * dual_res:
-                rho *= 2.0
-                u *= 0.5
-            elif dual_res > 10.0 * primal_res:
-                rho *= 0.5
-                u *= 2.0
-    return z, rho * u, it
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -275,8 +223,10 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
     s.t. Z = a_adj(y) - c PSD; returns (X, y, iterations).
 
-    Primal-dual interior point with the HKM direction and Mehrotra's
-    predictor-corrector (Helmberg, Rendl, Vanderbei and Wolkowicz 1996).
+    The only SDP solver here: it takes every theta program, n x n or on
+    the blocks, and the XOR program.  Primal-dual interior point with the
+    HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
+    Vanderbei and Wolkowicz 1996).
     a_map(W) is the constraint map for any square W (it reads the
     symmetric part) and a_adj its adjoint; the constraint matrices must be
     mutually orthogonal.  schur(X, Z^-1, out) writes the matrix
@@ -582,6 +532,10 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                           max_iterations: int) -> ThetaResult:
     n = graph.n
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
+    m = len(starts) + 1
+    if m > MAX_CONSTRAINTS:
+        raise SizeCapError(f"theta program has {m} constraints "
+                           f"(cap {MAX_CONSTRAINTS})")
     average = _class_average(colours)
     b, a_map, a_adj, schur = _theta_program(n, ei, ej, starts, average)
 
@@ -613,29 +567,26 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
         return value, dual_bound, repaired
 
     scale = max(1.0, float(np.max(np.abs(c))))
-    limit = 10.0 * tol * scale
-    blocks = ((n, 1),)
-    if len(b) > IPM_MAX_CONSTRAINTS:
-        x, dual, iterations = _admm_sdp(c, b, a_map, a_adj, tol,
-                                        max_iterations, repair, limit)
+    # aim for a bracket tol wide but certify at 10*tol: the reported ends
+    # then sit well inside the certified width (aiming at 10*tol left the
+    # CHSH lower end 5.9e-7 below 2 + sqrt(2)), and a solve that stalls just
+    # short of tol still certifies
+    bases = None if colours is None else _block_bases(colours, c)
+    if bases is None:
+        x, y, iterations = _ipm_sdp(
+            c, b, a_map, a_adj, schur, max_iterations,
+            lambda z, y: repair(z, c - a_adj(y)), tol * scale)
+        blocks = ((n, 1),)
     else:
-        # aim for tol, as ADMM's residual target does, but certify at 10*tol
-        bases = None if colours is None else _block_bases(colours, c)
-        if bases is None:
-            x, y, iterations = _ipm_sdp(
-                c, b, a_map, a_adj, schur, max_iterations,
-                lambda z, y: repair(z, c - a_adj(y)), tol * scale)
-        else:
-            x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
-                                                schur, max_iterations,
-                                                tol * scale)
-            blocks = tuple((p.shape[1], k) for p, k in bases)
-        dual = c - a_adj(y)
-    value, dual_bound, repaired = repair(x, dual)
+        x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
+                                            schur, max_iterations,
+                                            tol * scale)
+        blocks = tuple((p.shape[1], k) for p, k in bases)
+    value, dual_bound, repaired = repair(x, c - a_adj(y))
     gap = dual_bound - value
-    converged = gap <= limit
+    converged = gap <= 10.0 * tol * scale
     return ThetaResult(value, dual_bound, gap, iterations, converged,
-                       repaired, len(b), blocks)
+                       repaired, m, blocks)
 
 
 def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL,

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from gamebounds import sdp
 from gamebounds.cli import CATALOG, build_report, main
 from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
@@ -117,8 +118,8 @@ def test_unconverged_theta_certifies_no_bell_gap(capsys, steps):
     ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square",
          "magic-square-weighted", "chsh-rep2"])
 def test_catalog_theta_takes_interior_point_steps(capsys, argv):
-    # ADMM takes hundreds of steps on these programs; the interior-point
-    # solver on the class-indexed program takes well under 25
+    # the interior-point solver closes each bracket on the class-indexed
+    # program in well under 25 Newton steps
     code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
     assert code == 0
     theta = json.loads(out)["theta"]
@@ -251,6 +252,13 @@ def _exits_1_with_one_error_line(capsys, *argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
+
+
+def test_theta_program_above_the_cap_exits_1(capsys, monkeypatch):
+    # isg-c5-t3's program has 18 constraints
+    monkeypatch.setattr(sdp, "MAX_CONSTRAINTS", 10)
+    err = _exits_1_with_one_error_line(capsys, "analyze", "isg-c5-t3")
+    assert "18 constraints (cap 10)" in err
 
 
 @pytest.mark.parametrize("text", [

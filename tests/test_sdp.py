@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gamebounds import sdp
-from gamebounds.games import (all_ones, chsh, independent_set_game,
-                              magic_square, parallel_repetition, xor_game)
+from gamebounds.games import (SizeCapError, all_ones, chsh,
+                              independent_set_game, magic_square,
+                              parallel_repetition, xor_game)
 from gamebounds.gamegraph import (Graph, build_game_graph,
                                   build_weighted_game_graph, complete_graph,
                                   cycle_graph, disjoint_union, empty_graph,
@@ -53,14 +54,14 @@ def _classes(graph):
 def test_theta_result_invariants():
     tol = 1e-7
     # colour refinement separates every vertex of this random graph, so each
-    # of its 413 edges is a class of its own and the program lies above the
-    # interior-point crossover: both solvers are checked
-    above = random_graph(np.random.default_rng(0), 32, 0.85)
-    assert _classes(above)[3] is None
-    assert len(_classes(above)[2]) + 1 > sdp.IPM_MAX_CONSTRAINTS
+    # of its 413 edges is a class of its own: the n x n per-edge program,
+    # m = 414
+    per_edge = random_graph(np.random.default_rng(0), 32, 0.85)
+    assert _classes(per_edge)[3] is None
+    assert len(_classes(per_edge)[2]) == 413
     for graph in (cycle_graph(5), complete_graph(4),
-                  to_plain_graph(build_game_graph(chsh())), above):
-        # two steps leave either solver short of the bracket
+                  to_plain_graph(build_game_graph(chsh())), per_edge):
+        # two steps leave the solver short of the bracket
         for cap in (sdp.MAX_ITERATIONS, 2):
             res = lovasz_theta(graph, tol, cap)
             x = res.primal_matrix
@@ -96,20 +97,39 @@ def _criterion7_random_graphs(count, games=0):
     return graphs
 
 
-def test_interior_point_agrees_with_admm(monkeypatch):
+def _complement(graph):
+    return Graph.from_edges(graph.n, [(i, j) for i in range(graph.n)
+                                      for j in range(i + 1, graph.n)
+                                      if not graph.has_edge(i, j)])
+
+
+def test_theta_times_complement_theta_is_at_least_n():
+    # Lovasz: theta(G) theta(co-G) >= n for every graph, with equality when
+    # G is vertex-transitive.  A converged bracket is at most 10*tol wide,
+    # so a product of two of its ends is within 10*tol times the sum of the
+    # factors of the exact product.
     tol = 1e-7
-    graphs = [cycle_graph(5), to_plain_graph(build_game_graph(chsh()))]
-    graphs += _criterion7_random_graphs(4)
-    ipm = [lovasz_theta(g, tol) for g in graphs]
-    # the crossover reads the class count after the partition is made, so
-    # both solvers get the same class-indexed program
-    monkeypatch.setattr(sdp, "IPM_MAX_CONSTRAINTS", 0)
-    admm = [lovasz_theta(g, tol) for g in graphs]
-    for a, b in zip(ipm, admm):
+    cases = [(g, False) for g in _criterion7_random_graphs(4)]
+    cases += [(g, True) for g in (cycle_graph(7), cycle_graph(9),
+                                  Graph_from_petersen())]
+    for graph, transitive in cases:
+        a, b = lovasz_theta(graph, tol), lovasz_theta(_complement(graph), tol)
         assert a.converged and b.converged
-        assert a.iterations < b.iterations
-        assert abs(a.value - b.value) <= 10 * tol
-        assert abs(a.dual_bound - b.dual_bound) <= 10 * tol
+        slack = 10 * tol * (a.dual_bound + b.dual_bound)
+        assert a.dual_bound * b.dual_bound >= graph.n - slack
+        if transitive:
+            assert a.value * b.value <= graph.n + slack
+
+
+def test_theta_program_above_the_cap_fails_fast(monkeypatch):
+    # 1-WL separates this graph, so each of its 6491 edges is a constraint.
+    # The cap is checked before the program and its m x m Schur matrix are
+    # built.
+    monkeypatch.setattr(sdp, "_theta_program", None)
+    graph = random_graph(np.random.default_rng(0), 128, 0.8)
+    with pytest.raises(SizeCapError, match=(
+            f"6492 constraints \\(cap {sdp.MAX_CONSTRAINTS}\\)")):
+        lovasz_theta(graph)
 
 
 def _chsh2_graph():
@@ -199,9 +219,8 @@ def test_class_program_agrees_with_per_edge_program(monkeypatch):
     graphs = [build_game_graph(magic_square()).graph, _chsh2_graph()]
     assert [len(_classes(g)[2]) for g in graphs] == [5, 7]
     by_class = [lovasz_theta(g, tol) for g in graphs]
-    # the per-edge programs (m = 1117 and 673) on the interior-point solver
+    # the per-edge programs, m = 1117 and 673
     monkeypatch.setattr(sdp, "_edge_classes", _per_edge_classes)
-    monkeypatch.setattr(sdp, "IPM_MAX_CONSTRAINTS", 2000)
     per_edge = [lovasz_theta(g, tol) for g in graphs]
     for a, b in zip(by_class, per_edge):
         assert a.converged and b.converged
