@@ -1,8 +1,10 @@
 """Command-line front end: analyze games, verify and lift certificates.
 
-Exit codes: 0 success, 1 usage/format errors, unreadable or unwritable
-files or a closed stdout, 2 solver non-convergence, 3 invalid quantum
-independent set.  main() maps every command's errors to these codes.
+Exit codes: 0 success, 1 usage/format errors (argument parsing included),
+size caps, unreadable or unwritable files or a closed stdout, 2 solver
+non-convergence, 3 invalid quantum independent set.  main() maps every
+command's errors to these codes.  --max-verts is the one size limit an
+option sets; every other limit is a constant of its module.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
 from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
                         dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
-from .independence import weighted_independence
+from .independence import DEFAULT_VERTEX_CAP, weighted_independence
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
-from .sdp import (DEFAULT_TOL, MAX_ITERATIONS, NotXorGame, _game_graph_bound,
+from .sdp import (DEFAULT_TOL, NotXorGame, _game_graph_bound,
                   xor_tsirelson_value)
 
 EXIT_OK = 0
@@ -91,8 +93,7 @@ def _load_qis(path: str) -> QuantumIndependentSet:
 
 
 def build_report(g: Game, tol: float, force_weighted: bool,
-                 vertex_cap: int, with_timings: bool,
-                 max_iterations: int = MAX_ITERATIONS) -> tuple[dict, GameGraph]:
+                 vertex_cap: int, with_timings: bool) -> tuple[dict, GameGraph]:
     """Run the full pipeline game -> graph -> alpha -> theta; returns the
     report and the game graph it was computed on."""
     timings: dict[str, float] = {}
@@ -113,14 +114,14 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     timings["alpha"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bound = _game_graph_bound(gg, tol, max_iterations)
+    bound = _game_graph_bound(gg, tol)
     theta = bound.theta
     timings["theta"] = time.perf_counter() - t0
 
     xor_value = None
     try:
         t0 = time.perf_counter()
-        xor_value = xor_tsirelson_value(g, max_iterations=max_iterations)
+        xor_value = xor_tsirelson_value(g)
         timings["xor_value"] = time.perf_counter() - t0
     except NotXorGame:
         pass
@@ -203,7 +204,7 @@ def _render_text(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     report, gg = build_report(_load_game(args), args.tol, args.weighted,
-                              args.max_verts, args.timings, args.max_iter)
+                              args.max_verts, args.timings)
     if args.export_graph:
         with open(args.export_graph, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs(gg))
@@ -261,8 +262,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, and its subparsers', as ValueError: argparse
+    itself prints its usage and exits 2, this CLI's non-convergence code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gamebounds",
         description="Classical and entangled-value bounds for non-local games "
                     "via their game graphs.")
@@ -280,10 +289,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--weighted", action="store_true",
                    help="force the weighted pipeline")
-    p.add_argument("--max-verts", type=int, default=512,
-                   help="vertex cap for the exact solver (default 512)")
-    p.add_argument("--max-iter", type=int, default=MAX_ITERATIONS,
-                   help="iteration cap for the semidefinite solver")
+    p.add_argument("--max-verts", type=int, default=DEFAULT_VERTEX_CAP,
+                   help="vertex cap for the exact solver (default %(default)d)")
     p.add_argument("--export-graph", metavar="PATH",
                    help="write the game graph as DIMACS plus a JSON sidecar")
     p.add_argument("--timings", action="store_true",
@@ -317,25 +324,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    # argparse's own exit code 2 is this CLI's non-convergence code
-    if getattr(args, "rep", 1) < 1:
-        print("error: --rep must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "max_iter", 1) < 1:
-        print("error: --max-iter must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    tol = getattr(args, "tol", 1.0)
-    if not tol > 0.0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if not math.isfinite(tol):
-        print("error: --tol must be finite", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "catalog" and args.action == "emit" and not args.name:
-        print("error: catalog emit requires a game name", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        # argparse's errors and these range checks end as one error: line
+        args = make_parser().parse_args(argv)
+        if getattr(args, "rep", 1) < 1:
+            raise ValueError("--rep must be at least 1")
+        tol = getattr(args, "tol", 1.0)
+        if not tol > 0.0:
+            raise ValueError("--tol must be positive")
+        if not math.isfinite(tol):
+            raise ValueError("--tol must be finite")
+        if (args.command == "catalog" and args.action == "emit"
+                and not args.name):
+            raise ValueError("catalog emit requires a game name")
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:  # stdout closed early, as by `| head`

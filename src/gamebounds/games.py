@@ -16,8 +16,8 @@ import numpy as np
 
 DISTRIBUTION_TOL = 1e-12
 
-# Caps keep the exact algorithms within sane memory/time budgets.
-DEFAULT_TABLE_CAP = 1 << 24
+# Entries of a repeated game's predicate table; a fixed cap.
+TABLE_CAP = 1 << 24
 
 
 class GameFormatError(ValueError):
@@ -25,7 +25,7 @@ class GameFormatError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """A construction would exceed the configured size cap."""
+    """A construction or a search would exceed a size cap."""
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def all_ones(nx: int, ny: int, na: int, nb: int) -> Game:
                 np.ones((nx, ny, na, nb)), uniform_distribution(nx, ny))
 
 
-def parallel_repetition(g: Game, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> Game:
+def parallel_repetition(g: Game, n: int) -> Game:
     """n-fold parallel repetition: product predicate, product distribution.
 
     Inputs/outputs of the repeated game are n-tuples packed row-major (first
@@ -206,10 +206,13 @@ def parallel_repetition(g: Game, n: int, table_cap: int = DEFAULT_TABLE_CAP) -> 
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
-    size = (g.nx * g.ny * g.na * g.nb) ** n
-    if size > table_cap:
+    entries = g.nx * g.ny * g.na * g.nb
+    # entries ** n multiplied out only as far as the cap: bit_length(cap)
+    # factors of 2 or more exceed it already, whatever n is
+    if entries ** min(n, TABLE_CAP.bit_length()) > TABLE_CAP:
         raise SizeCapError(
-            f"repeated predicate table would hold {size} entries (cap {table_cap})")
+            f"{n}-fold repetition: the predicate table would hold "
+            f"{entries}^{n} entries (cap {TABLE_CAP})")
     lam, pi = g.predicate, g.distribution
     lam_rep, pi_rep = lam, pi
     for _ in range(n - 1):

@@ -21,7 +21,13 @@ from .games import ClassicalStrategy, Game, SizeCapError
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
 DEFAULT_VERTEX_CAP = 512
-DEFAULT_BRUTE_CAP = 1 << 24
+# Deterministic strategy pairs that classical_value_brute covers; fixed.
+BRUTE_CAP = 1 << 24
+# Nodes of one graph branch and bound; fixed.  The largest search measured
+# is 6,687 nodes (the classical benchmark corpus; 1,024 in the Tier-1
+# tests).  At the 35 us per node measured on CHSH^3 the budget runs out
+# in about 7 s.
+NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,8 @@ def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float,
     each removed from the candidates before the next, so the bound prunes
     whole prefixes at once.  The search runs from an explicit stack, so its
     depth is not limited by Python's recursion limit.  Returns (best weight,
-    best mask in the original labels, nodes).
+    best mask in the original labels, nodes); a search that would open more
+    than NODE_BUDGET nodes raises SizeCapError instead.
     """
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     position = {v: p for p, v in enumerate(order)}
@@ -65,12 +72,16 @@ def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float,
     best_weight = 0.0
     best_mask = 0
     nodes = 0
+    budget = NODE_BUDGET
     # frames: [cover, bounds, untried count, remaining candidates, weight, mask]
     stack: list[list] = []
 
     def push(candidates: int, weight: float, mask: int):
         nonlocal nodes
         nodes += 1
+        if nodes > budget:
+            raise SizeCapError(f"independence search passed its budget of "
+                               f"{budget} nodes ({n} vertices)")
         cover: list[int] = []
         bounds: list[float] = []
         rest, running = candidates, 0.0
@@ -205,15 +216,20 @@ def _all_functions(domain: int, codomain: int) -> np.ndarray:
     return table
 
 
-def classical_value_brute(g: Game, cap: int = DEFAULT_BRUTE_CAP) -> BruteForceResult:
+def classical_value_brute(g: Game) -> BruteForceResult:
     """Exact classical value: the side with fewer strategies (Alice on a
     tie) is listed whole, the other best-responds per question; ties go to
-    the lowest listed row, then the lowest answer.  The cap counts strategy
-    pairs.  Independent of the game-graph machinery, as a cross-check.
+    the lowest listed row, then the lowest answer.  BRUTE_CAP counts
+    strategy pairs.  Independent of the game-graph machinery, as a
+    cross-check.
     """
-    n_pairs = (g.na ** g.nx) * (g.nb ** g.ny)
-    if n_pairs > cap:
-        raise SizeCapError(f"{n_pairs} strategy pairs exceed cap {cap}")
+    # the pairs are multiplied out only as far as the cap: bit_length(cap)
+    # factors of 2 or more exceed it already
+    short = BRUTE_CAP.bit_length()
+    if g.na ** min(g.nx, short) * g.nb ** min(g.ny, short) > BRUTE_CAP:
+        pairs = (g.na ** g.nx * g.nb ** g.ny if max(g.nx, g.ny) <= short
+                 else f"{g.na}^{g.nx} x {g.nb}^{g.ny}")
+        raise SizeCapError(f"{pairs} strategy pairs exceed cap {BRUTE_CAP}")
     counted = g.is_boolean() and g.is_uniform()  # sums are exact integers
     table, divisor = ((g.predicate, g.k) if counted else
                       (g.predicate * g.distribution[:, :, None, None], 1))

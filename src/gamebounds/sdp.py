@@ -21,11 +21,13 @@ class.  One solver takes this description, as it takes the XOR program
 (unit diagonal): a primal-dual interior-point method (HKM direction,
 Mehrotra predictor-corrector) that factors the m x m Schur complement
 every iteration, m = classes + 1.  It aims for a bracket tol wide and stops
-there, or when a factorization fails or STALL_STEPS steps in a row do not
-narrow the bracket, keeping the narrowest bracket seen.  The Schur matrix
-takes 8 m^2 bytes, so a theta program with more than MAX_CONSTRAINTS
-constraints raises SizeCapError as soon as its classes are known, before
-any m x m array exists.
+there, or when a factorization fails, STALL_STEPS steps in a row do not
+narrow the bracket or MAX_ITERATIONS steps have run, keeping the narrowest
+bracket seen.  The step cap is a fixed constant, read at each solve and far
+above every measured step count; it only bounds the time of a pathological
+solve.  The Schur matrix takes 8 m^2 bytes, so a theta program with more
+than MAX_CONSTRAINTS constraints raises SizeCapError as soon as its classes
+are known, before any m x m array exists.
 
 The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
@@ -62,7 +64,10 @@ from .games import Game, SizeCapError
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
 DEFAULT_TOL = 1e-7
-MAX_ITERATIONS = 200_000
+# Interior-point steps per solve.  The most any measured solve took is 14:
+# the Tier-1 tests, and the catalog, theta-battery and xor benchmark
+# corpora (10, 13 and 12 steps there).  The cap adds a margin of 100.
+MAX_ITERATIONS = 14 + 100
 
 # A theta program with more constraints m (edge classes + 1) than this is
 # refused.  The Schur matrix takes 8 m^2 bytes, 288 MB here, and a solve at
@@ -217,8 +222,7 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
 
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             max_iterations: int, bracket, target: float,
-             mult: np.ndarray | None = None
+             bracket, target: float, mult: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
     s.t. Z = a_adj(y) - c PSD; returns (X, y, iterations).
@@ -240,8 +244,8 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     y = t b, Z = t I - C, with t above the Gershgorin bound of C.
     Iteration stops once bracket(X, y), which returns (lower, upper, ...),
     is at most target wide, or when a factorization fails, STALL_STEPS
-    steps in a row do not narrow it or max_iterations runs out; the iterate
-    with the narrowest bracket is returned.
+    steps in a row do not narrow it or MAX_ITERATIONS steps have run; the
+    iterate with the narrowest bracket is returned.
     """
     size = c.shape[0]
     weights = np.ones((size, 1)) if mult is None else mult[:, None]
@@ -253,7 +257,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     low = np.zeros((len(y), len(y)))
     stalled = 0
     it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         try:
             x, y, z = _hkm_step(c, b, a_map, a_adj, schur, project, weights,
                                 x, y, z, low)
@@ -470,7 +474,7 @@ def _block_bases(colours: np.ndarray, c: np.ndarray):
 
 def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
                      starts: np.ndarray, b: np.ndarray, schur,
-                     max_iterations: int, target: float):
+                     target: float):
     """_ipm_sdp on one copy of each block of the theta program, given the
     bases from _block_bases; returns (X lifted to n x n, y, iterations).
 
@@ -524,12 +528,11 @@ def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
 
     x, y, iterations = _ipm_sdp(
         cb, b, a_map, a_adj, lambda x, zi, out: schur(lift(x), lift(zi), out),
-        max_iterations, bracket, target, mult)
+        bracket, target, mult)
     return lift(x), y, iterations
 
 
-def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
-                          max_iterations: int) -> ThetaResult:
+def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResult:
     n = graph.n
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
@@ -574,13 +577,12 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
     bases = None if colours is None else _block_bases(colours, c)
     if bases is None:
         x, y, iterations = _ipm_sdp(
-            c, b, a_map, a_adj, schur, max_iterations,
+            c, b, a_map, a_adj, schur,
             lambda z, y: repair(z, c - a_adj(y)), tol * scale)
         blocks = ((n, 1),)
     else:
         x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
-                                            schur, max_iterations,
-                                            tol * scale)
+                                            schur, tol * scale)
         blocks = tuple((p.shape[1], k) for p, k in bases)
     value, dual_bound, repaired = repair(x, c - a_adj(y))
     gap = dual_bound - value
@@ -589,17 +591,15 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float,
                        repaired, m, blocks)
 
 
-def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL,
-                 max_iterations: int = MAX_ITERATIONS) -> ThetaResult:
+def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Theta number of a graph, certified by a primal/dual pair."""
     if graph.n < 1:
         raise ValueError("graph must have at least one vertex")
     c = np.ones((graph.n, graph.n))
-    return _theta_from_objective(graph, c, tol, max_iterations)
+    return _theta_from_objective(graph, c, tol)
 
 
-def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL,
-                   max_iterations: int = MAX_ITERATIONS) -> ThetaResult:
+def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Weighted theta: objective sum_{u,v} sqrt(w_u w_v) X_uv."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (graph.n,):
@@ -610,7 +610,7 @@ def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL,
         return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
     root = np.sqrt(w)
     c = np.outer(root, root)
-    return _theta_from_objective(graph, c, tol, max_iterations)
+    return _theta_from_objective(graph, c, tol)
 
 
 @dataclass(frozen=True)
@@ -625,19 +625,17 @@ class QuantumBoundResult:
     graph: GameGraph
 
 
-def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL,
-                        max_iterations: int = MAX_ITERATIONS) -> QuantumBoundResult:
+def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL) -> QuantumBoundResult:
     """Entangled-value upper bound: the certified upper end of weighted theta
     of the pipeline graph over its divisor, which is theta(game graph)/k
     for uniform 0/1 games."""
-    return _game_graph_bound(pipeline_graph(g), tol, max_iterations)
+    return _game_graph_bound(pipeline_graph(g), tol)
 
 
-def _game_graph_bound(gg: GameGraph, tol: float,
-                      max_iterations: int) -> QuantumBoundResult:
+def _game_graph_bound(gg: GameGraph, tol: float) -> QuantumBoundResult:
     """quantum_upper_bound on a pipeline graph already built."""
     weights, divisor = gg.objective()
-    theta = weighted_theta(gg.graph, weights, tol, max_iterations)
+    theta = weighted_theta(gg.graph, weights, tol)
     return QuantumBoundResult(theta.dual_bound / divisor, theta, gg.source_k,
                               gg.weights is not None, gg)
 
@@ -661,8 +659,7 @@ def xor_structure(g: Game) -> np.ndarray:
     return lam[:, :, 0, 0] - lam[:, :, 0, 1]
 
 
-def xor_tsirelson_value(g: Game, tol: float = 1e-9,
-                        max_iterations: int = MAX_ITERATIONS) -> float:
+def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
     """Exact entangled value of an XOR game.
 
     Over unit vectors u_x, v_y the value is
@@ -703,7 +700,7 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9,
 
     # unit diagonal: A_k = E_kk, so M = X o Z^-1
     x, y, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                       max_iterations, bracket, tol)
+                       bracket, tol)
     lower, upper = bracket(x, y)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from gamebounds import sdp
+from gamebounds import independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
 from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
@@ -96,14 +97,14 @@ def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
     assert report["solver_failure"] is False
 
 
-@pytest.mark.parametrize("steps", ["1", "2", "3"])
-def test_unconverged_theta_certifies_no_bell_gap(capsys, steps):
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_unconverged_theta_certifies_no_bell_gap(capsys, monkeypatch, steps):
     # theta/k = omega on isg-c5-t2.  A few interior-point steps leave the
     # upper end of the bracket above omega + 10 * tol; the gap flag reads
     # the lower end, the objective of a feasible primal matrix, so it stays
     # false
-    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--max-iter",
-                           steps, "--json")
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", steps)
+    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--json")
     assert code == 2
     report = json.loads(out)
     assert report["theta"]["converged"] is False
@@ -238,7 +239,8 @@ def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--rep", "0"), ("--rep", "-1"),
                                          ("--tol", "-1"), ("--tol", "inf"),
-                                         ("--max-iter", "0")])
+                                         ("--max-iter", "0"), ("--rep", "x"),
+                                         ("--max-iter", "5")])
 def test_analyze_rejects_out_of_range_values(capsys, flag, value):
     code, out, err = run_cli(capsys, "analyze", "chsh", flag, value)
     assert code == 1
@@ -259,6 +261,40 @@ def test_theta_program_above_the_cap_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(sdp, "MAX_CONSTRAINTS", 10)
     err = _exits_1_with_one_error_line(capsys, "analyze", "isg-c5-t3")
     assert "18 constraints (cap 10)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "chsh", "--bogus"], ["analyze"], ["bogus"], []],
+    ids=["unknown-option", "no-game", "no-command", "nothing"])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse would print its usage and exit 2, the non-convergence code;
+    # unknown options with a value, such as --max-iter 5, are cases of the
+    # out-of-range test above
+    _exits_1_with_one_error_line(capsys, *argv)
+
+
+def test_help_exits_0(capsys):
+    for argv in (["-h"], ["analyze", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--max-verts" in out and "--max-iter" not in out
+
+
+def test_huge_repetition_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    err = _exits_1_with_one_error_line(capsys, "analyze", "chsh", "--rep",
+                                       "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert "1000000000-fold repetition" in err and "(cap 16777216)" in err
+
+
+def test_search_past_the_node_budget_exits_1(capsys, monkeypatch):
+    # the alpha search of isg-c5-t3 opens 45 nodes
+    monkeypatch.setattr(independence, "NODE_BUDGET", 44)
+    err = _exits_1_with_one_error_line(capsys, "analyze", "isg-c5-t3")
+    assert "budget of 44 nodes" in err
 
 
 @pytest.mark.parametrize("text", [
@@ -363,9 +399,9 @@ def test_analyze_magic_square(capsys):
     assert report["xor_value"] is None
 
 
-def test_analyze_nonconvergence_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "chsh", "--max-iter", "5",
-                           "--json")
+def test_analyze_nonconvergence_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 5)
+    code, out, _ = run_cli(capsys, "analyze", "chsh", "--json")
     assert code == 2
     report = json.loads(out)
     assert report["theta"]["converged"] is False

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gamebounds import independence
 from gamebounds.games import (Game, SizeCapError, chsh, independent_set_game,
                               magic_square, parallel_repetition,
-                              strategy_value)
+                              strategy_value, uniform_distribution)
 from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
                                   cycle_graph, empty_graph, to_plain_graph)
 from gamebounds.independence import (classical_value, classical_value_brute,
@@ -178,14 +179,40 @@ def test_brute_force_chsh_and_all_ones():
 
 
 @pytest.mark.parametrize("below", [0, 1], ids=["runs", "raises"])
-def test_brute_force_cap(below):
+def test_brute_force_cap(below, monkeypatch):
     g = magic_square()
     pairs = g.na ** g.nx * g.nb ** g.ny
+    monkeypatch.setattr(independence, "BRUTE_CAP", pairs - below)
     if below:
         with pytest.raises(SizeCapError, match=f"{pairs} strategy pairs"):
-            classical_value_brute(g, cap=pairs - below)
+            classical_value_brute(g)
     else:
-        assert classical_value_brute(g, cap=pairs).exact == Fraction(8, 9)
+        assert classical_value_brute(g).exact == Fraction(8, 9)
+
+
+def test_brute_force_cap_on_many_questions_fails_fast():
+    # 2^30000 has 9031 digits, past Python's 4300-digit limit for printing
+    # an integer; the pairs are not multiplied out, and the message gives
+    # them as powers
+    g = Game("wide", 30000, 1, 2, 1, np.ones((30000, 1, 2, 1)),
+             uniform_distribution(30000, 1))
+    with pytest.raises(SizeCapError,
+                       match=r"2\^30000 x 1\^1 strategy pairs exceed cap"):
+        classical_value_brute(g)
+
+
+@pytest.mark.parametrize("graph", [
+    cycle_graph(7), random_graph(np.random.default_rng(3), 40, 0.3)],
+    ids=["c7", "random-40"])
+def test_node_budget(monkeypatch, graph):
+    # a search may open exactly NODE_BUDGET nodes; one more raises
+    nodes = independence_number(graph).nodes_explored
+    assert nodes > 1
+    monkeypatch.setattr(independence, "NODE_BUDGET", nodes)
+    assert independence_number(graph).nodes_explored == nodes
+    monkeypatch.setattr(independence, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(SizeCapError, match=f"budget of {nodes - 1} nodes"):
+        independence_number(graph)
 
 
 def test_brute_matches_nested_loop_reference():

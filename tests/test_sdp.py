@@ -51,8 +51,9 @@ def _classes(graph):
     return sdp._edge_classes(graph, np.ones(graph.n))
 
 
-def test_theta_result_invariants():
+def test_theta_result_invariants(monkeypatch):
     tol = 1e-7
+    full = sdp.MAX_ITERATIONS
     # colour refinement separates every vertex of this random graph, so each
     # of its 413 edges is a class of its own: the n x n per-edge program,
     # m = 414
@@ -61,9 +62,11 @@ def test_theta_result_invariants():
     assert len(_classes(per_edge)[2]) == 413
     for graph in (cycle_graph(5), complete_graph(4),
                   to_plain_graph(build_game_graph(chsh())), per_edge):
-        # two steps leave the solver short of the bracket
-        for cap in (sdp.MAX_ITERATIONS, 2):
-            res = lovasz_theta(graph, tol, cap)
+        # two steps leave the solver short of the bracket; the full cap is
+        # set last, for the weighted solve below
+        for cap in (2, full):
+            monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
+            res = lovasz_theta(graph, tol)
             x = res.primal_matrix
             assert abs(np.trace(x) - 1.0) <= 1e-8
             assert np.min(np.linalg.eigvalsh(x)) >= -1e-8
@@ -74,7 +77,7 @@ def test_theta_result_invariants():
             # converged means certified: the bracket closes to 10*tol
             # (the objective's largest entry is 1)
             assert res.converged == (res.gap <= 10 * tol)
-            assert res.converged == (cap == sdp.MAX_ITERATIONS)
+            assert res.converged == (cap == full)
         # a weighted objective scales the certified width by its largest entry
         res = weighted_theta(graph, np.full(graph.n, 9.0), tol)
         assert res.converged and res.gap <= 10 * tol * 9.0
