@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage/format errors (argument parsing included),
 size caps, unreadable or unwritable files or a closed stdout, 2 solver
 non-convergence, 3 invalid quantum independent set.  main() maps every
-command's errors to these codes.  --max-verts is the one size limit an
-option sets; every other limit is a constant of its module.
+command's errors to these codes.  Every size limit is a constant of its
+module, such as gamegraph.VERTEX_CAP; no option sets one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
 from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
                         dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
-from .independence import DEFAULT_VERTEX_CAP, weighted_independence
+from .independence import weighted_independence
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
@@ -93,7 +93,7 @@ def _load_qis(path: str) -> QuantumIndependentSet:
 
 
 def build_report(g: Game, tol: float, force_weighted: bool,
-                 vertex_cap: int, with_timings: bool) -> tuple[dict, GameGraph]:
+                 with_timings: bool) -> tuple[dict, GameGraph]:
     """Run the full pipeline game -> graph -> alpha -> theta; returns the
     report and the game graph it was computed on."""
     timings: dict[str, float] = {}
@@ -105,7 +105,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     timings["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alpha = weighted_independence(gg.graph, weights, vertex_cap)
+    alpha = weighted_independence(gg.graph, weights)
     omega = alpha.value / divisor
     omega_exact = None
     if not weighted:
@@ -204,7 +204,7 @@ def _render_text(report: dict) -> str:
 
 def cmd_analyze(args) -> int:
     report, gg = build_report(_load_game(args), args.tol, args.weighted,
-                              args.max_verts, args.timings)
+                              args.timings)
     if args.export_graph:
         with open(args.export_graph, "w", encoding="utf-8") as fh:
             fh.write(to_dimacs(gg))
@@ -289,8 +289,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--weighted", action="store_true",
                    help="force the weighted pipeline")
-    p.add_argument("--max-verts", type=int, default=DEFAULT_VERTEX_CAP,
-                   help="vertex cap for the exact solver (default %(default)d)")
     p.add_argument("--export-graph", metavar="PATH",
                    help="write the game graph as DIMACS plus a JSON sidecar")
     p.add_argument("--timings", action="store_true",

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import Game
+import numpy as np
+
+from .games import Game, SizeCapError
+
+# Vertices of a graph the exact search takes; fixed.  The bound pipeline
+# counts a game's vertices against it before building the graph.
+VERTEX_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,21 @@ def _adjacency(vertices) -> Graph:
     return Graph(len(vertices), tuple(rows))
 
 
+def _graph_on(g: Game, table: np.ndarray, weighted: bool) -> GameGraph:
+    """Game graph on the quadruples where ``table`` is positive, in
+    lexicographic order, weighted by their table entries when asked."""
+    positive = table > 0.0
+    vertices = tuple(map(tuple, np.argwhere(positive).tolist()))
+    weights = tuple(table[positive].tolist()) if weighted else None
+    return GameGraph(vertices, _adjacency(vertices), g.k, weights)
+
+
 def build_game_graph(g: Game) -> GameGraph:
     """Game graph of a 0/1 game: vertices are the winning quadruples."""
     if not g.is_boolean():
         raise ValueError(
             "game has a non-boolean predicate; use build_weighted_game_graph")
-    vertices = tuple(g.winning_quadruples())
-    return GameGraph(vertices, _adjacency(vertices), g.k)
+    return _graph_on(g, g.predicate, False)
 
 
 def build_weighted_game_graph(g: Game) -> GameGraph:
@@ -149,19 +163,7 @@ def build_weighted_game_graph(g: Game) -> GameGraph:
     are dropped: they can never contribute to a strategy's value and would
     only inflate the downstream optimization problems.
     """
-    vertices = []
-    weights = []
-    for x in range(g.nx):
-        for y in range(g.ny):
-            pxy = g.distribution[x, y]
-            for a in range(g.na):
-                for b in range(g.nb):
-                    w = float(g.predicate[x, y, a, b] * pxy)
-                    if w > 0.0:
-                        vertices.append((x, y, a, b))
-                        weights.append(w)
-    vertices = tuple(vertices)
-    return GameGraph(vertices, _adjacency(vertices), g.k, tuple(weights))
+    return _graph_on(g, g.predicate * g.distribution[:, :, None, None], True)
 
 
 def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
@@ -169,8 +171,14 @@ def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
 
     Uniform 0/1 games get the 0/1 construction, so their values come out as
     alpha/k and theta/k; every other game, and any game when ``weighted`` is
-    set, gets the weighted construction.
+    set, gets the weighted construction.  Either has one vertex per
+    quadruple of positive weight, so a game with more than VERTEX_CAP of
+    them raises SizeCapError before any graph is built.
     """
+    n = int(np.count_nonzero(g.predicate * g.distribution[:, :, None, None]))
+    if n > VERTEX_CAP:
+        raise SizeCapError(
+            f"game graph would have {n} vertices (cap {VERTEX_CAP})")
     if weighted or not (g.is_boolean() and g.is_uniform()):
         return build_weighted_game_graph(g)
     return build_game_graph(g)

@@ -21,7 +21,8 @@ import json
 import numpy as np
 
 from .dsl import parse_predicate_dsl
-from .games import Game, GameFormatError, uniform_distribution
+from .games import (TABLE_CAP, Game, GameFormatError, SizeCapError,
+                    uniform_distribution)
 
 
 def _require(doc: dict, key: str, types) -> object:
@@ -55,6 +56,9 @@ def game_from_dict(doc: dict) -> Game:
             raise GameFormatError(f"{key}: must be a positive integer")
         sizes[key] = n
     nx, ny, na, nb = sizes["nx"], sizes["ny"], sizes["na"], sizes["nb"]
+    if nx * ny * na * nb > TABLE_CAP:
+        raise SizeCapError(f"sizes {nx} x {ny} x {na} x {nb}: the predicate "
+                           f"table would exceed {TABLE_CAP} entries")
 
     pred = _require(doc, "predicate", dict)
     given = [k for k in ("winning", "dsl", "table") if k in pred]

@@ -133,12 +133,8 @@ def uniform_distribution(nx: int, ny: int) -> np.ndarray:
 
 def chsh() -> Game:
     """The CHSH game: binary inputs and outputs, win iff a xor b == x and y."""
-    lam = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    lam[x, y, a, b] = 1.0 if (a ^ b) == (x & y) else 0.0
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    lam = ((a ^ b) == (x & y)).astype(float)
     return Game("chsh", 2, 2, 2, 2, lam, uniform_distribution(2, 2))
 
 
@@ -161,13 +157,9 @@ def magic_square() -> Game:
     of odd parity; answers a, b in {0..3} encode the first two bits with the
     parity bit implied.  They win iff the two fillings agree at cell (x, y).
     """
-    lam = np.zeros((3, 3, 4, 4))
-    for x in range(3):
-        for y in range(3):
-            for a in range(4):
-                for b in range(4):
-                    if _row_bits(a)[y] == _col_bits(b)[x]:
-                        lam[x, y, a, b] = 1.0
+    rows = np.array([_row_bits(a) for a in range(4)]).T  # [y, a]
+    cols = np.array([_col_bits(b) for b in range(4)]).T  # [x, b]
+    lam = (rows[None, :, :, None] == cols[:, None, None, :]).astype(float)
     return Game("magic-square", 3, 3, 4, 4, lam, uniform_distribution(3, 3))
 
 
@@ -180,12 +172,8 @@ def xor_game(f: np.ndarray, distribution: np.ndarray | None = None,
     if not np.all((f == 0) | (f == 1)):
         raise GameFormatError("xor game table entries must be 0 or 1")
     nx, ny = f.shape
-    lam = np.zeros((nx, ny, 2, 2))
-    for x in range(nx):
-        for y in range(ny):
-            for a in range(2):
-                for b in range(2):
-                    lam[x, y, a, b] = 1.0 if (a ^ b) == int(f[x, y]) else 0.0
+    a, b = np.indices((2, 2))
+    lam = ((a ^ b) == f[:, :, None, None]).astype(float)
     if distribution is None:
         distribution = uniform_distribution(nx, ny)
     return Game(name, nx, ny, 2, 2, lam, distribution)
@@ -214,8 +202,13 @@ def parallel_repetition(g: Game, n: int) -> Game:
             f"{n}-fold repetition: the predicate table would hold "
             f"{entries}^{n} entries (cap {TABLE_CAP})")
     lam, pi = g.predicate, g.distribution
+    steps = n - 1
+    if entries == 1:
+        # the cap lets any n through: one power instead of n - 1 steps; past
+        # 2^64 factors every entry has reached 0, 1 or overflow already
+        lam, pi, steps = lam ** min(n, 1 << 64), pi ** min(n, 1 << 64), 0
     lam_rep, pi_rep = lam, pi
-    for _ in range(n - 1):
+    for _ in range(steps):
         # tensor product, then regroup axes so each of x, y, a, b is contiguous
         lam_rep = np.einsum("xyab,uvcd->xuyvacbd", lam_rep, lam).reshape(
             lam_rep.shape[0] * g.nx, lam_rep.shape[1] * g.ny,
@@ -239,20 +232,13 @@ def independent_set_game(adjacency, t: int, name: str | None = None) -> Game:
     if t < 1:
         raise ValueError("parameter t must be >= 1")
     if hasattr(adjacency, "has_edge"):
-        nv = adjacency.n
-        has_edge = adjacency.has_edge
-    else:
-        mat = np.asarray(adjacency)
-        nv = mat.shape[0]
-        has_edge = lambda i, j: bool(mat[i, j])
-    lam = np.ones((t, t, nv, nv))
-    for x in range(t):
-        for y in range(t):
-            for v in range(nv):
-                for w in range(nv):
-                    if x == y:
-                        if v != w:
-                            lam[x, y, v, w] = 0.0
-                    elif v == w or has_edge(v, w):
-                        lam[x, y, v, w] = 0.0
+        adjacency = [[adjacency.has_edge(v, w) for w in range(adjacency.n)]
+                     for v in range(adjacency.n)]
+    adj = np.asarray(adjacency).astype(bool)
+    nv = adj.shape[0]
+    same_vertex = np.eye(nv, dtype=bool)
+    # x == y loses on different vertices, x != y on equal or adjacent ones
+    lose = np.where(np.eye(t, dtype=bool)[:, :, None, None], ~same_vertex,
+                    same_vertex | adj)
+    lam = (~lose).astype(float)
     return Game(name or f"isg-t{t}", t, t, nv, nv, lam, uniform_distribution(t, t))

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import gamegraph
 from .games import ClassicalStrategy, Game, SizeCapError
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
-DEFAULT_VERTEX_CAP = 512
 # Deterministic strategy pairs that classical_value_brute covers; fixed.
 BRUTE_CAP = 1 << 24
 # Nodes of one graph branch and bound; fixed.  The largest search measured
@@ -122,30 +122,29 @@ def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float,
     return best_weight, original, nodes
 
 
-def _independence(g: Graph, weights: list[float],
-                  vertex_cap: int) -> IndependenceResult:
-    if g.n > vertex_cap:
-        raise SizeCapError(f"graph has {g.n} vertices (cap {vertex_cap})")
+def _independence(g: Graph, weights: list[float]) -> IndependenceResult:
+    cap = gamegraph.VERTEX_CAP
+    if g.n > cap:
+        raise SizeCapError(f"graph has {g.n} vertices (cap {cap})")
     _, mask, nodes = _max_weight_independent_set(g.n, list(g.rows), weights)
     witness = _mask_to_witness(mask)
     return IndependenceResult(float(sum(weights[v] for v in witness)), witness,
                               nodes)
 
 
-def independence_number(g: Graph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
+def independence_number(g: Graph) -> IndependenceResult:
     """Exact maximum independent set size with a witness."""
-    return _independence(g, [1.0] * g.n, vertex_cap)
+    return _independence(g, [1.0] * g.n)
 
 
-def weighted_independence(g: Graph, weights,
-                          vertex_cap: int = DEFAULT_VERTEX_CAP) -> IndependenceResult:
+def weighted_independence(g: Graph, weights) -> IndependenceResult:
     """Exact maximum-weight independent set with a witness."""
     weights = [float(w) for w in weights]
     if len(weights) != g.n:
         raise ValueError("weight vector length does not match vertex count")
     if not all(math.isfinite(w) and w >= 0.0 for w in weights):
         raise ValueError("weights must be finite and non-negative")
-    return _independence(g, weights, vertex_cap)
+    return _independence(g, weights)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def _strategy_from_witness(g: Game, gg: GameGraph, witness) -> ClassicalStrategy
                              tuple(b if b is not None else 0 for b in fb))
 
 
-def classical_value(g: Game, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ClassicalValueResult:
+def classical_value(g: Game) -> ClassicalValueResult:
     """Exact classical value via the game graph.
 
     The maximum-weight independent set of the pipeline graph over its
@@ -184,7 +183,7 @@ def classical_value(g: Game, vertex_cap: int = DEFAULT_VERTEX_CAP) -> ClassicalV
     """
     gg = pipeline_graph(g)
     weights, divisor = gg.objective()
-    alpha = weighted_independence(gg.graph, weights, vertex_cap)
+    alpha = weighted_independence(gg.graph, weights)
     exact = (Fraction(len(alpha.witness), divisor) if gg.weights is None
              else None)
     strategy = _strategy_from_witness(g, gg, alpha.witness)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from gamebounds import independence, sdp
+from gamebounds import gamegraph, independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
 from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
@@ -153,7 +153,7 @@ def test_alpha_search_is_pinned(name, rep, weighted, nodes, witness):
     g = CATALOG[name]()
     if rep > 1:
         g = parallel_repetition(g, rep)
-    report, _ = build_report(g, 1e-7, weighted, 512, False)
+    report, _ = build_report(g, 1e-7, weighted, False)
     assert report["alpha"]["nodes_explored"] == nodes
     assert [tuple(w["quadruple"]) for w in report["alpha"]["witness"]] == witness
 
@@ -240,7 +240,8 @@ def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [("--rep", "0"), ("--rep", "-1"),
                                          ("--tol", "-1"), ("--tol", "inf"),
                                          ("--max-iter", "0"), ("--rep", "x"),
-                                         ("--max-iter", "5")])
+                                         ("--max-iter", "5"),
+                                         ("--max-verts", "600")])
 def test_analyze_rejects_out_of_range_values(capsys, flag, value):
     code, out, err = run_cli(capsys, "analyze", "chsh", flag, value)
     assert code == 1
@@ -279,7 +280,7 @@ def test_help_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--max-verts" in out and "--max-iter" not in out
+    assert "--max-verts" not in out and "--max-iter" not in out
 
 
 def test_huge_repetition_exits_1_at_once(capsys):
@@ -288,6 +289,46 @@ def test_huge_repetition_exits_1_at_once(capsys):
                                        "1000000000")
     assert time.perf_counter() - start < 1.0
     assert "1000000000-fold repetition" in err and "(cap 16777216)" in err
+
+
+def test_one_entry_game_repeats_at_once(tmp_path, capsys):
+    # a one-entry table passes the table cap at any --rep
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"name": "one", "nx": 1, "ny": 1, "na": 1,
+                                "nb": 1, "predicate": {"dsl": "1"}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path), "--rep",
+                             "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert "omega_classical: 1 (= 1/1)" in out
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["chsh", "--rep", "4"], 4096), (["{path}"], 513),
+    (["{path}", "--weighted"], 513)], ids=["chsh-rep4", "file", "weighted"])
+def test_game_above_the_vertex_cap_exits_1_before_its_graph(
+        tmp_path, capsys, monkeypatch, argv, count):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"name": "wide", "nx": 1, "ny": 1, "na": 1,
+                                "nb": 513, "predicate": {"dsl": "1"}}))
+
+    def refuse(vertices):
+        raise AssertionError(f"built a graph on {len(vertices)} vertices")
+    monkeypatch.setattr(gamegraph, "_adjacency", refuse)
+    err = _exits_1_with_one_error_line(
+        capsys, "analyze", *(a.format(path=path) for a in argv))
+    assert f"{count} vertices (cap 512)" in err
+
+
+def test_game_document_above_the_table_cap_exits_1(tmp_path, capsys):
+    # 10^12 entries, 7.28 TiB as a float table
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "huge", "nx": 1000, "ny": 1000,
+                                "na": 1000, "nb": 1000,
+                                "predicate": {"winning": []}}))
+    err = _exits_1_with_one_error_line(capsys, "analyze", str(path))
+    assert "1000 x 1000 x 1000 x 1000" in err and "16777216" in err
 
 
 def test_search_past_the_node_budget_exits_1(capsys, monkeypatch):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from gamebounds.games import Game, all_ones, chsh, parallel_repetition
+from gamebounds import gamegraph
+from gamebounds.games import (Game, SizeCapError, all_ones, chsh,
+                              parallel_repetition)
 from gamebounds.gamegraph import (Graph, build_game_graph,
                                   build_weighted_game_graph, cycle_graph,
-                                  dimacs_sidecar, parse_dimacs, to_dimacs,
-                                  to_plain_graph)
+                                  dimacs_sidecar, parse_dimacs, pipeline_graph,
+                                  to_dimacs, to_plain_graph)
+from gamebounds.independence import classical_value
+from gamebounds.sdp import quantum_upper_bound
 
 from conftest import naive_game_graph_edges, random_boolean_game
 
@@ -97,6 +101,18 @@ def test_vertex_count_equals_nonzero_weights():
         nonzero = np.count_nonzero(
             g.predicate * g.distribution[:, :, None, None])
         assert wgg.n == nonzero
+
+
+@pytest.mark.parametrize("compute", [pipeline_graph, classical_value,
+                                     quantum_upper_bound])
+def test_vertex_cap_is_checked_before_the_graph_is_built(monkeypatch, compute):
+    def refuse(vertices):
+        raise AssertionError(f"built a graph on {len(vertices)} vertices")
+    monkeypatch.setattr(gamegraph, "_adjacency", refuse)
+    with pytest.raises(SizeCapError, match=r"513 vertices \(cap 512\)"):
+        compute(all_ones(1, 1, 1, 513))
+    with pytest.raises(AssertionError, match="on 512 vertices"):
+        compute(all_ones(1, 1, 1, 512))
 
 
 def test_non_boolean_predicate_rejected_by_plain_builder():

@@ -127,6 +127,12 @@ def test_parallel_repetition_cap():
         parallel_repetition(chsh(), 8)
 
 
+def test_parallel_repetition_of_one_entry_is_a_power():
+    g = Game("half", 1, 1, 1, 1, np.full((1, 1, 1, 1), 0.5), np.ones((1, 1)))
+    assert parallel_repetition(g, 3).predicate.item() == 0.125
+    assert parallel_repetition(g, 10 ** 400).predicate.item() == 0.0
+
+
 def test_independent_set_game_rules():
     c5 = cycle_graph(5)
     g = independent_set_game(c5, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamebounds import independence
+from gamebounds import gamegraph, independence
 from gamebounds.games import (Game, SizeCapError, chsh, independent_set_game,
                               magic_square, parallel_repetition,
                               strategy_value, uniform_distribution)
@@ -111,11 +111,12 @@ def test_weighted_cover_on_relabelled_graphs():
     assert relabelled >= 25 and heavier_later >= 5
 
 
-def test_deep_search_needs_no_recursion():
+def test_deep_search_needs_no_recursion(monkeypatch):
     # 1,024 vertices, no edges: the search picks every vertex, one level each
     g = Game("one-answer", 32, 32, 1, 1, np.ones((32, 32, 1, 1)),
              np.full((32, 32), 1 / 1024))
-    res = classical_value(g, vertex_cap=1024)
+    monkeypatch.setattr(gamegraph, "VERTEX_CAP", 1024)
+    res = classical_value(g)
     assert res.exact == Fraction(1)
 
 
@@ -144,11 +145,12 @@ def test_weighted_rejects_negative():
         weighted_independence(empty_graph(2), [1.0, -0.5])
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         independence_number(empty_graph(600))
+    monkeypatch.setattr(gamegraph, "VERTEX_CAP", 10)
     with pytest.raises(SizeCapError):
-        independence_number(empty_graph(20), vertex_cap=10)
+        independence_number(empty_graph(20))
 
 
 def test_classical_value_chsh():

@@ -1,13 +1,20 @@
 """README.md documents the command line; check that what it says still holds."""
 
 import argparse
+import ast
+import importlib
 import pathlib
+import pkgutil
 import re
 
+import gamebounds
 from gamebounds.cli import main, make_parser
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
+MODULES = {m.name: importlib.import_module(f"gamebounds.{m.name}")
+           for m in pkgutil.iter_modules(gamebounds.__path__)}
+LIMIT = re.compile(r"\w+_CAP|NODE_BUDGET|MAX_\w+")
 
 
 def test_every_option_in_the_readme_is_accepted():
@@ -27,3 +34,24 @@ def test_quick_start_transcript_is_the_output(capsys):
     assert transcript is not None
     assert main(["analyze", "chsh"]) == 0
     assert capsys.readouterr().out == transcript.group(1)
+
+
+def test_every_limit_constant_is_in_the_readme():
+    # constants assigned at the top of each module, not those it imports
+    limits = set()
+    for name, module in MODULES.items():
+        tree = ast.parse(pathlib.Path(module.__file__).read_text("utf-8"))
+        limits |= {f"{name}.{target.id}" for node in tree.body
+                   if isinstance(node, ast.Assign) for target in node.targets
+                   if isinstance(target, ast.Name)
+                   and LIMIT.fullmatch(target.id)}
+    assert "gamegraph.VERTEX_CAP" in limits
+    assert sorted(n for n in limits if f"`{n}`" not in README) == []
+
+
+def test_every_module_name_in_the_readme_exists():
+    named = [(module, attr) for module, attr
+             in re.findall(r"`(\w+)\.(\w+)`", README) if module in MODULES]
+    assert named, "the README names no module attribute"
+    assert [f"{module}.{attr}" for module, attr in named
+            if not hasattr(MODULES[module], attr)] == []
