@@ -22,7 +22,7 @@ from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
 from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
                         dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
-from .independence import weighted_independence
+from .independence import _game_alpha
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
@@ -100,12 +100,12 @@ def build_report(g: Game, tol: float, force_weighted: bool,
 
     t0 = time.perf_counter()
     gg = pipeline_graph(g, force_weighted)
-    weights, divisor = gg.objective()
+    divisor = gg.objective()[1]
     weighted = gg.weights is not None
     timings["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alpha = weighted_independence(gg.graph, weights)
+    alpha, _ = _game_alpha(g, gg)
     omega = alpha.value / divisor
     omega_exact = None
     if not weighted:
@@ -220,13 +220,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_qis(args) -> int:
+    qis = _load_qis(args.qis)  # before any graph, so bad input fails at once
     g = _load_game(args)
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
             target = parse_dimacs(fh.read())
     else:
         target = build_game_graph(g)
-    qis = _load_qis(args.qis)
     report = verify_quantum_independent_set(target, qis, args.tol)
     if report.valid:
         print(f"valid quantum independent set: t={qis.t} d={qis.d}")
@@ -238,9 +238,9 @@ def cmd_verify_qis(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    qis = _load_qis(args.qis)
     g = _load_game(args)
     gg = build_game_graph(g)
-    qis = _load_qis(args.qis)
     strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
     value = winning_probability(g, strategy)
     if args.out:

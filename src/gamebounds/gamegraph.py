@@ -27,18 +27,21 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
+        n = self.n
+        if len(self.rows) != n:
             raise ValueError("adjacency row count does not match n")
-        for i, row in enumerate(self.rows):
-            if row & (1 << i):
-                raise ValueError(f"self-loop at vertex {i}")
-            if row >> self.n:
-                raise ValueError(f"adjacency row {i} references vertices >= n")
-            while row:  # each set bit against its mirror: O(n + edges)
-                j = (row & -row).bit_length() - 1
-                if not self.rows[j] >> i & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
-                row &= row - 1
+        # errors in row-major order: a row's self-loop, then its bits >= n,
+        # then its first entry without a mirror
+        bad = next((i for i, row in enumerate(self.rows)
+                    if row >> i & 1 or row >> n), n)
+        rows = self.rows if bad == n else [r & ((1 << n) - 1) for r in self.rows]
+        i, j = _first_asymmetry(rows, n)
+        if bad < n and bad <= i:
+            if self.rows[bad] >> bad & 1:
+                raise ValueError(f"self-loop at vertex {bad}")
+            raise ValueError(f"adjacency row {bad} references vertices >= n")
+        if i < n:
+            raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -69,6 +72,26 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
+
+
+def _first_asymmetry(rows, n: int) -> tuple[int, int]:
+    """The first (i, j) in row-major order with bit j set in row i and bit i
+    clear in row j, or (n, n).  The rows are unpacked into a bit matrix and
+    compared with its transpose, in blocks of about 2^24 entries."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+                           np.uint8).reshape(n, width)
+    step = max(8, (1 << 24) // max(n, 1) // 8 * 8)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = np.unpackbits(packed[start:stop], axis=1, count=n,
+                              bitorder="little")
+        mirror = np.unpackbits(packed[:, start // 8:(stop + 7) // 8], axis=1,
+                               count=stop - start, bitorder="little")
+        found = np.argwhere(block > mirror.T)
+        if len(found):
+            return start + int(found[0, 0]), int(found[0, 1])
+    return n, n
 
 
 def cycle_graph(n: int) -> Graph:

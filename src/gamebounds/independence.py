@@ -3,10 +3,17 @@
 The classical value of a game is the maximum weight of an independent set of
 its game graph over the graph's divisor: unit weights over the number of
 question pairs for a 0/1 predicate with uniform questions, the weights
-predicate * probability over 1 otherwise.  The maximum comes from a branch
-and bound whose bound is a first-fit clique cover, peeled off bitsets one
-class at a time.  An exhaustive search over one player's strategies, the
-other best-responding, is an independent oracle.
+predicate * probability over 1 otherwise.  Three routes compute maxima:
+
+- the game search (``classical_value`` and the ``analyze`` report): a
+  depth-first search over one player's answers, question by question, while
+  the other player best-responds; the independent set is the set of game
+  graph vertices that the best strategy pair wins;
+- graph branch and bound (``independence_number``, ``weighted_independence``)
+  on plain graphs, bounded by a first-fit clique cover peeled off bitsets one
+  class at a time;
+- ``classical_value_brute``: every strategy of one player listed whole, the
+  other best-responding, an oracle independent of both.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ from .gamegraph import GameGraph, Graph, pipeline_graph
 
 # Deterministic strategy pairs that classical_value_brute covers; fixed.
 BRUTE_CAP = 1 << 24
-# Nodes of one graph branch and bound; fixed.  The largest search measured
-# is 6,687 nodes (the classical benchmark corpus; 1,024 in the Tier-1
-# tests).  At the 35 us per node measured on CHSH^3 the budget runs out
-# in about 7 s.
+# Nodes of one graph branch and bound or one game search; fixed.  The game
+# search of CHSH^3 opens 43,978 (about 1 s); graph branch and bound, at the
+# 35 us per node measured on CHSH^3, runs out in about 7 s.
 NODE_BUDGET = 200_000
 
 
@@ -149,7 +155,8 @@ def weighted_independence(g: Graph, weights) -> IndependenceResult:
 
 @dataclass(frozen=True)
 class ClassicalValueResult:
-    """Classical value plus a witness strategy read off the independent set."""
+    """Classical value, the game search's strategy pair and the independent
+    set of game-graph vertices that the pair wins."""
 
     value: float
     exact: Fraction | None
@@ -158,35 +165,138 @@ class ClassicalValueResult:
     graph: GameGraph
 
 
-def _strategy_from_witness(g: Game, gg: GameGraph, witness) -> ClassicalStrategy:
-    """Each question index appears with a single answer inside an independent
-    set; unconstrained questions answer 0 (deterministic tie-break: the
-    lowest-index vertices win, matching the solver's witness order)."""
-    fa = [None] * g.nx
-    fb = [None] * g.ny
-    for v in sorted(witness):
-        x, y, a, b = gg.vertices[v]
-        if fa[x] is None:
-            fa[x] = a
-        if fb[y] is None:
-            fb[y] = b
-    return ClassicalStrategy(tuple(a if a is not None else 0 for a in fa),
-                             tuple(b if b is not None else 0 for b in fb))
+def _first_answers(t: np.ndarray) -> list[int]:
+    """Answers to the first question that can start the lexicographically
+    smallest optimal row of ``t`` (x, y, a, b), x the branching side.
+
+    When both answer counts are powers of two, XOR-ing every answer of the
+    branching side with a mask m, and every answer of the other side with
+    some m', may leave the table unchanged.  Such masks form a group that
+    maps optimal rows to optimal rows, so the smallest optimal row starts
+    with the least answer of its orbit.
+    """
+    na, nb = t.shape[2:]
+    if na == 1 or na & (na - 1) or nb & (nb - 1) or not t.any():
+        return list(range(na))
+    x, y, a, b = np.nonzero(t)
+    # a pair (m, m') that keeps the table sends the first positive entry to
+    # a positive entry of the same question pair; a pair that keeps every
+    # positive entry maps the positives onto themselves, and so keeps the
+    # zeros too
+    to_a, to_b = np.nonzero(t[x[0], y[0]])
+    m, m2 = to_a[:, None] ^ a[0], to_b[:, None] ^ b[0]
+    kept = (t[x, y, a ^ m, b ^ m2] == t[x, y, a, b]).all(axis=1)
+    answers = np.arange(na)
+    orbit_min = (answers[:, None] ^ m[kept].T).min(axis=1)
+    return np.flatnonzero(orbit_min == answers).tolist()
+
+
+def _game_search(table: np.ndarray) -> tuple[ClassicalStrategy, int]:
+    """A best deterministic strategy pair for the (x, y, a, b) ``table`` and
+    the nodes searched.
+
+    The side with fewer strategies (Alice on a tie) answers its questions
+    in order, depth first; the other side best-responds per question.  A
+    node's bound relaxes every unanswered question to its best answer per
+    (y, b), one suffix sum over the questions, and one numpy expression
+    scores all children of a node.  Children are visited in answer order
+    and only strict improvements are taken, so the row found is the
+    lexicographically smallest optimal one; the best response takes the
+    lowest answer on ties: the tie-break of classical_value_brute.  An
+    answer whose gains equal those of an earlier answer to the same
+    question, or are all zero, is never branched on: the earlier answer, or
+    answer 0, does at least as well in every row and comes first.  A search
+    that would open more than NODE_BUDGET nodes raises SizeCapError.
+    """
+    nx, ny, na, nb = table.shape
+    alice = na ** nx <= nb ** ny
+    t = table if alice else table.transpose(1, 0, 3, 2)
+    depth, _, width, _ = t.shape
+    # gain[d, a]: what answer a to question d adds to the other side's (y, b)
+    gain = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
+    # rest[d]: questions d, d + 1, ... each at its best answer per (y, b)
+    rest = np.zeros((depth + 1,) + gain.shape[2:])
+    rest[:depth] = np.cumsum(gain.max(axis=1)[::-1], axis=0)[::-1]
+    answers = []
+    for d in range(depth):
+        flat = gain[d].reshape(width, -1)
+        live = np.flatnonzero(flat.any(axis=1))
+        won = flat[live][:, flat[live].any(axis=0)]  # nonzero rows and columns
+        kept = live[np.unique(won, axis=0, return_index=True)[1]]
+        answers.append(sorted({0, *kept.tolist()}))
+    first = set(_first_answers(t))
+    answers[0] = [a for a in answers[0] if a in first]
+    options = [gain[d, ans] for d, ans in enumerate(answers)]
+    budget = NODE_BUDGET
+    nodes = 0
+
+    def frame(d: int, acc: np.ndarray) -> list:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SizeCapError(f"game search passed its budget of {budget} "
+                               f"nodes ({nx} x {ny} questions)")
+        children = acc + options[d]
+        bounds = (children + rest[d + 1]).max(axis=2).sum(axis=1).tolist()
+        return [d, children, bounds, 0]
+
+    best, best_row, row = -1.0, (), [0] * depth
+    frames = [frame(0, np.zeros(gain.shape[2:]))]
+    while frames:
+        top = frames[-1]
+        d, children, bounds, i = top
+        if i == len(bounds):
+            frames.pop()
+            continue
+        top[3] = i + 1
+        if bounds[i] <= best + 1e-12:
+            continue
+        row[d] = answers[d][i]
+        if d + 1 < depth:
+            frames.append(frame(d + 1, children[i]))
+        else:  # a leaf's bound is its value
+            best, best_row = bounds[i], tuple(row)
+    acc = np.zeros(gain.shape[2:])
+    for d, a in enumerate(best_row):  # in question order, as the oracle sums
+        acc += gain[d, a]
+    other = tuple(int(b) for b in acc.argmax(axis=1))
+    strategy = (ClassicalStrategy(best_row, other) if alice
+                else ClassicalStrategy(other, best_row))
+    return strategy, nodes
+
+
+def _game_alpha(g: Game, gg: GameGraph) -> tuple[IndependenceResult,
+                                                 ClassicalStrategy]:
+    """Maximum-weight independent set of the pipeline graph ``gg`` of ``g``,
+    from the game search: the vertices its strategy pair wins, checked to
+    be independent."""
+    table = (g.predicate if gg.weights is None
+             else g.predicate * g.distribution[:, :, None, None])
+    strategy, nodes = _game_search(table)
+    fa, fb = np.array(strategy.fa), np.array(strategy.fb)
+    x, y, a, b = np.array(gg.vertices, dtype=np.int64).reshape(-1, 4).T
+    witness = tuple(np.flatnonzero((fa[x] == a) & (fb[y] == b)).tolist())
+    chosen = sum(1 << v for v in witness)
+    if any(gg.graph.rows[v] & chosen for v in witness):
+        raise AssertionError("game search witness is not independent")
+    weights, _ = gg.objective()
+    alpha = IndependenceResult(float(sum(weights[v] for v in witness)),
+                               witness, nodes)
+    return alpha, strategy
 
 
 def classical_value(g: Game) -> ClassicalValueResult:
-    """Exact classical value via the game graph.
+    """Exact classical value from the game search.
 
     The maximum-weight independent set of the pipeline graph over its
     divisor; for uniform 0/1 games that is alpha/k, also given as an exact
     rational.
     """
     gg = pipeline_graph(g)
-    weights, divisor = gg.objective()
-    alpha = weighted_independence(gg.graph, weights)
+    alpha, strategy = _game_alpha(g, gg)
+    divisor = gg.objective()[1]
     exact = (Fraction(len(alpha.witness), divisor) if gg.weights is None
              else None)
-    strategy = _strategy_from_witness(g, gg, alpha.witness)
     return ClassicalValueResult(alpha.value / divisor, exact, strategy, alpha,
                                 gg)
 

@@ -84,8 +84,8 @@ def test_criterion_1_chsh_exact_chain():
 
 
 def test_criterion_2_alpha_equals_brute_force_uniform():
-    with criterion("2", "100 random uniform games: alpha/k == brute force, "
-                        "exact rational comparison"):
+    with criterion("2", "100 random uniform games: game search == graph "
+                        "branch and bound == brute force, exact comparison"):
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
         for _ in range(100):
@@ -93,12 +93,17 @@ def test_criterion_2_alpha_equals_brute_force_uniform():
             via_graph = classical_value(g)
             via_brute = classical_value_brute(g)
             assert via_graph.exact == via_brute.exact
+            # graph branch and bound on the same game graph
+            gg = via_graph.graph
+            via_bnb = weighted_independence(gg.graph, gg.objective()[0])
+            assert via_bnb.value == via_graph.alpha.value
         assert time.perf_counter() - start < 30.0
 
 
 def test_criterion_3_weighted_equals_brute_force():
     with criterion("3", "50 random games with rational distributions: "
-                        "weighted alpha == brute force within 1e-10"):
+                        "game search == graph branch and bound == brute "
+                        "force within 1e-10"):
         rng = np.random.default_rng(31337)
         for _ in range(50):
             g = random_boolean_game(rng, max_size=3, uniform=False)
@@ -106,6 +111,9 @@ def test_criterion_3_weighted_equals_brute_force():
             via_brute = classical_value_brute(g)
             assert via_graph.exact is None  # weighted pipeline used
             assert abs(via_graph.value - via_brute.value) <= 1e-10
+            gg = via_graph.graph
+            via_bnb = weighted_independence(gg.graph, gg.objective()[0])
+            assert abs(via_bnb.value - via_graph.alpha.value) <= 1e-10
 
 
 def test_criterion_4_chsh_rep2_non_tightness(chsh2_results):

@@ -128,27 +128,27 @@ def test_catalog_theta_takes_interior_point_steps(capsys, argv):
     assert theta["iterations"] < 25
 
 
-_MAGIC_SQUARE_WITNESS = [(0, 0, 3, 3), (0, 1, 3, 3), (0, 2, 3, 2), (1, 1, 2, 3),
-                         (1, 2, 2, 2), (2, 0, 3, 3), (2, 1, 3, 3), (2, 2, 3, 2)]
+_MAGIC_SQUARE_WITNESS = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0),
+                         (1, 1, 0, 0), (1, 2, 0, 0), (2, 0, 1, 0), (2, 2, 1, 0)]
 
 
 @pytest.mark.parametrize("name, rep, weighted, nodes, witness", [
-    ("chsh", 1, False, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)]),
-    ("isg-c5-t2", 1, False, 4,
-     [(0, 0, 2, 2), (0, 1, 2, 4), (1, 0, 4, 2), (1, 1, 4, 4)]),
-    ("isg-c5-t3", 1, False, 45,
-     [(0, 0, 2, 2), (0, 2, 2, 4), (1, 1, 2, 2), (1, 2, 2, 4), (2, 0, 4, 2),
-      (2, 1, 4, 2), (2, 2, 4, 4)]),
-    ("magic-square", 1, False, 61, _MAGIC_SQUARE_WITNESS),
-    ("chsh", 2, False, 368,
-     [(0, 0, 2, 2), (0, 1, 2, 2), (1, 2, 1, 1), (1, 3, 1, 0), (2, 0, 2, 2),
-      (2, 1, 2, 2), (2, 3, 2, 0), (3, 1, 3, 2), (3, 2, 3, 1), (3, 3, 3, 0)]),
-    ("magic-square", 1, True, 61, _MAGIC_SQUARE_WITNESS),
-    ("chsh", 1, True, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)])],
+    ("chsh", 1, False, 2, [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)]),
+    ("isg-c5-t2", 1, False, 2,
+     [(0, 0, 0, 0), (0, 1, 0, 2), (1, 0, 2, 0), (1, 1, 2, 2)]),
+    ("isg-c5-t3", 1, False, 17,
+     [(0, 0, 0, 0), (0, 2, 0, 2), (1, 1, 0, 0), (1, 2, 0, 2), (2, 0, 2, 0),
+      (2, 1, 2, 0), (2, 2, 2, 2)]),
+    ("magic-square", 1, False, 21, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 2, False, 18,
+     [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0), (1, 2, 0, 0),
+      (2, 0, 0, 0), (2, 1, 0, 0), (2, 3, 0, 2), (3, 1, 1, 0), (3, 3, 1, 2)]),
+    ("magic-square", 1, True, 21, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 1, True, 2, [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)])],
     ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square", "chsh-rep2",
          "magic-square-weighted", "chsh-weighted"])
 def test_alpha_search_is_pinned(name, rep, weighted, nodes, witness):
-    # analyze prints the node count and the witness, so the branch and bound
+    # analyze prints the node count and the witness, so the game search
     # must keep its search tree and tie-breaks node for node
     g = CATALOG[name]()
     if rep > 1:
@@ -332,10 +332,35 @@ def test_game_document_above_the_table_cap_exits_1(tmp_path, capsys):
 
 
 def test_search_past_the_node_budget_exits_1(capsys, monkeypatch):
-    # the alpha search of isg-c5-t3 opens 45 nodes
-    monkeypatch.setattr(independence, "NODE_BUDGET", 44)
+    # the game search of isg-c5-t3 opens 17 nodes
+    monkeypatch.setattr(independence, "NODE_BUDGET", 16)
     err = _exits_1_with_one_error_line(capsys, "analyze", "isg-c5-t3")
-    assert "budget of 44 nodes" in err
+    assert "budget of 16 nodes" in err
+
+
+def test_chsh_rep3_analyzes_end_to_end(capsys):
+    # 512 vertices, at the vertex cap; the game search settles it
+    code, out, _ = run_cli(capsys, "analyze", "chsh", "--rep", "3", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["omega_exact"] == "31/64"
+    assert report["alpha"]["value"] == 31
+    assert report["theta"]["converged"] is True
+    assert report["bell_gap_certificate"] is True
+
+
+@pytest.mark.parametrize("command", ["verify-qis", "lift"])
+def test_missing_certificate_exits_1_before_the_graph(
+        tmp_path, capsys, monkeypatch, command):
+    # chsh --rep 4 has 4,096 vertices; the certificate is read first
+    def refuse(vertices):
+        raise AssertionError(f"built a graph on {len(vertices)} vertices")
+    monkeypatch.setattr(gamegraph, "_adjacency", refuse)
+    start = time.perf_counter()
+    err = _exits_1_with_one_error_line(
+        capsys, command, "chsh", str(tmp_path / "missing.json"), "--rep", "4")
+    assert time.perf_counter() - start < 1.0
+    assert "missing.json" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -11,7 +11,7 @@ from gamebounds.gamegraph import (Graph, build_game_graph,
 from gamebounds.independence import classical_value
 from gamebounds.sdp import quantum_upper_bound
 
-from conftest import naive_game_graph_edges, random_boolean_game
+from conftest import naive_game_graph_edges, random_boolean_game, random_graph
 
 
 def test_chsh_game_graph_counts():
@@ -137,6 +137,59 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError, match="symmetric"):
         Graph(2, (2, 0))
+
+
+def _first_fault(n, rows):
+    """Reference validation: row by row, a self-loop, then a bit >= n, then
+    the first set bit whose mirror is clear."""
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return f"self-loop at vertex {i}"
+        if row >> n:
+            return f"adjacency row {i} references vertices >= n"
+        while row:
+            j = (row & -row).bit_length() - 1
+            if not rows[j] >> i & 1:
+                return f"adjacency not symmetric at ({i},{j})"
+            row &= row - 1
+    return None
+
+
+def _fault(n, rows):
+    try:
+        Graph(n, tuple(rows))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_graph_validation_reports_the_first_fault():
+    rng = np.random.default_rng(22)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        rows = list(random_graph(rng, n, 0.4).rows)
+        for _ in range(int(rng.integers(0, 4))):
+            i = int(rng.integers(n))
+            kind = int(rng.integers(3))
+            rows[i] ^= 1 << int(rng.integers(n + 2) if kind == 2
+                                else i if kind == 1 else rng.integers(n))
+        expected = _first_fault(n, rows)
+        seen.add(expected.split()[0] if expected else None)
+        assert _fault(n, rows) == expected
+    assert seen == {None, "self-loop", "adjacency"}
+
+
+def test_graph_validation_in_blocks():
+    # 4,200 vertices take two blocks of the bit matrix
+    n = 4200
+    rows = list(Graph.from_edges(n, [(i, (7 * i + 1) % n) for i in range(n)
+                                     if (7 * i + 1) % n != i]).rows)
+    assert _fault(n, rows) is None
+    rows[4100] ^= 1 << 5
+    rows[4150] ^= 1 << 4160
+    assert _fault(n, rows) == _first_fault(n, rows) == (
+        "adjacency not symmetric at (4100,5)")
 
 
 def test_dimacs_round_trip():

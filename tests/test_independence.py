@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from gamebounds import gamegraph, independence
+from gamebounds.cli import CATALOG
 from gamebounds.games import (Game, SizeCapError, chsh, independent_set_game,
                               magic_square, parallel_repetition,
                               strategy_value, uniform_distribution)
 from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
-                                  cycle_graph, empty_graph, to_plain_graph)
+                                  cycle_graph, empty_graph, pipeline_graph,
+                                  to_plain_graph)
 from gamebounds.independence import (classical_value, classical_value_brute,
                                      independence_number,
                                      weighted_independence)
@@ -215,6 +217,132 @@ def test_node_budget(monkeypatch, graph):
     monkeypatch.setattr(independence, "NODE_BUDGET", nodes - 1)
     with pytest.raises(SizeCapError, match=f"budget of {nodes - 1} nodes"):
         independence_number(graph)
+
+
+_MAGIC_SQUARE_WITNESS = [(0, 0, 3, 3), (0, 1, 3, 3), (0, 2, 3, 2), (1, 1, 2, 3),
+                         (1, 2, 2, 2), (2, 0, 3, 3), (2, 1, 3, 3), (2, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("name, rep, weighted, nodes, witness", [
+    ("chsh", 1, False, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)]),
+    ("isg-c5-t2", 1, False, 4,
+     [(0, 0, 2, 2), (0, 1, 2, 4), (1, 0, 4, 2), (1, 1, 4, 4)]),
+    ("isg-c5-t3", 1, False, 45,
+     [(0, 0, 2, 2), (0, 2, 2, 4), (1, 1, 2, 2), (1, 2, 2, 4), (2, 0, 4, 2),
+      (2, 1, 4, 2), (2, 2, 4, 4)]),
+    ("magic-square", 1, False, 61, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 2, False, 368,
+     [(0, 0, 2, 2), (0, 1, 2, 2), (1, 2, 1, 1), (1, 3, 1, 0), (2, 0, 2, 2),
+      (2, 1, 2, 2), (2, 3, 2, 0), (3, 1, 3, 2), (3, 2, 3, 1), (3, 3, 3, 0)]),
+    ("magic-square", 1, True, 61, _MAGIC_SQUARE_WITNESS),
+    ("chsh", 1, True, 5, [(0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0)])],
+    ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square", "chsh-rep2",
+         "magic-square-weighted", "chsh-weighted"])
+def test_graph_branch_and_bound_is_pinned(name, rep, weighted, nodes, witness):
+    # graph branch and bound on the pipeline graphs of the catalog keeps its
+    # search tree and tie-breaks node for node
+    g = CATALOG[name]()
+    if rep > 1:
+        g = parallel_repetition(g, rep)
+    gg = pipeline_graph(g, weighted)
+    res = weighted_independence(gg.graph, gg.objective()[0])
+    assert res.nodes_explored == nodes
+    assert [gg.vertices[v] for v in res.witness] == witness
+
+
+@pytest.mark.parametrize("game", [
+    lambda: independent_set_game(cycle_graph(5), 3),
+    lambda: parallel_repetition(chsh(), 2),
+    lambda: random_boolean_game(np.random.default_rng(8), max_size=4)],
+    ids=["isg-c5-t3", "chsh-rep2", "random"])
+def test_game_search_node_budget(monkeypatch, game):
+    # a game search may open exactly NODE_BUDGET nodes; one more raises
+    g = game()
+    nodes = classical_value(g).alpha.nodes_explored
+    assert nodes > 1
+    monkeypatch.setattr(independence, "NODE_BUDGET", nodes)
+    assert classical_value(g).alpha.nodes_explored == nodes
+    monkeypatch.setattr(independence, "NODE_BUDGET", nodes - 1)
+    with pytest.raises(SizeCapError, match=f"budget of {nodes - 1} nodes"):
+        classical_value(g)
+
+
+def _dyadic_game(rng) -> Game:
+    # question weights that are multiples of 1/64: every sum is exact, so
+    # the weighted tie-breaks are those of exact arithmetic too
+    g = random_boolean_game(rng, max_size=3)
+    raw = 1 + rng.multinomial(64 - g.k, np.full(g.k, 1 / g.k))
+    return Game("dyadic", g.nx, g.ny, g.na, g.nb, g.predicate, raw / 64)
+
+
+def _repeated_answer_game(rng) -> Game:
+    # 16 answers for Alice, the listed side: half of them copy another, and
+    # at density 0.15 some never win
+    lam = (rng.random((2, 3, 16, 8)) < 0.15).astype(float)
+    lam[:, :, 8:] = lam[:, :, rng.integers(0, 8, 8)]
+    return Game("repeated", 2, 3, 16, 8, lam, uniform_distribution(2, 3))
+
+
+def test_game_search_strategy_is_the_oracles():
+    # the game search and the exhaustive listing share their tie-break: the
+    # smallest optimal row of the listed side, then the lowest answers
+    rng = np.random.default_rng(20)
+    games = [f() for f in CATALOG.values()] + [parallel_repetition(chsh(), 2)]
+    games += [random_boolean_game(rng, max_size=4) for _ in range(60)]
+    games += [_dyadic_game(rng) for _ in range(30)]
+    games += [_repeated_answer_game(rng) for _ in range(20)]
+    for g in games:
+        via_search = classical_value(g)
+        via_brute = classical_value_brute(g)
+        assert via_search.strategy == via_brute.strategy
+        assert via_search.value == via_brute.value
+        assert via_search.exact == via_brute.exact
+
+
+def _xor_symmetric_game(rng) -> Game:
+    """A random game whose table keeps a random set of XOR masks: the
+    predicate reads (a ^ b) on the masked bits and a, b elsewhere."""
+    nx, ny = (int(v) for v in rng.integers(2, 4, 2))
+    na = nb = int(rng.choice([2, 4]))
+    bits = int(rng.integers(1, na))
+    a, b = np.meshgrid(np.arange(na), np.arange(nb), indexing="ij")
+    key = ((a ^ b) & bits) * na * na + (a & ~bits) * na + (b & ~bits)
+    table = rng.random((nx, ny, na * na * na)) < 0.5
+    return Game("xor-symmetric", nx, ny, na, nb,
+                table[:, :, key].astype(float), uniform_distribution(nx, ny))
+
+
+def test_first_question_restriction_keeps_the_smallest_optimum(monkeypatch):
+    rng = np.random.default_rng(21)
+    restricted = 0
+    for i in range(40):
+        g = (_xor_symmetric_game(rng) if i % 4
+             else random_boolean_game(rng, max_size=4))
+        t = g.predicate
+        if g.na ** g.nx > g.nb ** g.ny:
+            t = t.transpose(1, 0, 3, 2)
+        first = independence._first_answers(t)
+        restricted += len(first) < t.shape[2]
+        res = classical_value(g)
+        with monkeypatch.context() as m:
+            m.setattr(independence, "_first_answers",
+                      lambda t: list(range(t.shape[2])))
+            unrestricted = classical_value(g)
+        assert res.strategy == unrestricted.strategy
+        assert res.exact == unrestricted.exact
+        assert res.alpha.nodes_explored <= unrestricted.alpha.nodes_explored
+        assert res.strategy == classical_value_brute(g).strategy
+    assert restricted >= 20
+
+
+def test_first_question_restriction_on_chsh_repetitions():
+    # flipping any answer bit of both players at every question keeps the
+    # CHSH predicate, so one orbit holds every first answer
+    for rep in (1, 2, 3):
+        g = parallel_repetition(chsh(), rep)
+        assert independence._first_answers(g.predicate) == [0]
+    # no pair of masks keeps the magic square's table
+    assert independence._first_answers(magic_square().predicate) == [0, 1, 2, 3]
 
 
 def test_brute_matches_nested_loop_reference():
