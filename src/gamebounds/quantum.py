@@ -212,6 +212,9 @@ class QuantumIndependentSet:
 class QisViolation:
     kind: str            # "projector" | "completeness" | "orthogonality"
     measurement: int
+    # orthogonality: the second measurement; completeness: the last of the
+    # measurements without entries, reported together with measurement the
+    # first of them
     other_measurement: int | None
     vertex: int | None
     other_vertex: int | None
@@ -221,6 +224,10 @@ class QisViolation:
         if self.kind == "projector":
             return (f"measurement {self.measurement}, vertex {self.vertex}: "
                     f"not a projector (defect {self.magnitude:.3e})")
+        if self.kind == "completeness" and self.other_measurement is not None:
+            return (f"measurements without entries (first "
+                    f"{self.measurement}, last {self.other_measurement}): "
+                    f"none sums to identity (defect {self.magnitude:.3e})")
         if self.kind == "completeness":
             return (f"measurement {self.measurement}: does not sum to identity "
                     f"(defect {self.magnitude:.3e})")
@@ -259,8 +266,7 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
     supports: dict[int, list[int]] = {}
     for i, v in sorted(qis.projectors):
         supports.setdefault(i, []).append(v)
-    for i in range(qis.t):
-        vertices = supports.get(i, [])
+    for i, vertices in supports.items():
         defects, completeness = _measurement_defects(
             [qis.projectors[i, v] for v in vertices], qis.d)
         for v, defect in zip(vertices, defects):
@@ -270,6 +276,17 @@ def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
         if not completeness <= tol:
             violations.append(QisViolation("completeness", i, None, None, None,
                                            completeness))
+    # the measurements without entries all sum to 0: one violation, from
+    # the first of them to the last, found in at most len(supports) + 1 steps
+    # each, so that the claimed t costs nothing
+    if len(supports) < qis.t:
+        first = next(i for i in itertools.count() if i not in supports)
+        last = next(i for i in range(qis.t - 1, -1, -1) if i not in supports)
+        completeness = _measurement_defects([], qis.d)[1]
+        if not completeness <= tol:
+            violations.append(QisViolation(
+                "completeness", first, None if last == first else last,
+                None, None, completeness))
     # only measurements with entries, in ascending order, can be non-orthogonal
     for i, j in itertools.combinations(supports, 2):
         for u in supports[i]:

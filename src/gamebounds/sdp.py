@@ -39,10 +39,11 @@ interior-point method runs on one copy of each block instead of n x n
 matrices: its Cholesky factors, inverses, eigenvalues and products act on
 the block-diagonal matrix of N = sum n_i rows that holds each block once,
 and its inner products weight every row by its block's m_i.  The Schur
-matrix still comes from the representative-row builder, on the lifted sums
-of m_i P_i X_i P_i^T, which it averages onto the algebra.  Graphs that 1-WL
-separates, graphs whose blocks do not repeat and decompositions that fail
-the check take the n x n program.  The choice comes from the input alone.
+matrix is built on the blocks too, M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1)
+with B_k,i the class matrices on block i, so no step lifts an iterate to
+n x n; only the returned primal is lifted.  Graphs that 1-WL separates,
+graphs whose blocks do not repeat and decompositions that fail the check
+take the n x n program.  The choice comes from the input alone.
 
 Every path ends in one full-size certificate, which works edge by edge,
 whatever the classes or blocks.  A feasibility-repaired primal matrix
@@ -237,8 +238,8 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
     read; one out array serves every iteration.  mult, for a block-diagonal
     program that holds one copy of each block, gives each row the
-    multiplicity of its block: it weights the inner products and counts
-    toward n (None: every row once).
+    multiplicity of its block: it weights the inner products, the traces
+    of M included, and counts toward n (None: every row once).
     Both programs have a_adj(b) = I, so the start is strictly feasible: X
     the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
     y = t b, Z = t I - C, with t above the Gershgorin bound of C.
@@ -404,7 +405,8 @@ def _wedderburn(colours: np.ndarray):
     pair colouring colours, as a list of (copies, n, size) arrays whose
     columns together form an orthonormal basis of R^n; an element of the
     algebra acts on every copy of a component as one size x size block.
-    None when the eigenspaces of a component differ in dimension.
+    None when the eigenspaces of a component differ in dimension, or when
+    no block repeats.
 
     Murota, Kanno, Kojima and Kojima (2010): each eigenspace of a random
     symmetric element e1 lies in one simple component, with the
@@ -418,6 +420,9 @@ def _wedderburn(colours: np.ndarray):
     lam, vec = np.linalg.eigh(e1)
     tol = 1e-8 * float(np.max(np.abs(lam)))
     starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol)
+    if len(starts) == len(lam):
+        # every eigenspace, so every multiplicity, is 1: no block repeats
+        return None
     spaces = np.split(vec, starts[1:], axis=1)
     coupling = np.add.reduceat((vec.T @ e2 @ vec) ** 2, starts, axis=0)
     linked = np.add.reduceat(coupling, starts, axis=1) > tol ** 2
@@ -453,12 +458,12 @@ def _rebuild(copies, w: np.ndarray) -> np.ndarray:
 
 def _block_bases(colours: np.ndarray, c: np.ndarray):
     """The blocks of the theta program with objective c: a list of
-    (P_i, m_i), P_i the n x n_i orthonormal basis of one copy of block i
-    and m_i its multiplicity.  None unless some block repeats and the
-    decomposition checks out: sum of n_i m_i is n, sum of n_i (n_i + 1) / 2
-    is the colour count (so the symmetric blocks span exactly the algebra)
-    and a third random element of the algebra, plus c, is rebuilt from its
-    blocks."""
+    (P_i, m_i) by increasing n_i, P_i the n x n_i orthonormal basis of one
+    copy of block i and m_i its multiplicity.  None unless some block
+    repeats and the decomposition checks out: sum of n_i m_i is n, sum of
+    n_i (n_i + 1) / 2 is the colour count (so the symmetric blocks span
+    exactly the algebra) and a third random element of the algebra, plus
+    c, is rebuilt from its blocks."""
     copies = _wedderburn(colours)
     if copies is None or all(len(q) == 1 for q in copies):
         return None
@@ -469,24 +474,28 @@ def _block_bases(colours: np.ndarray, c: np.ndarray):
             or np.linalg.norm(_rebuild(copies, check) - check)
             > 1e-9 * np.linalg.norm(check)):
         return None
-    return [(q[0], len(q)) for q in copies]
+    return sorted(((q[0], len(q)) for q in copies),
+                  key=lambda basis: basis[0].shape[1])
 
 
-def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
-                     starts: np.ndarray, b: np.ndarray, schur,
-                     target: float):
-    """_ipm_sdp on one copy of each block of the theta program, given the
-    bases from _block_bases; returns (X lifted to n x n, y, iterations).
+def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
+                   starts: np.ndarray):
+    """(cb, mult, a_map, a_adj, lift, schur): the theta program on one copy
+    of each block, given the bases from _block_bases.
 
-    The program's matrices are block-diagonal N x N, N = sum of n_i, and
-    stay so exactly: every entry outside the blocks is an exact zero, which
-    Cholesky, inverse and products keep.  The Schur matrix is schur, the
-    n x n program's builder, on the lifted sums of m_i P_i X_i P_i^T, which
-    it averages onto the algebra; the bracket of each step is the
-    certificate's repair done in blocks."""
-    n = c.shape[0]
+    Its matrices are block-diagonal N x N, N = sum of n_i, with row
+    multiplicities mult; cb is the objective c on the blocks, and lift maps
+    a block-diagonal W to the n x n sum of m_i P_i W_i P_i^T.  schur(X, Z^-1,
+    out) writes M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) into out, with
+    B_k,i = P_i^T A_k P_i the class matrices on block i (B_0,i = I); these
+    are the in-block entries that a_map and a_adj read, block i's n_i^2 of
+    them consecutive and row-major.  Blocks of one size are consecutive in
+    bases, so each size takes two batched products, and one product of
+    m x (sum of n_i^2) matrices sums every block.  Besides out, schur writes
+    only into products, an array the size of rows made once here."""
     p = np.concatenate([q for q, _ in bases], axis=1)
-    owner = np.repeat(np.arange(len(bases)), [q.shape[1] for q, _ in bases])
+    sizes = np.array([q.shape[1] for q, _ in bases])
+    owner = np.repeat(np.arange(len(bases)), sizes)
     mult = np.array([k for _, k in bases], dtype=float)[owner]
     mask = owner[:, None] == owner[None, :]
     inside = np.flatnonzero(mask)
@@ -497,7 +506,13 @@ def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
         g = p[ei[s:e]].T @ p[ej[s:e]]
         rows.append((0.5 * (g + g.T)).ravel()[inside])
     rows = np.array(rows)
+    m = len(rows)
     weighted = rows * np.repeat(mult, size)[inside]
+    # (first column, end column, block size) of each run of equal blocks
+    ends = np.cumsum(sizes ** 2)
+    last = np.flatnonzero(np.diff(sizes, append=0))
+    runs = [(int(a), int(e), int(n_i)) for a, e, n_i in
+            zip(np.append(0, ends[last[:-1]]), ends[last], sizes[last])]
 
     def a_map(w):
         return weighted @ w.ravel()[inside]
@@ -510,8 +525,38 @@ def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
     def lift(w):
         return (p * mult) @ w @ p.T
 
-    cb = np.where(mask, p.T @ c @ p, 0.0)
-    gram = a_map(a_adj(np.ones(len(b))))
+    products = np.empty_like(rows)
+
+    def schur(x, zi, out):
+        # column block i of products holds X_i B_k,i Z_i^-1 for every k;
+        # splitting the column axis of a slice is a view, so matmul writes
+        # into products itself
+        xb, zb = x.ravel()[inside], zi.ravel()[inside]
+        for a, e, n_i in runs:
+            np.matmul(xb[a:e].reshape(-1, n_i, n_i)
+                      @ rows[:, a:e].reshape(m, -1, n_i, n_i),
+                      zb[a:e].reshape(-1, n_i, n_i),
+                      out=products[:, a:e].reshape(m, -1, n_i, n_i))
+        np.matmul(weighted, products.T, out=out)
+
+    return np.where(mask, p.T @ c @ p, 0.0), mult, a_map, a_adj, lift, schur
+
+
+def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
+                     starts: np.ndarray, b: np.ndarray, target: float):
+    """_ipm_sdp on one copy of each block of the theta program, given the
+    bases from _block_bases; returns (X lifted to n x n, y, iterations).
+
+    The program's matrices are block-diagonal N x N, N = sum of n_i, and
+    stay so exactly: every entry outside the blocks is an exact zero, which
+    Cholesky, inverse and products keep.  The Schur matrix is built on the
+    blocks (_block_program), so no step lifts or averages an iterate.  The
+    bracket of each step is the certificate's repair done in blocks."""
+    n, m = c.shape[0], len(b)
+    cb, mult, a_map, a_adj, lift, schur = _block_program(c, bases, ei, ej,
+                                                         starts)
+    size = cb.shape[0]
+    gram = a_map(a_adj(np.ones(m)))
 
     def bracket(x, y):
         # the repair of _theta_from_objective: in the algebra a zero class
@@ -526,9 +571,8 @@ def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
         # C - sum_{k >= 1} y_k A_k = (C - a_adj(y)) + y_0 I
         return value, float(np.linalg.eigvalsh(cb - a_adj(y))[-1]) + y[0]
 
-    x, y, iterations = _ipm_sdp(
-        cb, b, a_map, a_adj, lambda x, zi, out: schur(lift(x), lift(zi), out),
-        bracket, target, mult)
+    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, bracket, target,
+                                mult)
     return lift(x), y, iterations
 
 
@@ -582,7 +626,7 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
         blocks = ((n, 1),)
     else:
         x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
-                                            schur, tol * scale)
+                                            tol * scale)
         blocks = tuple((p.shape[1], k) for p, k in bases)
     value, dual_bound, repaired = repair(x, c - a_adj(y))
     gap = dual_bound - value

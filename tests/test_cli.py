@@ -227,6 +227,22 @@ def test_verify_qis_valid_and_invalid(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_qis_cost_does_not_grow_with_claimed_t(tmp_path, capsys):
+    # a one-entry certificate that claims a million measurements
+    doc = qis_to_dict(qis_from_vertex_set(build_game_graph(chsh()), [0]))
+    doc["t"] = 1_000_000
+    path = tmp_path / "claimed.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify-qis", "chsh", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out.splitlines() == [
+        "invalid quantum independent set: 1 violation(s)",
+        "  measurements without entries (first 1, last 999999): none sums "
+        "to identity (defect 1.000e+00)"]
+
+
 def test_verify_qis_rejects_nan_certificate(tmp_path, capsys):
     doc = qis_to_dict(qis_from_vertex_set(build_game_graph(chsh()), [0]))
     doc["projectors"][0]["matrix"] = [[float("nan")]]
@@ -516,10 +532,14 @@ def test_reports_byte_identical_across_processes():
 
 
 def test_closed_stdout_exits_without_traceback(tmp_path):
-    # 5000 empty measurements print 5000 violation lines, far more than a
-    # pipe buffer holds, so the reader closes the pipe mid-output
-    path = tmp_path / "empty.json"
-    path.write_text('{"t": 5000, "d": 1, "n_vertices": 8, "projectors": []}')
+    # 100 measurements that all output vertex 0 print a violation line for
+    # each of their 4950 pairs, far more than a pipe buffer holds, so the
+    # reader closes the pipe mid-output
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({
+        "t": 100, "d": 1, "n_vertices": 8,
+        "projectors": [{"measurement": i, "vertex": 0, "matrix": [[1.0]]}
+                       for i in range(100)]}))
     proc = subprocess.Popen(
         [sys.executable, "-m", "gamebounds.cli", "verify-qis", "chsh",
          str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

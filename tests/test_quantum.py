@@ -469,9 +469,49 @@ def test_verify_pairs_only_measurements_with_entries():
     report = verify_quantum_independent_set(build_game_graph(chsh()), qis)
     assert time.perf_counter() - start < 5.0
     kinds = [v.kind for v in report.violations]
-    assert kinds == ["completeness"] * (t - 2) + ["orthogonality"]
-    last = report.violations[-1]
+    assert kinds == ["completeness", "orthogonality"]
+    empty, last = report.violations
+    # measurements 1 to t - 2 have no entries and are reported together
+    assert (empty.measurement, empty.other_measurement) == (1, t - 2)
+    assert empty.magnitude == 1.0
     assert (last.measurement, last.other_measurement) == (0, t - 1)
+
+
+def test_verify_reports_measurements_without_entries_together():
+    one = np.ones((1, 1))
+    graph = build_game_graph(chsh())
+    # a billion claimed measurements cost what their two entries cost;
+    # vertices 0 and 2 of the CHSH graph are not adjacent
+    t = 10 ** 9
+    start = time.perf_counter()
+    report = verify_quantum_independent_set(
+        graph, QuantumIndependentSet(t, 1, 8, {(0, 0): one, (2, 2): one}))
+    assert time.perf_counter() - start < 1.0
+    assert [(v.kind, v.measurement, v.other_measurement)
+            for v in report.violations] == [("completeness", 1, t - 1)]
+    # one measurement without entries keeps the one-measurement form
+    report = verify_quantum_independent_set(
+        graph, QuantumIndependentSet(3, 1, 8, {(0, 0): one, (2, 2): one}))
+    (empty,) = report.violations
+    assert (empty.measurement, empty.other_measurement) == (1, None)
+    assert empty.describe() == (
+        "measurement 1: does not sum to identity (defect 1.000e+00)")
+    # only the empty measurements are grouped; at d = 2 each defect is
+    # sqrt(2), and the measurement with an entry is reported on its own
+    half = np.diag([1.0, 0.0])
+    report = verify_quantum_independent_set(
+        graph, QuantumIndependentSet(4, 2, 8, {(1, 0): half}))
+    assert [(v.kind, v.measurement, v.other_measurement)
+            for v in report.violations] == [("completeness", 1, None),
+                                            ("completeness", 0, 3)]
+    assert report.violations[1].magnitude == pytest.approx(np.sqrt(2.0))
+    # measurement 1, between them, has an entry: no range is claimed
+    assert report.violations[1].describe() == (
+        "measurements without entries (first 0, last 3): none sums to "
+        "identity (defect 1.414e+00)")
+    # a tolerance above the defect of an empty measurement accepts them
+    assert verify_quantum_independent_set(
+        graph, QuantumIndependentSet(5, 1, 8, {}), tol=1.5).valid
 
 
 def test_qis_from_dict_validation():

@@ -336,6 +336,96 @@ def test_chsh3_theta(chsh3_graph):
     assert res.dual_bound >= 64 * 0.65136183541
 
 
+def _block_solve(monkeypatch, graph, c):
+    """Solve theta on (graph, c) on the blocks; returns the result, the
+    lift and block Schur builder of its block program and the (X, Z^-1) of
+    every Schur build of the solve."""
+    programs, calls = [], []
+    block_program = sdp._block_program
+
+    def spy(*args):
+        programs.append(block_program(*args))
+
+        def schur(x, zi, out):
+            calls.append((x.copy(), zi.copy()))
+            programs[0][-1](x, zi, out)
+        return programs[0][:-1] + (schur,)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_block_program", spy)
+        res = sdp._theta_from_objective(graph, c, sdp.DEFAULT_TOL)
+    return res, programs[0][4], programs[0][5], calls
+
+
+def test_block_schur_matches_the_lifted_builder(monkeypatch, chsh3_graph):
+    # the catalog's block programs, chsh --weighted included, CHSH^3, and 3
+    # copies of a 10-vertex graph that 1-WL separates: 22 classes on the
+    # blocks (10, 1) and (10, 2), larger than any catalog block
+    gg = pipeline_graph(chsh(), True)
+    root = np.sqrt(gg.objective()[0])
+    h = random_graph(np.random.default_rng(7), 10, 0.5)
+    copies = disjoint_union(disjoint_union(h, h), h)
+    cases = _catalog_graphs() + [(gg.graph, np.outer(root, root)),
+                                 (chsh3_graph, np.ones((512, 512))),
+                                 (copies, np.ones((30, 30)))]
+    for graph, c in cases:
+        res, lift, block_schur, calls = _block_solve(monkeypatch, graph, c)
+        assert res.converged and len(calls) >= res.iterations
+        assert len(res.blocks) > 1
+        ei, ej, starts, colours = sdp._edge_classes(graph, np.diag(c))
+        schur = sdp._theta_program(graph.n, ei, ej, starts,
+                                   sdp._class_average(colours))[3]
+        m = res.m
+        low = np.tril_indices(m)
+        # the start point and a mid-solve iterate
+        for x, zi in (calls[0], calls[len(calls) // 2]):
+            on_blocks, lifted = np.zeros((m, m)), np.zeros((m, m))
+            block_schur(x, zi, on_blocks)
+            schur(lift(x), lift(zi), lifted)
+            assert (np.max(np.abs(on_blocks[low] - lifted[low]))
+                    <= 1e-12 * np.linalg.norm(lifted[low]))
+
+
+def _counting_class_average(monkeypatch):
+    """Count the calls of every average that _class_average returns."""
+    calls = []
+    class_average = sdp._class_average
+
+    def counting(colours):
+        average = class_average(colours)
+
+        def counted(w):
+            calls.append(w.shape)
+            return average(w)
+        return None if average is None else counted
+
+    monkeypatch.setattr(sdp, "_class_average", counting)
+    return calls
+
+
+def test_block_path_is_pinned(monkeypatch, chsh3_graph):
+    # the block path's step counts and converged flags, on the Schur matrix
+    # built from the blocks: no step lifts or averages an iterate, so the
+    # only average is the certificate's, on the returned n x n primal
+    calls = _counting_class_average(monkeypatch)
+    pins = [(chsh(), False, 7), (independent_set_game(cycle_graph(5), 2),
+                                 False, 9),
+            (independent_set_game(cycle_graph(5), 3), False, 10),
+            (magic_square(), False, 8), (parallel_repetition(chsh(), 2),
+                                         False, 9),
+            (magic_square(), True, 8), (chsh(), True, 7)]
+    for game, weighted, iterations in pins:
+        gg = pipeline_graph(game, weighted)
+        del calls[:]
+        res = sdp._game_graph_bound(gg, sdp.DEFAULT_TOL).theta
+        assert (res.iterations, res.converged) == (iterations, True)
+        assert len(res.blocks) > 1 and calls == [(gg.graph.n,) * 2]
+    del calls[:]
+    res = lovasz_theta(chsh3_graph)
+    assert (res.iterations, res.converged) == (12, True)
+    assert calls == [(512, 512)]
+
+
 def test_theta_is_deterministic():
     gg = build_weighted_game_graph(magic_square())
     for solve in (lambda: lovasz_theta(_chsh2_graph()),
