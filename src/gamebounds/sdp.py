@@ -14,43 +14,43 @@ colour refinement on the vertices (weights in the initial colouring): when
 it separates every vertex, every edge is its own class and the program is
 the per-edge one.  Otherwise 2-WL on pairs gives the closure.
 
-The program is described once: the objective c, the right-hand side b, the
+The program is described once, as (objective, row multiplicities,
 constraint map a_map with its adjoint a_adj over the class-sorted edges,
-and the Schur builder schur, which computes one representative row per
-class.  One solver takes this description, as it takes the XOR program
-(unit diagonal): a primal-dual interior-point method (HKM direction,
-Mehrotra predictor-corrector) that factors the m x m Schur complement
-every iteration, m = classes + 1.  It aims for a bracket tol wide and stops
-there, or when a factorization fails, STALL_STEPS steps in a row do not
-narrow the bracket or MAX_ITERATIONS steps have run, keeping the narrowest
-bracket seen.  The step cap is a fixed constant, read at each solve and far
-above every measured step count; it only bounds the time of a pathological
-solve.  The Schur matrix takes 8 m^2 bytes, so a theta program with more
-than MAX_CONSTRAINTS constraints raises SizeCapError as soon as its classes
-are known, before any m x m array exists.
+lift to n x n, Schur builder), with b = (1, 0, ..., 0), and one solver takes
+the description, as it takes the XOR program (unit diagonal): a primal-dual
+interior-point method (HKM direction, Mehrotra predictor-corrector) that
+factors the m x m Schur complement every iteration, m = classes + 1.  It
+aims for a bracket tol wide and stops there, or when a factorization fails,
+STALL_STEPS steps in a row do not narrow the bracket or MAX_ITERATIONS
+steps have run, keeping the narrowest bracket seen.  The step cap is a fixed
+constant, read at each solve and far above every measured step count; it
+only bounds the time of a pathological solve.  The Schur matrix takes
+8 m^2 bytes, so a theta program with more than MAX_CONSTRAINTS constraints
+raises SizeCapError as soon as its classes are known, before any m x m
+array exists.
 
 The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
 2010, used for SDPs by de Klerk, Dobre and Pasechnik 2011): in a suitable
 orthonormal basis every matrix of the algebra is the direct sum of n_i x n_i
-blocks X_i, block i repeated m_i times, with sum n_i m_i = n.  When some
-block repeats and the decomposition passes its check (_block_bases), the
-interior-point method runs on one copy of each block instead of n x n
-matrices: its Cholesky factors, inverses, eigenvalues and products act on
-the block-diagonal matrix of N = sum n_i rows that holds each block once,
-and its inner products weight every row by its block's m_i.  The Schur
-matrix is built on the blocks too, M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1)
-with B_k,i the class matrices on block i, so no step lifts an iterate to
-n x n; only the returned primal is lifted.  Graphs that 1-WL separates,
-graphs whose blocks do not repeat and decompositions that fail the check
-take the n x n program.  The choice comes from the input alone.
+blocks X_i, block i repeated m_i times, with sum n_i m_i = n.  Two builders
+give the description, and the input picks one.  When some block repeats
+and the decomposition passes its check (_block_bases), _block_program
+describes the program on one copy of each block: block-diagonal matrices of
+N = sum n_i rows, each row weighted by its block's m_i, and the Schur matrix
+M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) built from the class matrices
+B_k,i on the blocks.  Otherwise (1-WL separates the graph, no block
+repeats, or the check fails) _theta_program describes the n x n program,
+the one-block case, whose Schur builder computes one representative row per
+class.  No step lifts an iterate, and each step's bracket, which only
+decides when to stop, is read inside the program.
 
-Every path ends in one full-size certificate, which works edge by edge,
-whatever the classes or blocks.  A feasibility-repaired primal matrix
-provides a true lower bound on the optimum and a repaired dual multiplier a
-true upper bound, so value and dual_bound always bracket the exact theta up
-to eigensolver precision; a partition that is too coarse or a wrong block
-basis only widens the bracket.  converged is set in one place: the repaired
+The solve ends in one full-size certificate on the lifted primal, which
+works edge by edge, whatever the classes or blocks.  A feasibility-repaired
+primal matrix provides a true lower bound on the optimum and a repaired
+dual multiplier a true upper bound, so value and dual_bound always bracket
+the exact theta up to eigensolver precision; a partition that is too
+coarse or a wrong block basis only widens the bracket.  converged is set in one place: the repaired
 bracket is at most 10*tol wide (times the largest objective entry, when
 that exceeds 1).
 """
@@ -223,23 +223,23 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
 
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             bracket, target: float, mult: np.ndarray | None = None
+             bracket, target: float, mult: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
     s.t. Z = a_adj(y) - c PSD; returns (X, y, iterations).
 
-    The only SDP solver here: it takes every theta program, n x n or on
-    the blocks, and the XOR program.  Primal-dual interior point with the
-    HKM direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
+    The only SDP solver here: it takes the theta program from either
+    builder and the XOR program.  Primal-dual interior point with the HKM
+    direction and Mehrotra's predictor-corrector (Helmberg, Rendl,
     Vanderbei and Wolkowicz 1996).
     a_map(W) is the constraint map for any square W (it reads the
     symmetric part) and a_adj its adjoint; the constraint matrices must be
     mutually orthogonal.  schur(X, Z^-1, out) writes the matrix
     M_kl = tr(A_k X A_l Z^-1) into out, of which only the lower triangle is
-    read; one out array serves every iteration.  mult, for a block-diagonal
-    program that holds one copy of each block, gives each row the
-    multiplicity of its block: it weights the inner products, the traces
-    of M included, and counts toward n (None: every row once).
+    read; one out array serves every iteration.  mult gives each row the
+    multiplicity of its block, all ones but for a block-diagonal theta
+    program that holds one copy of each block: it weights the inner
+    products, the traces of M included, and sums to n.
     Both programs have a_adj(b) = I, so the start is strictly feasible: X
     the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
     y = t b, Z = t I - C, with t above the Gershgorin bound of C.
@@ -249,7 +249,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     iterate with the narrowest bracket is returned.
     """
     size = c.shape[0]
-    weights = np.ones((size, 1)) if mult is None else mult[:, None]
+    weights = mult[:, None]
     project = _affine_projection(a_map, a_adj, len(b))
     x = project(np.zeros((size, size)), b)
     y = (1.0 + float(np.max(np.sum(np.abs(c), axis=1)))) * b
@@ -341,17 +341,18 @@ def _class_average(colours):
     return lambda w: (np.bincount(flat, w.ravel()) / counts)[colours]
 
 
-def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
+def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
                    starts: np.ndarray, average):
-    """(b, a_map, a_adj, schur) of the theta program on n vertices whose
-    edges (ei, ej) are sorted by class, class k starting at starts[k]:
-    constraint 0 is tr X = 1, constraint k + 1 is <A_k, X> = 0 with
-    A_k = sum of (E_ij + E_ji)/2 over the edges of class k.  average, from
-    _class_average, projects X and Z^-1 before the Schur build; None leaves
-    them as they are."""
-    m = len(starts) + 1
-    b = np.zeros(m)
-    b[0] = 1.0
+    """(cb, mult, a_map, a_adj, lift, schur): the theta program with
+    objective c on n x n matrices, whose edges (ei, ej) are sorted by class,
+    class k starting at starts[k].  Constraint 0 is tr X = 1, constraint
+    k + 1 is <A_k, X> = 0 with A_k = sum of (E_ij + E_ji)/2 over the edges
+    of class k.  It is the one-block case of _block_program's description:
+    cb is c, every row has multiplicity 1 and lift is the identity.
+    schur(X, Z^-1, out) writes M_kl = tr(A_k X A_l Z^-1) into out from one
+    representative row per class; average, from _class_average, projects X
+    and Z^-1 before the build, and None leaves them as they are."""
+    n, m = c.shape[0], len(starts) + 1
     bounds = np.append(starts, len(ei))
     sizes = np.diff(bounds)
     # flat indices of the edge entries read much faster than (ei, ej) pairs
@@ -397,7 +398,7 @@ def _theta_program(n: int, ei: np.ndarray, ej: np.ndarray,
             np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
             rows_out *= 0.25 * sizes[s:e, None]
 
-    return b, a_map, a_adj, schur
+    return c, np.ones(n), a_map, a_adj, lambda w: w, schur
 
 
 def _wedderburn(colours: np.ndarray):
@@ -405,8 +406,9 @@ def _wedderburn(colours: np.ndarray):
     pair colouring colours, as a list of (copies, n, size) arrays whose
     columns together form an orthonormal basis of R^n; an element of the
     algebra acts on every copy of a component as one size x size block.
-    None when the eigenspaces of a component differ in dimension, or when
-    no block repeats.
+    None when every eigenvalue of the random element e1 below is simple
+    (no block repeats) or when the eigenspaces of a component differ in
+    dimension; any other result has a component of two or more copies.
 
     Murota, Kanno, Kojima and Kojima (2010): each eigenspace of a random
     symmetric element e1 lies in one simple component, with the
@@ -465,7 +467,7 @@ def _block_bases(colours: np.ndarray, c: np.ndarray):
     exactly the algebra) and a third random element of the algebra, plus
     c, is rebuilt from its blocks."""
     copies = _wedderburn(colours)
-    if copies is None or all(len(q) == 1 for q in copies):
+    if copies is None:
         return None
     n, count = colours.shape[0], int(colours.max()) + 1
     check = np.random.default_rng(1).standard_normal(count)[colours] + c
@@ -492,7 +494,9 @@ def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
     them consecutive and row-major.  Blocks of one size are consecutive in
     bases, so each size takes two batched products, and one product of
     m x (sum of n_i^2) matrices sums every block.  Besides out, schur writes
-    only into products, an array the size of rows made once here."""
+    only into products, an array the size of rows made once here.  Every
+    entry of an iterate outside the blocks stays an exact zero, which
+    Cholesky, inverse and products keep."""
     p = np.concatenate([q for q, _ in bases], axis=1)
     sizes = np.array([q.shape[1] for q, _ in bases])
     owner = np.repeat(np.arange(len(bases)), sizes)
@@ -542,41 +546,10 @@ def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
     return np.where(mask, p.T @ c @ p, 0.0), mult, a_map, a_adj, lift, schur
 
 
-def _theta_on_blocks(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
-                     starts: np.ndarray, b: np.ndarray, target: float):
-    """_ipm_sdp on one copy of each block of the theta program, given the
-    bases from _block_bases; returns (X lifted to n x n, y, iterations).
-
-    The program's matrices are block-diagonal N x N, N = sum of n_i, and
-    stay so exactly: every entry outside the blocks is an exact zero, which
-    Cholesky, inverse and products keep.  The Schur matrix is built on the
-    blocks (_block_program), so no step lifts or averages an iterate.  The
-    bracket of each step is the certificate's repair done in blocks."""
-    n, m = c.shape[0], len(b)
-    cb, mult, a_map, a_adj, lift, schur = _block_program(c, bases, ei, ej,
-                                                         starts)
-    size = cb.shape[0]
-    gram = a_map(a_adj(np.ones(m)))
-
-    def bracket(x, y):
-        # the repair of _theta_from_objective: in the algebra a zero class
-        # sum zeroes every edge of the class
-        sums = a_map(x)
-        x = x - a_adj(np.concatenate(([0.0], sums[1:] / gram[1:])))
-        lam_min = min(0.0, float(np.linalg.eigvalsh(x)[0]))
-        x[np.diag_indices(size)] -= lam_min
-        trace = sums[0] - lam_min * n
-        value = (float(np.sum(cb * x * mult[:, None])) / trace if trace > 0.0
-                 else float(np.diag(cb) @ mult) / n)
-        # C - sum_{k >= 1} y_k A_k = (C - a_adj(y)) + y_0 I
-        return value, float(np.linalg.eigvalsh(cb - a_adj(y))[-1]) + y[0]
-
-    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, bracket, target,
-                                mult)
-    return lift(x), y, iterations
-
-
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResult:
+    """Theta of graph with objective c: one _ipm_sdp solve of the program
+    that _block_program describes when some block repeats and
+    _theta_program describes otherwise, then one full-size certificate."""
     n = graph.n
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
@@ -584,7 +557,9 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
         raise SizeCapError(f"theta program has {m} constraints "
                            f"(cap {MAX_CONSTRAINTS})")
     average = _class_average(colours)
-    b, a_map, a_adj, schur = _theta_program(n, ei, ej, starts, average)
+    program = _theta_program(c, ei, ej, starts, average)
+    # the certificate reads the dual through the n x n adjoint on every path
+    full_adj = program[3]
 
     def repair(z, dual):
         # Primal: average over the pair colouring (onto the coherent
@@ -613,22 +588,39 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
         dual_bound = float(np.linalg.eigvalsh(c - y)[-1])
         return value, dual_bound, repaired
 
+    bases = None if colours is None else _block_bases(colours, c)
+    if bases is None:
+        blocks = ((n, 1),)
+    else:
+        program = _block_program(c, bases, ei, ej, starts)
+        blocks = tuple((p.shape[1], k) for p, k in bases)
+    cb, mult, a_map, a_adj, lift, schur = program
+    b = np.zeros(m)
+    b[0] = 1.0
+    gram = a_map(a_adj(np.ones(m)))
+
+    def bracket(x, y):
+        # the stopping rule: the certificate above done inside the program,
+        # where removing a class sum stands in for zeroing its edges (in the
+        # algebra a zero class sum zeroes every edge of the class)
+        sums = a_map(x)
+        x = x - a_adj(np.concatenate(([0.0], sums[1:] / gram[1:])))
+        lam_min = min(0.0, float(np.linalg.eigvalsh(x)[0]))
+        x[np.diag_indices(cb.shape[0])] -= lam_min
+        trace = sums[0] - lam_min * n
+        value = (float(np.sum(cb * x * mult[:, None])) / trace if trace > 0.0
+                 else float(np.diag(cb) @ mult) / n)
+        # C - sum_{k >= 1} y_k A_k = (C - a_adj(y)) + y_0 I
+        return value, float(np.linalg.eigvalsh(cb - a_adj(y))[-1]) + y[0]
+
     scale = max(1.0, float(np.max(np.abs(c))))
     # aim for a bracket tol wide but certify at 10*tol: the reported ends
     # then sit well inside the certified width (aiming at 10*tol left the
     # CHSH lower end 5.9e-7 below 2 + sqrt(2)), and a solve that stalls just
     # short of tol still certifies
-    bases = None if colours is None else _block_bases(colours, c)
-    if bases is None:
-        x, y, iterations = _ipm_sdp(
-            c, b, a_map, a_adj, schur,
-            lambda z, y: repair(z, c - a_adj(y)), tol * scale)
-        blocks = ((n, 1),)
-    else:
-        x, y, iterations = _theta_on_blocks(c, bases, ei, ej, starts, b,
-                                            tol * scale)
-        blocks = tuple((p.shape[1], k) for p, k in bases)
-    value, dual_bound, repaired = repair(x, c - a_adj(y))
+    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, bracket,
+                                tol * scale, mult)
+    value, dual_bound, repaired = repair(lift(x), c - full_adj(y))
     gap = dual_bound - value
     converged = gap <= 10.0 * tol * scale
     return ThetaResult(value, dual_bound, gap, iterations, converged,
@@ -744,7 +736,7 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
 
     # unit diagonal: A_k = E_kk, so M = X o Z^-1
     x, y, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                       bracket, tol)
+                       bracket, tol, np.ones(n))
     lower, upper = bracket(x, y)
     # lower and upper bracket the exact correlation optimum; return the
     # midpoint, which is within (upper - lower)/2 of the truth.

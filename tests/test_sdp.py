@@ -280,10 +280,17 @@ def test_theta_result_records_its_program():
     assert sorted(res.blocks) == [(1, 1), (1, 4), (1, 4), (1, 6), (1, 9),
                                   (1, 12), (1, 18), (2, 9)]
     # 1-WL separates this graph's vertices: one constraint per edge, n x n
-    discrete = _criterion7_random_graphs(1)[0]
+    graphs = _criterion7_random_graphs(20, games=2)
+    discrete = graphs[0]
     assert _classes(discrete)[3] is None
     res = lovasz_theta(discrete)
     assert (res.m, res.blocks) == (discrete.num_edges + 1, ((7, 1),))
+    # the battery's random-game-1: 312 classes, but no block repeats, so
+    # the n x n program on the class-averaged iterates
+    averaged = graphs[21]
+    assert _classes(averaged)[3] is not None
+    res = lovasz_theta(averaged)
+    assert (res.m, res.blocks) == (313, ((45, 1),))
 
 
 def test_corrupted_blocks_still_bracket_theta(monkeypatch):
@@ -373,8 +380,8 @@ def test_block_schur_matches_the_lifted_builder(monkeypatch, chsh3_graph):
         assert res.converged and len(calls) >= res.iterations
         assert len(res.blocks) > 1
         ei, ej, starts, colours = sdp._edge_classes(graph, np.diag(c))
-        schur = sdp._theta_program(graph.n, ei, ej, starts,
-                                   sdp._class_average(colours))[3]
+        schur = sdp._theta_program(c, ei, ej, starts,
+                                   sdp._class_average(colours))[5]
         m = res.m
         low = np.tril_indices(m)
         # the start point and a mid-solve iterate
