@@ -21,12 +21,11 @@ from .independence import (IndependenceResult, ClassicalValueResult,
 from .sdp import (ThetaResult, lovasz_theta, weighted_theta,
                   quantum_upper_bound, xor_tsirelson_value, NotXorGame)
 from .quantum import (QuantumStrategy, QuantumIndependentSet,
-                      winning_probability, supp, check_lemma1,
+                      winning_probability, supp,
                       verify_quantum_independent_set, lift_qis_to_strategy,
                       strategy_to_qis, qis_from_vertex_set,
-                      chsh_optimal_strategy, magic_square_strategy,
-                      strategy_from_classical, InvalidQuantumIndependentSet,
-                      NotPseudoTelepathy, NonCommutingStrategy)
+                      InvalidQuantumIndependentSet, NotPseudoTelepathy,
+                      NonCommutingStrategy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,6 +6,12 @@ projectors from different measurements annihilate each other on adjacent (or
 equal) vertices.  Such a certificate lifts to a shared-entanglement strategy
 winning at least t/k of the question pairs, and a perfect strategy made of
 pairwise commuting projectors converts back into a certificate of size k.
+
+The checks work on stacks: a certificate's K listed entries form one
+(K, d, d) stack, its orthogonality candidates come in bounded row blocks of
+entries with one batched product each, so the cost follows K, not the
+claimed t; a strategy is checked as one stack per player, and a lift takes
+its supports with one batched eigh.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ from .gamegraph import GameGraph, Graph, build_game_graph
 MEASUREMENT_TOL = 1e-9
 STATE_TOL = 1e-10
 SUPP_TOL = 1e-8
+# a certificate's orthogonality candidates are taken a row block of entries
+# at a time, each block holding about this many pair entries
+_PAIR_BLOCK_ENTRIES = 1 << 20
 
 
 class InvalidQuantumIndependentSet(ValueError):
@@ -44,18 +53,41 @@ def _as_complex_matrix(m) -> np.ndarray:
     return out
 
 
-def _projector_defect(p: np.ndarray) -> float:
-    return max(float(np.linalg.norm(p @ p - p)),
-               float(np.linalg.norm(p - p.conj().T)))
+def _defects(stack: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The projector defect max(|P^2 - P|, |P - P^H|) of every matrix of a
+    (K, d, d) stack, and the completeness defect |sum - I| of every run of
+    it, run r starting at starts[r] and ending at the next start (an empty
+    run sums to 0).  Callers test `not defect <= tol`, so a NaN defect
+    fails; np.maximum passes a NaN on."""
+    d = stack.shape[-1]
+    projector = np.maximum(
+        np.linalg.norm(stack @ stack - stack, axis=(-2, -1)),
+        np.linalg.norm(stack - np.swapaxes(stack.conj(), -1, -2),
+                       axis=(-2, -1)))
+    starts = np.asarray(starts, dtype=np.intp)
+    totals = np.zeros((len(starts), d, d), dtype=stack.dtype)
+    filled = starts < np.append(starts[1:], len(stack))
+    if filled.any():
+        totals[filled] = np.add.reduceat(stack, starts[filled], axis=0)
+    return projector, np.linalg.norm(totals - np.eye(d), axis=(-2, -1))
 
 
-def _measurement_defects(family, dim: int) -> tuple[list[float], float]:
-    """The projector defect of each outcome of a measurement on C^dim and
-    the completeness defect of their sum, which stays real for real
-    outcomes.  Callers test `not defect <= tol`, so a NaN defect fails."""
-    defects = [_projector_defect(np.asarray(p, dtype=complex)) for p in family]
-    total = sum(family, np.zeros((dim, dim)))
-    return defects, float(np.linalg.norm(total - np.eye(dim)))
+def _stack_families(fams, dim: int) -> tuple[np.ndarray, list[int]]:
+    """The outcomes of a player's measurements as one complex stack and the
+    start of each measurement's run in it, up to the first measurement with
+    an outcome that is unreadable or not dim x dim."""
+    mats: list[np.ndarray] = []
+    starts: list[int] = []
+    for family in fams:
+        try:
+            family = [np.asarray(p, dtype=complex) for p in family]
+        except (TypeError, ValueError, OverflowError):
+            break
+        if any(p.shape != (dim, dim) for p in family):
+            break
+        starts.append(len(mats))
+        mats += family
+    return np.array(mats).reshape(len(mats), dim, dim), starts
 
 
 @dataclass(frozen=True)
@@ -73,6 +105,11 @@ class QuantumStrategy:
     bob: tuple[tuple[np.ndarray, ...], ...]
 
     def validate(self, tol: float = MEASUREMENT_TOL) -> None:
+        """Raise ValueError at the first failing check.  Measurements are
+        checked in order, Alice's first; within one, every outcome must be a
+        finite square matrix, then of the right dimension, then a projector,
+        and then the outcomes must sum to the identity.  Each player's
+        outcomes are checked as one stack."""
         state = np.asarray(self.state, dtype=complex).ravel()
         if state.shape[0] != self.dA * self.dB:
             raise ValueError("state length must be dA*dB")
@@ -80,20 +117,34 @@ class QuantumStrategy:
             raise ValueError("state is not normalized")
         for side, dim, fams in (("alice", self.dA, self.alice),
                                 ("bob", self.dB, self.bob)):
-            for x, family in enumerate(fams):
-                family = [_as_complex_matrix(p) for p in family]
-                for a, p in enumerate(family):
-                    if p.shape != (dim, dim):
-                        raise ValueError(
-                            f"{side} input {x} outcome {a}: wrong dimension")
-                defects, completeness = _measurement_defects(family, dim)
-                for a, defect in enumerate(defects):
-                    if not defect <= tol:
-                        raise ValueError(
-                            f"{side} input {x} outcome {a}: not a projector")
-                if not completeness <= tol:
-                    raise ValueError(
-                        f"{side} input {x}: measurement does not sum to identity")
+            stack, starts = _stack_families(fams, dim)
+            finite = np.isfinite(stack).all(axis=(-2, -1))
+            projector, completeness = _defects(stack, starts)
+            bad = ~finite | ~(projector <= tol)
+            fails = np.append(~(completeness <= tol), True)
+            fails[np.repeat(np.arange(len(starts)),
+                            np.diff(starts + [len(stack)]))[bad]] = True
+            # the first failing measurement, or the first one left unstacked
+            x = int(np.argmax(fails))
+            if x == len(fams):
+                continue
+            if x == len(starts):
+                # raises for an unreadable, non-square or non-finite outcome
+                family = [_as_complex_matrix(p) for p in fams[x]]
+                a = next(a for a, p in enumerate(family)
+                         if p.shape != (dim, dim))
+                raise ValueError(
+                    f"{side} input {x} outcome {a}: wrong dimension")
+            lo = starts[x]
+            hi = lo + len(fams[x])
+            if not finite[lo:hi].all():
+                raise ValueError("matrix has non-finite entries")
+            failed = np.flatnonzero(bad[lo:hi])
+            if failed.size:
+                raise ValueError(
+                    f"{side} input {x} outcome {failed[0]}: not a projector")
+            raise ValueError(
+                f"{side} input {x}: measurement does not sum to identity")
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -132,39 +183,35 @@ def winning_probability(g: Game, s: QuantumStrategy) -> float:
 
 
 def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of a PSD matrix.
+    """Orthogonal projector onto the column space of a PSD matrix, or of
+    each matrix of a (..., d, d) stack.
 
-    Eigenvalues above tol * lambda_max count as nonzero.  One eigh on the
-    Hermitian part serves real and complex input; input with no imaginary
-    part is taken as real and gives a real projector.
+    Eigenvalues above tol * lambda_max of their own matrix count as nonzero.
+    One eigh on the Hermitian part serves real and complex input; input with
+    no imaginary part is taken as real and gives real projectors.  The
+    eigenvalues come in ascending order, so the kept eigenvectors are the
+    last r columns; matrices of equal rank r share one product.
     """
     m = np.asarray(m)
     if not np.any(np.imag(m)):
         m = np.real(m).astype(float)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    lam_max = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -tol * max(1.0, abs(lam_max)):
-        raise ValueError(
-            f"matrix is not positive semidefinite (lambda_min={w[0]:.3e})")
-    if lam_max <= 0.0:
-        return np.zeros_like(m)
-    vk = v[:, w > tol * lam_max]
-    out = vk @ vk.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-def check_lemma1(m, n, v, tol: float = 1e-9) -> bool:
-    """Does <v|supp(M+N)|v> >= <v|supp(M)|v> - tol hold for PSD M, N?"""
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    for name, mat in (("M", m), ("N", n)):
-        w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        if w.size and w[0] < -tol * max(1.0, abs(float(w[-1]))):
-            raise ValueError(f"{name} is not positive semidefinite")
-    lhs = float(v @ supp(m + n) @ v)
-    rhs = float(v @ supp(m) @ v)
-    return lhs >= rhs - tol
+    w, v = np.linalg.eigh(0.5 * (m + np.swapaxes(m.conj(), -1, -2)))
+    out = np.zeros(v.shape, dtype=v.dtype)
+    if not w.shape[-1]:
+        return out
+    lam_min, lam_max = w[..., 0], w[..., -1]
+    negative = lam_min < -tol * np.maximum(1.0, np.abs(lam_max))
+    if negative.any():
+        raise ValueError("matrix is not positive semidefinite "
+                         f"(lambda_min={lam_min[negative][0]:.3e})")
+    rank = np.where(lam_max > 0.0,
+                    np.sum(w > tol * lam_max[..., None], axis=-1), 0)
+    for r in range(1, w.shape[-1] + 1):
+        has_rank = rank == r
+        if has_rank.any():
+            vk = np.ascontiguousarray(v[has_rank][..., -r:])
+            out[has_rank] = vk @ np.swapaxes(vk.conj(), -1, -2)
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +243,27 @@ class QuantumIndependentSet:
                     f"certificate {name} must be an integer >= {least}")
         if self.d > 1 and not self.projectors:
             raise ValueError("certificate d > 1 needs at least one projector")
+        mats, misfit = [], None
         for (i, v), mat in self.projectors.items():
             if not (_is_integer(i) and _is_integer(v)
                     and 0 <= i < self.t and 0 <= v < self.n_vertices):
-                raise ValueError(f"certificate entry ({i},{v}) out of range")
-            if np.asarray(mat).shape != (self.d, self.d):
-                raise ValueError(
-                    f"certificate entry ({i},{v}) has the wrong shape")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError(
-                    f"certificate entry ({i},{v}) has non-finite entries")
+                misfit = f"certificate entry ({i},{v}) out of range"
+                break
+            mat = np.asarray(mat)
+            if mat.shape != (self.d, self.d):
+                misfit = f"certificate entry ({i},{v}) has the wrong shape"
+                break
+            mats.append(mat)
+        # the entries are checked in dict order, so a non-finite entry
+        # before the first misfit is the one named
+        stack = np.array(mats).reshape(len(mats), self.d ** 2)
+        finite = np.isfinite(stack).all(axis=1)
+        if not finite.all():
+            i, v = list(self.projectors)[int(np.argmin(finite))]
+            raise ValueError(
+                f"certificate entry ({i},{v}) has non-finite entries")
+        if misfit is not None:
+            raise ValueError(misfit)
 
 
 @dataclass(frozen=True)
@@ -251,53 +309,98 @@ def _adjacency(graph) -> Graph:
     raise TypeError(f"expected GameGraph or Graph, got {type(graph).__name__}")
 
 
+def _stack_entries(qis: QuantumIndependentSet, keys) -> np.ndarray:
+    """The listed matrices of `keys`, in that order, as one real or complex
+    (K, d, d) stack."""
+    stack = np.array([qis.projectors[k] for k in keys])
+    stack = stack.reshape(len(keys), qis.d, qis.d)
+    return stack.astype(np.promote_types(stack.dtype, float), copy=False)
+
+
+def _orthogonality(adjacency: Graph, stack: np.ndarray, vertices: np.ndarray,
+                   later: np.ndarray, tol: float):
+    """The pairs of entries p, q >= later[p] on adjacent or equal vertices
+    whose product's norm is not <= tol, as arrays (p, q, norm) in (p, q)
+    order, taken in row blocks of about _PAIR_BLOCK_ENTRIES pair entries."""
+    count, n, d = len(stack), adjacency.n, stack.shape[-1]
+    width = (n + 7) // 8
+    rows = max(1, _PAIR_BLOCK_ENTRIES // (d * d * max(count, n)))
+    found = [(np.zeros(0, np.intp),) * 2 + (np.zeros(0),)]
+    for s in range(0, count, rows):
+        e = min(s + rows, count)
+        lo = later[s]  # later is non-decreasing, so no pair starts below it
+        if lo == count:
+            break
+        packed = np.frombuffer(b"".join(
+            adjacency.rows[v].to_bytes(width, "little")
+            for v in vertices[s:e].tolist()), np.uint8).reshape(e - s, width)
+        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        near = bits[:, vertices[lo:]] | (vertices[s:e, None] == vertices[lo:])
+        near &= np.arange(lo, count) >= later[s:e, None]
+        p, q = np.nonzero(near)
+        p += s
+        q += lo
+        norms = np.linalg.norm(stack[p] @ stack[q], axis=(-2, -1))
+        keep = ~(norms <= tol)
+        found.append((p[keep], q[keep], norms[keep]))
+    return (np.concatenate(part) for part in zip(*found))
+
+
 def verify_quantum_independent_set(graph, qis: QuantumIndependentSet,
                                    tol: float = MEASUREMENT_TOL) -> QisReport:
     """Check measurement validity and the cross-measurement orthogonality rule.
 
     Violations are returned as data rather than raised: a verifier's job is
     to report how badly a claimed certificate fails.  Every defect must
-    compare <= tol to pass, so a NaN defect is a violation.
+    compare <= tol to pass, so a NaN defect is a violation.  The entries,
+    sorted by (measurement, vertex), are checked as one stack.
     """
     adjacency = _adjacency(graph)
     if qis.n_vertices != adjacency.n:
         raise ValueError("certificate and graph disagree on the vertex count")
+    keys = sorted(qis.projectors)
+    count = len(keys)
+    stack = _stack_entries(qis, keys)
+    # one run of entries per measurement with entries, in ascending order
+    starts = [p for p in range(count)
+              if p == 0 or keys[p][0] != keys[p - 1][0]]
+    bounds = np.array(starts + [count], dtype=np.intp)
+    run = np.repeat(np.arange(len(starts)), np.diff(bounds))
+    projector, completeness = _defects(stack, starts)
     violations: list[QisViolation] = []
-    supports: dict[int, list[int]] = {}
-    for i, v in sorted(qis.projectors):
-        supports.setdefault(i, []).append(v)
-    for i, vertices in supports.items():
-        defects, completeness = _measurement_defects(
-            [qis.projectors[i, v] for v in vertices], qis.d)
-        for v, defect in zip(vertices, defects):
-            if not defect <= tol:
-                violations.append(QisViolation("projector", i, None, v, None,
-                                               defect))
-        if not completeness <= tol:
-            violations.append(QisViolation("completeness", i, None, None, None,
-                                           completeness))
-    # the measurements without entries all sum to 0: one violation, from
-    # the first of them to the last, found in at most len(supports) + 1 steps
-    # each, so that the claimed t costs nothing
-    if len(supports) < qis.t:
-        first = next(i for i in itertools.count() if i not in supports)
-        last = next(i for i in range(qis.t - 1, -1, -1) if i not in supports)
-        completeness = _measurement_defects([], qis.d)[1]
-        if not completeness <= tol:
+    # per measurement, its projector violations by vertex, then its
+    # completeness violation, which takes the index count, past every entry
+    found = sorted(
+        [(run[p], p) for p in np.flatnonzero(~(projector <= tol))]
+        + [(r, count) for r in np.flatnonzero(~(completeness <= tol))])
+    for r, p in found:
+        if p < count:
+            i, v = keys[p]
+            violations.append(QisViolation("projector", i, None, v, None,
+                                           float(projector[p])))
+        else:
+            violations.append(QisViolation("completeness", keys[starts[r]][0],
+                                           None, None, None,
+                                           float(completeness[r])))
+    # the measurements without entries all sum to 0, with defect |I|: one
+    # violation, from the first of them to the last, found in at most
+    # len(measured) + 1 steps each, so that the claimed t costs nothing
+    measured = {keys[s][0] for s in starts}
+    if len(measured) < qis.t:
+        first = next(i for i in itertools.count() if i not in measured)
+        last = next(i for i in range(qis.t - 1, -1, -1) if i not in measured)
+        empty = float(np.sqrt(qis.d))
+        if not empty <= tol:
             violations.append(QisViolation(
                 "completeness", first, None if last == first else last,
-                None, None, completeness))
-    # only measurements with entries, in ascending order, can be non-orthogonal
-    for i, j in itertools.combinations(supports, 2):
-        for u in supports[i]:
-            for v in supports[j]:
-                if u != v and not adjacency.has_edge(u, v):
-                    continue
-                norm = float(np.linalg.norm(
-                    qis.projectors[i, u] @ qis.projectors[j, v]))
-                if not norm <= tol:
-                    violations.append(QisViolation(
-                        "orthogonality", i, j, u, v, norm))
+                None, None, empty))
+    vertices = np.array([v for _, v in keys], dtype=np.intp)
+    p, q, norms = _orthogonality(adjacency, stack, vertices, bounds[run + 1],
+                                 tol)
+    for k in np.lexsort((vertices[q], vertices[p], run[q], run[p])):
+        (i, u), (j, v) = keys[p[k]], keys[q[k]]
+        violations.append(QisViolation("orthogonality", i, j, u, v,
+                                       float(norms[k])))
     return QisReport(not violations, tuple(violations))
 
 
@@ -329,7 +432,8 @@ def lift_qis_to_strategy(g: Game, gg: GameGraph, qis: QuantumIndependentSet,
     Alice's projector for answer a on input x is the support of the sum of
     all certificate projectors sitting on vertices (x, *, a, *); the leftover
     I - sum_a P^x_a is appended as an extra always-losing outcome.  Bob is
-    symmetric in (y, b).
+    symmetric in (y, b).  Each player's sums form one (inputs, answers, d, d)
+    table, and one batched `supp` call takes all their supports.
     """
     report = verify_quantum_independent_set(gg, qis, tol)
     if not report.valid:
@@ -337,33 +441,25 @@ def lift_qis_to_strategy(g: Game, gg: GameGraph, qis: QuantumIndependentSet,
             "certificate fails verification: "
             + "; ".join(v.describe() for v in report.violations[:5]))
     d = qis.d
-    by_xa: dict[tuple[int, int], np.ndarray] = {}
-    by_yb: dict[tuple[int, int], np.ndarray] = {}
-    for (i, v), p in qis.projectors.items():
-        x, y, a, b = gg.vertices[v]
-        by_xa.setdefault((x, a), np.zeros((d, d)))
-        by_xa[(x, a)] += p
-        by_yb.setdefault((y, b), np.zeros((d, d)))
-        by_yb[(y, b)] += p
+    keys = list(qis.projectors)
+    stack = _stack_entries(qis, keys)
+    quads = np.array([gg.vertices[v] for _, v in keys],
+                     dtype=np.intp).reshape(len(keys), 4)
 
-    def build_side(n_inputs: int, n_answers: int, sums: dict) -> tuple:
-        families = []
-        for x in range(n_inputs):
-            family = []
-            total = np.zeros((d, d))
-            for a in range(n_answers):
-                s = sums.get((x, a))
-                p = supp(s) if s is not None else np.zeros((d, d))
-                family.append(p)
-                total += p
-            family.append(np.eye(d) - total)  # completion outcome
-            families.append(tuple(family))
-        return tuple(families)
+    def build_side(n_inputs: int, n_answers: int, question: int,
+                   answer: int) -> tuple:
+        # the player's input and answer sit at these places of a quadruple;
+        # np.add.at adds the entries in dict order
+        sums = np.zeros((n_inputs, n_answers, d, d))
+        np.add.at(sums, (quads[:, question], quads[:, answer]), stack)
+        projectors = supp(sums)
+        completion = np.eye(d) - projectors.sum(axis=1)
+        return tuple(tuple(family) + (rest,)
+                     for family, rest in zip(projectors, completion))
 
     return QuantumStrategy(
         dA=d, dB=d, state=_maximally_entangled(d),
-        alice=build_side(g.nx, g.na, by_xa),
-        bob=build_side(g.ny, g.nb, by_yb))
+        alice=build_side(g.nx, g.na, 0, 2), bob=build_side(g.ny, g.nb, 1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -448,105 +544,12 @@ def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# Catalog strategies (test fixtures shipped with the library)
-
-
-def strategy_from_classical(g: Game, fa, fb) -> QuantumStrategy:
-    """Deterministic answers as 1-dimensional projective measurements."""
-    alice = tuple(tuple(np.ones((1, 1)) if a == fa[x] else np.zeros((1, 1))
-                        for a in range(g.na)) for x in range(g.nx))
-    bob = tuple(tuple(np.ones((1, 1)) if b == fb[y] else np.zeros((1, 1))
-                      for b in range(g.nb)) for y in range(g.ny))
-    return QuantumStrategy(1, 1, np.ones(1, dtype=complex), alice, bob)
-
-
-def _qubit_projectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto cos(t)|0> + sin(t)|1> and its orthogonal complement."""
-    v0 = np.array([np.cos(angle), np.sin(angle)])
-    v1 = np.array([-np.sin(angle), np.cos(angle)])
-    return np.outer(v0, v0), np.outer(v1, v1)
-
-
-def chsh_optimal_strategy() -> QuantumStrategy:
-    """The optimal qubit strategy for the CHSH game.
-
-    Alice measures in the bases at angles 0 and pi/4 (the Z and X
-    eigenbases), Bob at angles pi/8 and -pi/8, on the state
-    (|00> + |11>)/sqrt(2); every question pair then succeeds with
-    probability cos^2(pi/8).
-    """
-    alice = (tuple(_qubit_projectors(0.0)), tuple(_qubit_projectors(np.pi / 4)))
-    bob = (tuple(_qubit_projectors(np.pi / 8)),
-           tuple(_qubit_projectors(-np.pi / 8)))
-    state = np.zeros(4, dtype=complex)
-    state[0] = state[3] = 1.0 / np.sqrt(2)
-    return QuantumStrategy(2, 2, state, alice, bob)
-
-
-def magic_square_observables() -> list[list[np.ndarray]]:
-    """The nine two-qubit observables of the magic square strategy.
-
-        I(x)Z   Z(x)I   Z(x)Z
-        X(x)I   I(x)X   X(x)X
-       -X(x)Z  -Z(x)X   Y(x)Y
-
-    Every row multiplies to +I and every column to -I; observables within a
-    row (or a column) commute, and all nine are real symmetric, so both
-    players measure the plain (untransposed) operators on a maximally
-    entangled pair of two-qubit registers and always agree on shared cells.
-    """
-    i2 = np.eye(2)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
-    yy = np.real(np.kron(sy, sy))
-    return [
-        [np.kron(i2, sz), np.kron(sz, i2), np.kron(sz, sz)],
-        [np.kron(sx, i2), np.kron(i2, sx), np.kron(sx, sx)],
-        [-np.kron(sx, sz), -np.kron(sz, sx), yy],
-    ]
-
-
-def magic_square_strategy() -> QuantumStrategy:
-    """The standard perfect strategy for the magic square game (d = 4).
-
-    On input x Alice jointly measures the two independent observables of row
-    x; her answer encodes the two resulting bits (the third is the even-
-    parity completion).  Bob does the same with column y using odd parity.
-    Shared state: the maximally entangled state of two two-qubit registers.
-    """
-    obs = magic_square_observables()
-    eye = np.eye(4)
-
-    def joint(o1: np.ndarray, o2: np.ndarray, outcome: int) -> np.ndarray:
-        s0 = 1.0 - 2.0 * (outcome & 1)
-        s1 = 1.0 - 2.0 * ((outcome >> 1) & 1)
-        return (eye + s0 * o1) / 2.0 @ (eye + s1 * o2) / 2.0
-
-    alice = tuple(tuple(joint(obs[x][0], obs[x][1], a) for a in range(4))
-                  for x in range(3))
-    bob = tuple(tuple(joint(obs[0][y], obs[1][y], b) for b in range(4))
-                for y in range(3))
-    return QuantumStrategy(4, 4, _maximally_entangled(4), alice, bob)
-
-
-# ---------------------------------------------------------------------------
 # JSON wire formats (complex entries as [re, im] pairs, row-major)
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _matrix_from_pairs(rows, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: malformed matrix") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"{what}: expected rows of [re, im] pairs")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def strategy_to_dict(s: QuantumStrategy) -> dict:
@@ -557,18 +560,6 @@ def strategy_to_dict(s: QuantumStrategy) -> dict:
         "alice": [[_matrix_to_pairs(p) for p in fam] for fam in s.alice],
         "bob": [[_matrix_to_pairs(p) for p in fam] for fam in s.bob],
     }
-
-
-def strategy_from_dict(doc: dict) -> QuantumStrategy:
-    for key in ("dA", "dB", "state", "alice", "bob"):
-        if key not in doc:
-            raise ValueError(f"strategy document: missing field {key!r}")
-    state = np.asarray([complex(re, im) for re, im in doc["state"]])
-    alice = tuple(tuple(_matrix_from_pairs(p, "alice") for p in fam)
-                  for fam in doc["alice"])
-    bob = tuple(tuple(_matrix_from_pairs(p, "bob") for p in fam)
-                for fam in doc["bob"])
-    return QuantumStrategy(int(doc["dA"]), int(doc["dB"]), state, alice, bob)
 
 
 def qis_to_dict(qis: QuantumIndependentSet) -> dict:

@@ -25,13 +25,13 @@ from gamebounds.gamegraph import (Graph, build_game_graph, complete_graph,
 from gamebounds.independence import (classical_value, classical_value_brute,
                                      independence_number,
                                      weighted_independence)
-from gamebounds.quantum import (check_lemma1, lift_qis_to_strategy,
-                                magic_square_strategy, strategy_to_qis,
+from gamebounds.quantum import (lift_qis_to_strategy, strategy_to_qis,
                                 verify_quantum_independent_set,
                                 winning_probability)
 from gamebounds.sdp import lovasz_theta, quantum_upper_bound, xor_tsirelson_value
 
 from conftest import random_boolean_game
+from quantum_fixtures import check_lemma1, magic_square_strategy
 
 TOL = 1e-7
 SQRT2 = np.sqrt(2.0)

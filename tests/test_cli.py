@@ -12,8 +12,9 @@ from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
 from gamebounds.independence import classical_value
 from gamebounds.quantum import (QuantumIndependentSet, qis_from_vertex_set,
-                                qis_to_dict, strategy_from_dict,
-                                winning_probability)
+                                qis_to_dict, winning_probability)
+
+from quantum_fixtures import strategy_from_dict
 
 
 def run_cli(capsys, *argv):

@@ -3,20 +3,24 @@ import time
 import numpy as np
 import pytest
 
+from gamebounds import quantum
 from gamebounds.games import all_ones, chsh, magic_square
 from gamebounds.gamegraph import build_game_graph, cycle_graph
 from gamebounds.independence import classical_value
 from gamebounds.quantum import (InvalidQuantumIndependentSet,
                                 NonCommutingStrategy, NotPseudoTelepathy,
                                 QuantumIndependentSet, QuantumStrategy,
-                                check_lemma1, chsh_optimal_strategy,
-                                lift_qis_to_strategy, magic_square_observables,
-                                magic_square_strategy, qis_from_dict,
+                                lift_qis_to_strategy, qis_from_dict,
                                 qis_from_vertex_set, qis_to_dict,
-                                strategy_from_classical, strategy_from_dict,
                                 strategy_to_dict, strategy_to_qis, supp,
                                 verify_quantum_independent_set,
                                 winning_probability)
+
+import quantum_oracle
+from conftest import random_graph
+from quantum_fixtures import (check_lemma1, chsh_optimal_strategy,
+                              magic_square_observables, magic_square_strategy,
+                              strategy_from_classical, strategy_from_dict)
 
 CHSH_OPT = 0.5 + 0.5 / np.sqrt(2.0)
 
@@ -223,6 +227,45 @@ def test_nan_certificate_is_rejected():
     report = verify_quantum_independent_set(cycle_graph(3), qis)
     assert not report.valid
     assert {v.kind for v in report.violations} == {"projector", "completeness"}
+    # among many entries only the NaN one fails: on C6, each measurement
+    # puts 1 on one vertex and 0 on the next, so every candidate pair is
+    # orthogonal until entry (1, 2) becomes NaN
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    qis = QuantumIndependentSet(3, 1, 6, {(0, 0): one, (0, 1): zero,
+                                          (1, 2): one, (1, 3): zero,
+                                          (2, 4): one, (2, 5): zero})
+    assert verify_quantum_independent_set(cycle_graph(6), qis).valid
+    qis.projectors[(1, 2)] = np.array([[np.nan]])
+    report = verify_quantum_independent_set(cycle_graph(6), qis)
+    assert [(v.kind, v.measurement, v.other_measurement, v.vertex,
+             v.other_vertex) for v in report.violations] == [
+        ("projector", 1, None, 2, None), ("completeness", 1, None, None, None),
+        ("orthogonality", 0, 1, 1, 2)]
+    assert all(np.isnan(v.magnitude) for v in report.violations)
+    # a NaN outcome inside a strategy's family still fails validation
+    s = chsh_optimal_strategy()
+    outcome = s.bob[1][0].copy()
+    outcome[0, 1] = np.nan
+    bad = QuantumStrategy(2, 2, s.state, s.alice,
+                          (s.bob[0], (outcome, s.bob[1][1])))
+    with pytest.raises(ValueError, match="non-finite"):
+        bad.validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        winning_probability(chsh(), bad)
+
+
+def test_first_bad_entry_is_named_in_dict_order():
+    one, nan = np.ones((1, 1)), np.array([[np.nan]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) has non-finite"):
+        QuantumIndependentSet(1, 1, 3, {(0, 0): one, (0, 1): nan, (0, 2): nan})
+    # a non-finite entry listed before a misfit is named, and after it not
+    with pytest.raises(ValueError, match=r"entry \(0,2\) has non-finite"):
+        QuantumIndependentSet(1, 1, 3, {(0, 2): nan, (5, 0): one})
+    with pytest.raises(ValueError, match=r"entry \(5,0\) out of range"):
+        QuantumIndependentSet(1, 1, 3, {(5, 0): one, (0, 2): nan})
+    with pytest.raises(ValueError, match=r"entry \(0,1\) has the wrong shape"):
+        QuantumIndependentSet(1, 1, 3, {(0, 0): one, (0, 1): np.ones((2, 2)),
+                                        (0, 2): nan})
 
 
 def test_nan_state_is_rejected():
@@ -527,3 +570,148 @@ def test_qis_from_dict_validation():
         qis_from_dict({"t": 1, "d": 1, "n_vertices": 2,
                        "projectors": [{"measurement": 3, "vertex": 0,
                                        "matrix": [[1.0]]}]})
+
+
+# --- stacked checks against the matrix-at-a-time oracle ---------------------
+
+def _violations(report):
+    return [(v.kind, v.measurement, v.other_measurement, v.vertex,
+             v.other_vertex) for v in report.violations]
+
+
+def _random_certificate(rng):
+    """Measurements split a real basis, drawn from a pool of two, among
+    random vertices; some lose an entry or carry scaled ones, some list
+    nothing, and one entry may turn NaN after construction."""
+    n, d, t = (int(rng.integers(1, 10)), int(rng.integers(1, 4)),
+               int(rng.integers(0, 6)))
+    graph = random_graph(rng, n, float(rng.random()))
+    bases = [np.eye(d), np.linalg.qr(rng.normal(size=(d, d)))[0]]
+    projectors = {}
+    for i in range(t):
+        style = int(rng.integers(4))  # 0 empty, 1 complete, 2 scaled, 3 holes
+        if style == 0:
+            continue
+        vertices = rng.choice(n, size=int(rng.integers(1, n + 1)),
+                              replace=False)
+        basis = bases[int(rng.integers(2))]
+        for v, idx in zip(vertices,
+                          np.array_split(rng.permutation(d), len(vertices))):
+            p = basis[:, idx] @ basis[:, idx].T
+            if style == 2:
+                p = p * rng.uniform(0.5, 1.5)
+            if style != 3 or rng.random() < 0.5:
+                projectors[(i, int(v))] = p
+    if d > 1 and not projectors:
+        t = max(t, 1)
+        projectors[(0, 0)] = np.eye(d)
+    qis = QuantumIndependentSet(t, d, n, projectors)
+    if projectors and rng.random() < 0.2:
+        keys = sorted(projectors)
+        key = keys[int(rng.integers(len(keys)))]
+        qis.projectors[key] = qis.projectors[key].copy()
+        qis.projectors[key][int(rng.integers(d)), int(rng.integers(d))] = np.nan
+    return graph, qis
+
+
+def test_verify_matches_the_loop_oracle():
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for _ in range(400):
+        graph, qis = _random_certificate(rng)
+        got = verify_quantum_independent_set(graph, qis)
+        want = quantum_oracle.verify_quantum_independent_set(graph, qis)
+        assert got.valid == want.valid
+        assert _violations(got) == _violations(want)
+        for g, w in zip(got.violations, want.violations):
+            assert (np.isnan(g.magnitude) and np.isnan(w.magnitude)
+                    or abs(g.magnitude - w.magnitude) <= 1e-12)
+        kinds |= {v.kind for v in want.violations} | {want.valid}
+    # the cases reach every verdict
+    assert kinds == {"projector", "completeness", "orthogonality", True, False}
+
+
+def _random_strategy(rng):
+    """Random projective measurements, some with one fault: a scaled or
+    NaN outcome, a missing or extra outcome, the wrong dimension, a
+    non-square outcome or an unreadable one."""
+    dims = [int(rng.integers(1, 4)) for _ in range(2)]
+    state = rng.normal(size=dims[0] * dims[1])
+    state /= np.linalg.norm(state)
+
+    def family(dim):
+        fam = list(_random_projective_family(rng, dim,
+                                             int(rng.integers(1, dim + 1))))
+        a = int(rng.integers(len(fam)))
+        fault = int(rng.integers(16))
+        if fault == 0:
+            fam[a] = 0.5 * fam[a]
+        elif fault == 1:
+            fam.pop(a)
+        elif fault == 2:
+            fam[a] = fam[a].copy()
+            fam[a][0, 0] = np.nan
+        elif fault == 3:
+            fam[a] = np.eye(dim + 1)
+        elif fault == 4:
+            fam[a] = np.ones((dim, dim + 1))
+        elif fault == 5:
+            fam[a] = [[1.0], [1.0, 2.0]]
+        elif fault == 6:
+            fam.append(np.zeros((dim, dim)))
+        return tuple(fam)
+
+    return QuantumStrategy(
+        dims[0], dims[1], state,
+        tuple(family(dims[0]) for _ in range(int(rng.integers(1, 4)))),
+        tuple(family(dims[1]) for _ in range(int(rng.integers(1, 4)))))
+
+
+def _outcome(check, s):
+    try:
+        check(s)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_matches_the_loop_oracle():
+    rng = np.random.default_rng(62)
+    messages = set()
+    for _ in range(400):
+        s = _random_strategy(rng)
+        want = _outcome(quantum_oracle.validate, s)
+        assert _outcome(QuantumStrategy.validate, s) == want
+        messages.add(want if want is None else want.split(": ")[-1][:20])
+    assert len(messages) >= 7  # passes, and each kind of failure
+
+
+def test_orthogonality_order_across_row_blocks():
+    # measurement i on vertex i of C_K, with more entries than one row
+    # block holds: exactly the K cycle edges fail, in (i, j) order
+    k = int(np.sqrt(quantum._PAIR_BLOCK_ENTRIES)) + 100
+    assert quantum._PAIR_BLOCK_ENTRIES // k < k
+    one = np.ones((1, 1))
+    qis = QuantumIndependentSet(k, 1, k, {(i, i): one for i in range(k)})
+    report = verify_quantum_independent_set(cycle_graph(k), qis)
+    assert [(v.kind, v.measurement, v.other_measurement, v.vertex,
+             v.other_vertex, v.magnitude) for v in report.violations] == (
+        [("orthogonality", 0, 1, 0, 1, 1.0),
+         ("orthogonality", 0, k - 1, 0, k - 1, 1.0)]
+        + [("orthogonality", i, i + 1, i, i + 1, 1.0) for i in range(1, k - 1)])
+
+
+def test_supp_of_a_stack_is_supp_of_each_matrix():
+    rng = np.random.default_rng(63)
+    for d in (1, 2, 3, 5):
+        mats = []
+        for r in rng.integers(0, d + 1, size=12):
+            a = rng.normal(size=(r, d))
+            mats.append(a.T @ a * 10.0 ** rng.integers(-3, 3))
+        stack = np.array(mats).reshape(3, 4, d, d)
+        out = supp(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(out[idx], supp(stack[idx]))
+    with pytest.raises(ValueError, match=r"lambda_min=-2\.000e\+00"):
+        supp(np.array([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)]))
