@@ -9,7 +9,7 @@ and quantum independent sets certify lower bounds via lifted strategies.
 from .games import (Game, ClassicalStrategy, GameFormatError, SizeCapError,
                     chsh, magic_square, xor_game, all_ones,
                     parallel_repetition, independent_set_game,
-                    eval_predicate, strategy_value)
+                    strategy_value)
 from .gameio import parse_game, serialize_game, load_game
 from .gamegraph import (Graph, GameGraph, build_game_graph,
                         build_weighted_game_graph, to_plain_graph,

@@ -106,11 +106,6 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, tuple([0] * n))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = g.edges() + [(i + g.n, j + g.n) for i, j in h.edges()]
-    return Graph.from_edges(g.n + h.n, edges)
-
-
 @dataclass(frozen=True)
 class GameGraph:
     """Graph on the winning quadruples of a game, in lexicographic order.

@@ -88,15 +88,6 @@ class Game:
         return [tuple(int(v) for v in q) for q in idx]
 
 
-def eval_predicate(g: Game, x: int, y: int, a: int, b: int) -> float:
-    """Predicate value for one question/answer quadruple."""
-    if not (0 <= x < g.nx and 0 <= y < g.ny and 0 <= a < g.na and 0 <= b < g.nb):
-        raise IndexError(
-            f"quadruple ({x},{y},{a},{b}) out of range for sizes "
-            f"{g.nx},{g.ny},{g.na},{g.nb}")
-    return float(g.predicate[x, y, a, b])
-
-
 @dataclass(frozen=True)
 class ClassicalStrategy:
     """A deterministic strategy pair: answer tables indexed by the inputs."""

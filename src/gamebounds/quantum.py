@@ -104,20 +104,24 @@ class QuantumStrategy:
     alice: tuple[tuple[np.ndarray, ...], ...]
     bob: tuple[tuple[np.ndarray, ...], ...]
 
-    def validate(self, tol: float = MEASUREMENT_TOL) -> None:
+    def validate(self, tol: float = MEASUREMENT_TOL
+                 ) -> list[tuple[np.ndarray, list[int]]]:
         """Raise ValueError at the first failing check.  Measurements are
         checked in order, Alice's first; within one, every outcome must be a
         finite square matrix, then of the right dimension, then a projector,
         and then the outcomes must sum to the identity.  Each player's
-        outcomes are checked as one stack."""
+        outcomes are checked as one stack; returns Alice's and Bob's
+        (stack, starts) from _stack_families."""
         state = np.asarray(self.state, dtype=complex).ravel()
         if state.shape[0] != self.dA * self.dB:
             raise ValueError("state length must be dA*dB")
         if not abs(np.linalg.norm(state) - 1.0) <= STATE_TOL:
             raise ValueError("state is not normalized")
+        stacks = []
         for side, dim, fams in (("alice", self.dA, self.alice),
                                 ("bob", self.dB, self.bob)):
             stack, starts = _stack_families(fams, dim)
+            stacks.append((stack, starts))
             finite = np.isfinite(stack).all(axis=(-2, -1))
             projector, completeness = _defects(stack, starts)
             bad = ~finite | ~(projector <= tol)
@@ -145,6 +149,7 @@ class QuantumStrategy:
                     f"{side} input {x} outcome {failed[0]}: not a projector")
             raise ValueError(
                 f"{side} input {x}: measurement does not sum to identity")
+        return stacks
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -158,19 +163,18 @@ def winning_probability(g: Game, s: QuantumStrategy) -> float:
 
     With psi reshaped to the dA x dB matrix M, every term is
     <psi| P (x) Q |psi> = tr(M^H P M Q^T), whatever the state: M^H P M is
-    formed once per (x, a), and the traces against Bob's first nb
-    projectors are one matrix product.
+    one batched product over the first na outcomes of validate's stack for
+    Alice, and the traces against the first nb of Bob's are one matrix
+    product.
     """
     if len(s.alice) != g.nx or len(s.bob) != g.ny:
         raise ValueError("strategy does not match the game's input sets")
     if any(len(f) < g.na for f in s.alice) or any(len(f) < g.nb for f in s.bob):
         raise ValueError("strategy has fewer outcomes than the game has answers")
-    s.validate()
+    (alice, a_starts), (bob, b_starts) = s.validate()
     m = np.asarray(s.state, dtype=complex).reshape(s.dA, s.dB)
-    alice = np.array([[m.conj().T @ np.asarray(p, dtype=complex) @ m
-                       for p in fam[:g.na]] for fam in s.alice])
-    bob = np.array([[np.asarray(q, dtype=complex) for q in fam[:g.nb]]
-                    for fam in s.bob])
+    alice = m.conj().T @ alice[np.add.outer(a_starts, np.arange(g.na))] @ m
+    bob = bob[np.add.outer(b_starts, np.arange(g.nb))]
     # tr(A Q^T) = sum_ij A_ij Q_ij
     pairs = np.real(alice.reshape(g.nx * g.na, -1)
                     @ bob.reshape(g.ny * g.nb, -1).T)

@@ -14,20 +14,20 @@ colour refinement on the vertices (weights in the initial colouring): when
 it separates every vertex, every edge is its own class and the program is
 the per-edge one.  Otherwise 2-WL on pairs gives the closure.
 
-The program is described once, as (objective, row multiplicities,
-constraint map a_map with its adjoint a_adj over the class-sorted edges,
-lift to n x n, Schur builder), with b = (1, 0, ..., 0), and one solver takes
-the description, as it takes the XOR program (unit diagonal): a primal-dual
+The program is described once, as (objective, row multiplicities, constraint
+map a_map with its adjoint a_adj over the class-sorted edges, lift to n x n,
+Schur builder), with b = (1, 0, ..., 0), and one solver takes the
+description, as it takes the XOR program (unit diagonal): a primal-dual
 interior-point method (HKM direction, Mehrotra predictor-corrector) that
 factors the m x m Schur complement every iteration, m = classes + 1.  It
-aims for a bracket tol wide and stops there, or when a factorization fails,
-STALL_STEPS steps in a row do not narrow the bracket or MAX_ITERATIONS
-steps have run, keeping the narrowest bracket seen.  The step cap is a fixed
-constant, read at each solve and far above every measured step count; it
-only bounds the time of a pathological solve.  The Schur matrix takes
-8 m^2 bytes, so a theta program with more than MAX_CONSTRAINTS constraints
-raises SizeCapError as soon as its classes are known, before any m x m
-array exists.
+reads each iterate's bracket [lower, upper] with _certify, aims for a
+bracket tol wide and stops there, or when a factorization fails, STALL_STEPS
+steps in a row do not narrow the bracket or MAX_ITERATIONS steps have run,
+keeping the narrowest bracket seen.  The step cap is a fixed constant, read
+at each solve and far above every measured step count; it only bounds the
+time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
+theta program with more than MAX_CONSTRAINTS constraints raises SizeCapError
+as soon as its classes are known, before any m x m array exists.
 
 The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
@@ -45,14 +45,14 @@ the one-block case, whose Schur builder computes one representative row per
 class.  No step lifts an iterate, and each step's bracket, which only
 decides when to stop, is read inside the program.
 
-The solve ends in one full-size certificate on the lifted primal, which
-works edge by edge, whatever the classes or blocks.  A feasibility-repaired
-primal matrix provides a true lower bound on the optimum and a repaired
-dual multiplier a true upper bound, so value and dual_bound always bracket
-the exact theta up to eigensolver precision; a partition that is too
-coarse or a wrong block basis only widens the bracket.  converged is set in one place: the repaired
-bracket is at most 10*tol wide (times the largest objective entry, when
-that exceeds 1).
+The solve ends in _certify on the per-edge n x n program, whatever the
+classes or blocks: the lifted primal, averaged over the pair colours, and
+the dual with each edge given its class's multiplier.  value and
+dual_bound then bracket the exact theta up to eigensolver precision, with
+every edge of the primal exactly 0; a partition that is too coarse or a
+wrong block basis only widens the bracket.  converged is set in one place:
+that bracket is at most 10*tol wide (times the largest objective entry,
+when that exceeds 1).  The XOR value is the midpoint of its bracket.
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ class NotXorGame(ValueError):
 class ThetaResult:
     """Certified theta computation.
 
-    value is the objective of a strictly feasible primal matrix (a true lower
-    bound); dual_bound comes from a repaired dual-feasible solution (a true
-    upper bound); gap = dual_bound - value.  m is the number of constraints
-    of the program solved (edge classes + 1) and blocks its (n_i, m_i)
-    block sizes and multiplicities, ((n, 1),) for the n x n program; both
-    are 0 and () when the graph has no vertex.
+    value is the objective of a feasible primal matrix (a true lower bound)
+    and dual_bound that of a feasible dual (a true upper bound), both from
+    _certify on the per-edge program; gap = dual_bound - value.  m is the
+    number of constraints of the program solved (edge classes + 1) and
+    blocks its (n_i, m_i) block sizes and multiplicities, ((n, 1),) for the
+    n x n program; both are 0 and () when the graph has no vertex.
     """
 
     value: float
@@ -114,11 +114,38 @@ class ThetaResult:
 
 def _affine_projection(a_map, a_adj, m: int):
     """project(W, r) = W + a_adj((r - a_map(W)) / gram), the orthogonal
-    projection onto {a_map(W) = r}, which gives _ipm_sdp its start and keeps
-    each of its primal steps feasible; the m constraint matrices must be
-    mutually orthogonal, so that gram = diag(A A^T) is all of A A^T."""
+    projection onto {a_map(W) = r}: _ipm_sdp's start, its feasible primal
+    steps and _certify's primal; the m constraint matrices must be mutually
+    orthogonal, so that gram = diag(A A^T) is all of A A^T."""
     gram = a_map(a_adj(np.ones(m)))
     return lambda w, r: w + a_adj((r - a_map(w)) / gram)
+
+
+def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray):
+    """certify(x, y) = (X, lower, upper) for the program _ipm_sdp takes,
+    from any square x and y: lower = <c, X> (rows weighted by mult) is the
+    objective of the feasible X and upper that of a feasible dual, so
+    lower <= optimum <= upper up to eigensolver roundoff.
+
+    X is x symmetrized and projected onto {a_map(X) = b}; if its least
+    eigenvalue lam is negative, it becomes (X - lam I) / (1 - lam n / b.b)
+    with n = sum(mult), which is feasible as a_map(I) = (n / b.b) b when
+    a_adj(b) = I and the constraints where b is nonzero have equal norms.
+    The dual y + t b, t = lambda_max(c - a_adj(y)), has the PSD slack
+    a_adj(y) - c + t I and the objective b.y + (b.b) t."""
+    project = _affine_projection(a_map, a_adj, len(b))
+    n, bb, weights = float(np.sum(mult)), float(b @ b), mult[:, None]
+
+    def certify(x, y):
+        x = project(0.5 * (x + x.T), b)
+        lam_min = float(np.linalg.eigvalsh(x)[0])
+        if lam_min < 0.0:
+            x[np.diag_indices(x.shape[0])] -= lam_min
+            x /= 1.0 - lam_min * n / bb
+        lam_max = float(np.linalg.eigvalsh(c - a_adj(y))[-1])
+        return x, float(np.sum(c * x * weights)), float(b @ y) + bb * lam_max
+
+    return certify
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -223,10 +250,11 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
 
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             bracket, target: float, mult: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, int]:
+             target: float, mult: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
-    s.t. Z = a_adj(y) - c PSD; returns (X, y, iterations).
+    s.t. Z = a_adj(y) - c PSD; returns (X, y, lower, upper, iterations),
+    with lower <= optimum <= upper the ends _certify reads off (X, y).
 
     The only SDP solver here: it takes the theta program from either
     builder and the XOR program.  Primal-dual interior point with the HKM
@@ -243,18 +271,19 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     Both programs have a_adj(b) = I, so the start is strictly feasible: X
     the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
     y = t b, Z = t I - C, with t above the Gershgorin bound of C.
-    Iteration stops once bracket(X, y), which returns (lower, upper, ...),
-    is at most target wide, or when a factorization fails, STALL_STEPS
-    steps in a row do not narrow it or MAX_ITERATIONS steps have run; the
-    iterate with the narrowest bracket is returned.
+    Every step's iterate is certified; iteration stops once its ends are at
+    most target apart, or when a factorization fails, STALL_STEPS steps in
+    a row do not narrow them or MAX_ITERATIONS steps have run, and returns
+    the iterate with the narrowest ends (the start if no step was taken).
     """
     size = c.shape[0]
     weights = mult[:, None]
     project = _affine_projection(a_map, a_adj, len(b))
+    certify = _certify(c, b, a_map, a_adj, mult)
     x = project(np.zeros((size, size)), b)
     y = (1.0 + float(np.max(np.sum(np.abs(c), axis=1)))) * b
     z = a_adj(y) - c
-    best = (np.inf, x, y)
+    best = (np.inf, x, y, None)
     low = np.zeros((len(y), len(y)))
     stalled = 0
     it = 0
@@ -264,16 +293,16 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
                                 x, y, z, low)
         except np.linalg.LinAlgError:
             break
-        lower, upper = bracket(x, y)[:2]
-        gap = upper - lower
+        certificate = certify(x, y)
+        gap = certificate[2] - certificate[1]
         if gap < best[0]:
-            best, stalled = (gap, x, y), 0
+            best, stalled = (gap, x, y, certificate), 0
         else:
             stalled += 1
         if gap <= target or stalled == STALL_STEPS:
             break
-    _, x, y = best
-    return x, y, it
+    _, x, y, certificate = best
+    return (x, y) + (certificate or certify(x, y))[1:] + (it,)
 
 
 def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
@@ -549,7 +578,8 @@ def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResult:
     """Theta of graph with objective c: one _ipm_sdp solve of the program
     that _block_program describes when some block repeats and
-    _theta_program describes otherwise, then one full-size certificate."""
+    _theta_program describes otherwise, then _certify on the per-edge
+    n x n program."""
     n = graph.n
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
@@ -557,74 +587,37 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
         raise SizeCapError(f"theta program has {m} constraints "
                            f"(cap {MAX_CONSTRAINTS})")
     average = _class_average(colours)
-    program = _theta_program(c, ei, ej, starts, average)
-    # the certificate reads the dual through the n x n adjoint on every path
-    full_adj = program[3]
-
-    def repair(z, dual):
-        # Primal: average over the pair colouring (onto the coherent
-        # algebra, which keeps X PSD and spreads each class sum over its
-        # edges), zero the edge entries exactly, shift away any negative
-        # eigenvalue, renormalize the trace.  The result is feasible for any
-        # colouring, so its objective is a valid lower bound on theta.
-        repaired = z.copy() if average is None else average(z)
-        repaired[ei, ej] = repaired[ej, ei] = 0.0
-        repaired = 0.5 * (repaired + repaired.T)
-        lam_min = float(np.linalg.eigvalsh(repaired)[0])
-        if lam_min < 0.0:
-            repaired += (-lam_min) * np.eye(n)
-        trace = float(np.trace(repaired))
-        if trace <= 0.0:
-            repaired = np.eye(n) / n
-        else:
-            repaired /= trace
-        value = float(np.sum(c * repaired))
-        # Dual: at optimality C - dual = s*I + Y with Y supported on the
-        # edges; any edge-supported Y gives the upper bound lambda_max(C - Y),
-        # so Y takes each edge's own entry of C - dual, whatever the classes.
-        s = c - dual
-        y = np.zeros((n, n))
-        y[ei, ej] = y[ej, ei] = 0.5 * (s[ei, ej] + s[ej, ei])
-        dual_bound = float(np.linalg.eigvalsh(c - y)[-1])
-        return value, dual_bound, repaired
-
     bases = None if colours is None else _block_bases(colours, c)
     if bases is None:
+        program = _theta_program(c, ei, ej, starts, average)
         blocks = ((n, 1),)
     else:
         program = _block_program(c, bases, ei, ej, starts)
         blocks = tuple((p.shape[1], k) for p, k in bases)
     cb, mult, a_map, a_adj, lift, schur = program
-    b = np.zeros(m)
-    b[0] = 1.0
-    gram = a_map(a_adj(np.ones(m)))
-
-    def bracket(x, y):
-        # the stopping rule: the certificate above done inside the program,
-        # where removing a class sum stands in for zeroing its edges (in the
-        # algebra a zero class sum zeroes every edge of the class)
-        sums = a_map(x)
-        x = x - a_adj(np.concatenate(([0.0], sums[1:] / gram[1:])))
-        lam_min = min(0.0, float(np.linalg.eigvalsh(x)[0]))
-        x[np.diag_indices(cb.shape[0])] -= lam_min
-        trace = sums[0] - lam_min * n
-        value = (float(np.sum(cb * x * mult[:, None])) / trace if trace > 0.0
-                 else float(np.diag(cb) @ mult) / n)
-        # C - sum_{k >= 1} y_k A_k = (C - a_adj(y)) + y_0 I
-        return value, float(np.linalg.eigvalsh(cb - a_adj(y))[-1]) + y[0]
-
+    b = np.append(1.0, np.zeros(m - 1))
     scale = max(1.0, float(np.max(np.abs(c))))
     # aim for a bracket tol wide but certify at 10*tol: the reported ends
     # then sit well inside the certified width (aiming at 10*tol left the
     # CHSH lower end 5.9e-7 below 2 + sqrt(2)), and a solve that stalls just
     # short of tol still certifies
-    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, bracket,
-                                tol * scale, mult)
-    value, dual_bound, repaired = repair(lift(x), c - full_adj(y))
+    x, y, _, _, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur,
+                                      tol * scale, mult)
+    # the per-edge program's certificate: the lifted primal averaged over the
+    # pair colours (still PSD, each class sum spread over its edges), each
+    # edge with its class's multiplier; the projection zeroes every edge
+    edge_b = np.append(1.0, np.zeros(len(ei)))
+    sizes = np.diff(np.append(starts, len(ei)))
+    edge_y = np.append(y[0], np.repeat(y[1:], sizes))
+    x = lift(x) if average is None else average(lift(x))
+    _, edge_mult, edge_map, edge_adj = _theta_program(
+        c, ei, ej, np.arange(len(ei)), None)[:4]
+    primal, value, dual_bound = _certify(c, edge_b, edge_map, edge_adj,
+                                         edge_mult)(x, edge_y)
     gap = dual_bound - value
     converged = gap <= 10.0 * tol * scale
     return ThetaResult(value, dual_bound, gap, iterations, converged,
-                       repaired, m, blocks)
+                       primal, m, blocks)
 
 
 def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL) -> ThetaResult:
@@ -713,31 +706,8 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
     c = np.zeros((n, n))
     c[:g.nx, g.nx:] = d / 2.0
     c[g.nx:, :g.nx] = d.T / 2.0
-
-    def bracket(z, t):
-        # Dual: Diag(t) - C is the dual slack; shifting t makes it PSD, and
-        # sum(t) upper-bounds the correlation term.
-        lam_max = float(np.linalg.eigvalsh(c - np.diag(t))[-1])
-        upper = float(np.sum(t) + n * max(lam_max, 0.0))
-        # Primal: PSD-project, pin the diagonal to exactly 1, then shift
-        # away any eigenvalue debris (the shift keeps the unit diagonal),
-        # so the result is a genuinely feasible Gram matrix.
-        w, v = np.linalg.eigh(0.5 * (z + z.T))
-        zpos = (v * np.maximum(w, 0.0)) @ v.T
-        scale = np.sqrt(np.maximum(np.diag(zpos), 1e-12))
-        gram = zpos / np.outer(scale, scale)
-        np.fill_diagonal(gram, 1.0)
-        gram = 0.5 * (gram + gram.T)
-        lam_min = float(np.linalg.eigvalsh(gram)[0])
-        if lam_min < 0.0:
-            gram = (gram - lam_min * np.eye(n)) / (1.0 - lam_min)
-        lower = float(np.sum(c * gram))
-        return lower, upper
-
-    # unit diagonal: A_k = E_kk, so M = X o Z^-1
-    x, y, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag, np.multiply,
-                       bracket, tol, np.ones(n))
-    lower, upper = bracket(x, y)
-    # lower and upper bracket the exact correlation optimum; return the
-    # midpoint, which is within (upper - lower)/2 of the truth.
+    # unit diagonal: A_k = E_kk, so M = X o Z^-1; the ends bracket the exact
+    # correlation optimum, and their midpoint is within half their distance
+    _, _, lower, upper, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag,
+                                     np.multiply, tol, np.ones(n))
     return constant + 0.5 * (lower + upper)

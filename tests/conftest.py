@@ -28,6 +28,20 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    edges = g.edges() + [(i + g.n, j + g.n) for i, j in h.edges()]
+    return Graph.from_edges(g.n + h.n, edges)
+
+
+def eval_predicate(g: Game, x: int, y: int, a: int, b: int) -> float:
+    """Predicate value for one question/answer quadruple."""
+    if not (0 <= x < g.nx and 0 <= y < g.ny and 0 <= a < g.na and 0 <= b < g.nb):
+        raise IndexError(
+            f"quadruple ({x},{y},{a},{b}) out of range for sizes "
+            f"{g.nx},{g.ny},{g.na},{g.nb}")
+    return float(g.predicate[x, y, a, b])
+
+
 def alpha_by_enumeration(g: Graph) -> int:
     """Exhaustive subset check; usable up to ~20 vertices."""
     best = 0

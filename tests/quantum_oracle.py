@@ -56,6 +56,20 @@ def validate(s, tol: float = MEASUREMENT_TOL) -> None:
                     f"{side} input {x}: measurement does not sum to identity")
 
 
+def winning_probability(g, s) -> float:
+    """`quantum.winning_probability`, one outcome at a time."""
+    validate(s)
+    m = np.asarray(s.state, dtype=complex).reshape(s.dA, s.dB)
+    alice = np.array([[m.conj().T @ np.asarray(p, dtype=complex) @ m
+                       for p in fam[:g.na]] for fam in s.alice])
+    bob = np.array([[np.asarray(q, dtype=complex) for q in fam[:g.nb]]
+                    for fam in s.bob])
+    pairs = np.real(alice.reshape(g.nx * g.na, -1)
+                    @ bob.reshape(g.ny * g.nb, -1).T)
+    pairs = pairs.reshape(g.nx, g.na, g.ny, g.nb).transpose(0, 2, 1, 3)
+    return float(np.sum(g.distribution[:, :, None, None] * g.predicate * pairs))
+
+
 def verify_quantum_independent_set(graph, qis,
                                    tol: float = MEASUREMENT_TOL) -> QisReport:
     """`quantum.verify_quantum_independent_set`, one pair at a time."""

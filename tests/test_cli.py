@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -87,7 +88,7 @@ def test_analyze_rep2(capsys):
 @pytest.mark.parametrize("game,tol", [("isg-c5-t2", "0.5"),
                                       ("chsh", "1000")])
 def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
-    # theta_over_k is the repaired dual bound over k, an upper bound on the
+    # theta_over_k is the certified dual bound over k, an upper bound on the
     # entangled value at any tolerance, so it never falls below omega
     code, out, _ = run_cli(capsys, "analyze", game, "--tol", tol, "--json")
     assert code == 0
@@ -127,6 +128,24 @@ def test_catalog_theta_takes_interior_point_steps(capsys, argv):
     theta = json.loads(out)["theta"]
     assert theta["converged"] is True
     assert theta["iterations"] < 25
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["chsh"], "3a0ebbebf3666f59"),
+    (["isg-c5-t2"], "f550cb924c4f772e"),
+    (["isg-c5-t3"], "6e2a1f00c79e9b67"),
+    (["magic-square"], "9e4d13133a8fdb40"),
+    (["magic-square", "--weighted"], "bbd5a7e877ab1fb1"),
+    (["chsh", "--rep", "2"], "c742bd9a236114db"),
+    (["chsh", "--weighted"], "b792d2213091ff68")],
+    ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square",
+         "magic-square-weighted", "chsh-rep2", "chsh-weighted"])
+def test_catalog_reports_are_pinned(capsys, argv, digest):
+    # the sha256 prefix of each catalog report: a change that moves any
+    # printed bit has to re-pin it and list what moved
+    code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 _MAGIC_SQUARE_WITNESS = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0),

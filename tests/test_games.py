@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from gamebounds.games import (Game, GameFormatError, SizeCapError, all_ones,
-                              chsh, eval_predicate, independent_set_game,
+                              chsh, independent_set_game,
                               magic_square, parallel_repetition, strategy_value,
                               xor_game, ClassicalStrategy)
 from gamebounds.gamegraph import cycle_graph
 
-from conftest import random_boolean_game
+from conftest import eval_predicate, random_boolean_game
 
 
 def test_chsh_predicate_entries():

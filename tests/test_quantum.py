@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gamebounds import quantum
-from gamebounds.games import all_ones, chsh, magic_square
+from gamebounds.games import (Game, all_ones, chsh, magic_square,
+                             uniform_distribution)
 from gamebounds.gamegraph import build_game_graph, cycle_graph
 from gamebounds.independence import classical_value
 from gamebounds.quantum import (InvalidQuantumIndependentSet,
@@ -684,6 +685,26 @@ def test_validate_matches_the_loop_oracle():
         assert _outcome(QuantumStrategy.validate, s) == want
         messages.add(want if want is None else want.split(": ")[-1][:20])
     assert len(messages) >= 7  # passes, and each kind of failure
+
+
+def test_winning_probability_matches_the_loop_oracle():
+    # the batched products over validate's stacks give the per-outcome
+    # products bit for bit, on games with fewer answers than outcomes too
+    rng = np.random.default_rng(64)
+    compared = 0
+    for _ in range(400):
+        s = _random_strategy(rng)
+        if _outcome(QuantumStrategy.validate, s) is not None:
+            continue
+        na, nb = (int(rng.integers(1, min(map(len, fams)) + 1))
+                  for fams in (s.alice, s.bob))
+        nx, ny = len(s.alice), len(s.bob)
+        g = Game("random", nx, ny, na, nb, rng.random((nx, ny, na, nb)),
+                 uniform_distribution(nx, ny))
+        assert (winning_probability(g, s)
+                == quantum_oracle.winning_probability(g, s))
+        compared += 1
+    assert compared >= 50
 
 
 def test_orthogonality_order_across_row_blocks():

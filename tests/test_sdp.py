@@ -7,13 +7,13 @@ from gamebounds.games import (SizeCapError, all_ones, chsh,
                               parallel_repetition, xor_game)
 from gamebounds.gamegraph import (Graph, build_game_graph,
                                   build_weighted_game_graph, complete_graph,
-                                  cycle_graph, disjoint_union, empty_graph,
+                                  cycle_graph, empty_graph,
                                   pipeline_graph, to_plain_graph)
 from gamebounds.independence import independence_number, weighted_independence
 from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
 
-from conftest import random_boolean_game, random_graph
+from conftest import disjoint_union, random_boolean_game, random_graph
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -81,6 +81,72 @@ def test_theta_result_invariants(monkeypatch):
         # a weighted objective scales the certified width by its largest entry
         res = weighted_theta(graph, np.full(graph.n, 9.0), tol)
         assert res.converged and res.gap <= 10 * tol * 9.0
+
+
+def _certify_cases(monkeypatch):
+    """(c, b, a_map, a_adj, mult, optimum, edges) of C5, K4 and the CHSH
+    graph, each in its class program on n x n matrices, its per-edge
+    program and its block program, and of the XOR programs of odd cycles;
+    edges is (ei, ej) for the per-edge programs and None otherwise."""
+    cases = []
+    for graph, theta in ((cycle_graph(5), SQRT5), (complete_graph(4), 1.0),
+                         (to_plain_graph(build_game_graph(chsh())),
+                          2.0 + SQRT2)):
+        c = np.ones((graph.n, graph.n))
+        ei, ej, starts, colours = _classes(graph)
+        per_edge = np.arange(len(ei))
+        blocks = sdp._block_program(c, sdp._block_bases(colours, c), ei, ej,
+                                    starts)
+        assert np.max(blocks[1]) > 1
+        for s, program, edges in (
+                (starts, sdp._theta_program(c, ei, ej, starts,
+                                            sdp._class_average(colours)),
+                 None),
+                (per_edge, sdp._theta_program(c, ei, ej, per_edge, None),
+                 (ei, ej)),
+                (starts, blocks, None)):
+            cb, mult, a_map, a_adj = program[:4]
+            b = np.zeros(len(s) + 1)
+            b[0] = 1.0
+            cases.append((cb, b, a_map, a_adj, mult, theta, edges))
+    # the XOR programs as xor_tsirelson_value hands them to the solver;
+    # every question pair is won by one parity, so the value is 1/2 plus
+    # the correlation optimum
+    ipm_sdp = sdp._ipm_sdp
+    programs = []
+
+    def spy(c, b, a_map, a_adj, schur, target, mult):
+        programs.append((c, b, a_map, a_adj, mult))
+        return ipm_sdp(c, b, a_map, a_adj, schur, target, mult)
+
+    monkeypatch.setattr(sdp, "_ipm_sdp", spy)
+    for n in (3, 5, 9):
+        xor_tsirelson_value(_odd_cycle_game(n))
+        cases.append(programs[-1] + (np.cos(np.pi / (4 * n)) ** 2 - 0.5,
+                                     None))
+    return cases
+
+
+def test_certify_is_sound_on_any_iterate(monkeypatch):
+    # random points, not solver iterates: the primal is feasible and the
+    # ends bracket the known optimum whatever x and y are
+    rng = np.random.default_rng(17)
+    for c, b, a_map, a_adj, mult, optimum, edges in _certify_cases(
+            monkeypatch):
+        size = c.shape[0]
+        for scale in (0.0, 1e-3, 1.0, 1e3):
+            w = rng.standard_normal((size, size))
+            for x in (scale * w, scale * w @ w.T):
+                y = scale * rng.standard_normal(len(b))
+                primal, lower, upper = sdp._certify(c, b, a_map, a_adj,
+                                                    mult)(x, y)
+                assert np.max(np.abs(a_map(primal) - b)) <= 1e-12
+                assert np.linalg.eigvalsh(primal)[0] >= -1e-12
+                if edges is not None:
+                    assert not np.any(primal[edges])
+                    assert not np.any(primal[edges[::-1]])
+                assert lower <= optimum + 1e-12
+                assert upper >= optimum - 1e-12
 
 
 def _criterion7_random_graphs(count, games=0):
@@ -198,7 +264,7 @@ def test_too_coarse_partition_still_brackets_theta(monkeypatch):
         assert coarse.value <= exact.dual_bound + 10 * tol
         assert coarse.dual_bound >= exact.value - 10 * tol
         # these graphs are asymmetric, so one class gives a looser program
-        # than theta and the repaired bracket stays wide
+        # than theta and the certified bracket stays wide
         assert not coarse.converged
 
 
@@ -319,19 +385,19 @@ def test_n_by_n_path_is_pinned():
     # for bit: three that 1-WL separates and the battery's random-game-1
     # (312 classes, every block of multiplicity 1)
     graphs = _criterion7_random_graphs(20, games=2)
-    pins = [(graphs[0], "0x1.ffffff9477e86p+1", "0x1.000000043425cp+2", 8),
-            (graphs[1], "0x1.7fffffb3b6e29p+1", "0x1.8000001007ea8p+1", 12),
-            (graphs[4], "0x1.7fffffe577987p+1", "0x1.800000088e9d3p+1", 8),
-            (graphs[21], "0x1.1fffffd0ae692p+3", "0x1.200000001bd63p+3", 9)]
+    pins = [(graphs[0], "0x1.ffffff9477e86p+1", "0x1.000000043425dp+2", 8),
+            (graphs[1], "0x1.7fffffb3b6e29p+1", "0x1.8000001007ea9p+1", 12),
+            (graphs[4], "0x1.7fffffe577989p+1", "0x1.800000088e9d2p+1", 8),
+            (graphs[21], "0x1.1fffffd0ae692p+3", "0x1.200000001bd67p+3", 9)]
     for graph, value, dual_bound, iterations in pins:
         res = lovasz_theta(graph)
         assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
             value, dual_bound, iterations)
     assert _classes(graphs[21])[3] is not None
     assert xor_tsirelson_value(_odd_cycle_game(9)).hex() == (
-        "0x1.fc1c5c63fd64ep-1")
+        "0x1.fc1c5c60a6d26p-1")
     assert xor_tsirelson_value(_odd_cycle_game(15)).hex() == (
-        "0x1.fe98fca772ed4p-1")
+        "0x1.fe98fca7598c1p-1")
 
 
 def test_chsh3_theta(chsh3_graph):
