@@ -247,7 +247,8 @@ def cmd_lift(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_to_json(strategy_to_dict(strategy)) + "\n")
     print(f"lifted strategy winning probability: {_format_float(value)}")
-    print(f"certified lower bound t/k: {_format_float(qis.t / g.k)}")
+    if g.is_uniform():  # t/k bounds the value only on uniform questions
+        print(f"certified lower bound t/k: {_format_float(qis.t / g.k)}")
     return EXIT_OK
 
 

@@ -4,6 +4,10 @@ Two winning quadruples (x,y,a,b) and (x',y',a',b') are adjacent when the two
 players could not both be playing a single deterministic strategy that emits
 them: same x with different a, or same y with different b.  An independent
 set therefore picks at most one consistent answer pair per question pair.
+
+A ``GameGraph`` is a ``Graph`` with its quadruples, the game's question-pair
+count and, for the weighted construction, vertex weights; every algorithm on
+a ``Graph`` takes it as it is.
 """
 
 from __future__ import annotations
@@ -107,26 +111,17 @@ def empty_graph(n: int) -> Graph:
 
 
 @dataclass(frozen=True)
-class GameGraph:
+class GameGraph(Graph):
     """Graph on the winning quadruples of a game, in lexicographic order.
 
-    Vertex i of ``graph`` is the quadruple ``vertices[i]``.  ``weights`` is
-    None for the plain 0/1 construction; for the weighted construction
+    Vertex i is the quadruple ``vertices[i]``.  ``weights`` is None for the
+    plain 0/1 construction; for the weighted construction
     weight(v) = predicate(v) * pi(x, y).
     """
 
     vertices: tuple[tuple[int, int, int, int], ...]
-    graph: Graph
     source_k: int
     weights: tuple[float, ...] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph.num_edges
 
     def objective(self) -> tuple[tuple[float, ...], int]:
         """Vertex weights and divisor of the bound pipeline.
@@ -141,7 +136,7 @@ class GameGraph:
         return self.weights, 1
 
 
-def _adjacency(vertices) -> Graph:
+def _adjacency(vertices) -> tuple[int, ...]:
     """Adjacency rule: same x with a different a, or same y with a different b."""
     rows = [0] * len(vertices)
     for q in (0, 1):  # question x with answer a, then y with answer b
@@ -154,7 +149,7 @@ def _adjacency(vertices) -> Graph:
             asked[v[q]] = asked.get(v[q], 0) | bit
         for idx, v in enumerate(vertices):
             rows[idx] |= asked[v[q]] & ~answered[v[q], v[q + 2]]
-    return Graph(len(vertices), tuple(rows))
+    return tuple(rows)
 
 
 def _graph_on(g: Game, table: np.ndarray, weighted: bool) -> GameGraph:
@@ -163,7 +158,8 @@ def _graph_on(g: Game, table: np.ndarray, weighted: bool) -> GameGraph:
     positive = table > 0.0
     vertices = tuple(map(tuple, np.argwhere(positive).tolist()))
     weights = tuple(table[positive].tolist()) if weighted else None
-    return GameGraph(vertices, _adjacency(vertices), g.k, weights)
+    return GameGraph(len(vertices), _adjacency(vertices), vertices, g.k,
+                     weights)
 
 
 def build_game_graph(g: Game) -> GameGraph:
@@ -204,13 +200,13 @@ def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
 
 def to_plain_graph(gg: GameGraph) -> Graph:
     """The adjacency of a game graph, without labels or weights."""
-    return gg.graph
+    return Graph(gg.n, gg.rows)
 
 
 def to_dimacs(gg: GameGraph) -> str:
     """DIMACS-style edge list (1-based vertex numbers)."""
     lines = [f"p edge {gg.n} {gg.num_edges}"]
-    for i, j in gg.graph.edges():
+    for i, j in gg.edges():
         lines.append(f"e {i + 1} {j + 1}")
     return "\n".join(lines) + "\n"
 

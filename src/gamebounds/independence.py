@@ -277,7 +277,7 @@ def _game_alpha(g: Game, gg: GameGraph) -> tuple[IndependenceResult,
     x, y, a, b = np.array(gg.vertices, dtype=np.int64).reshape(-1, 4).T
     witness = tuple(np.flatnonzero((fa[x] == a) & (fb[y] == b)).tolist())
     chosen = sum(1 << v for v in witness)
-    if any(gg.graph.rows[v] & chosen for v in witness):
+    if any(gg.rows[v] & chosen for v in witness):
         raise AssertionError("game search witness is not independent")
     weights, _ = gg.objective()
     alpha = IndependenceResult(float(sum(weights[v] for v in witness)),

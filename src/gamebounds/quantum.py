@@ -6,6 +6,8 @@ projectors from different measurements annihilate each other on adjacent (or
 equal) vertices.  Such a certificate lifts to a shared-entanglement strategy
 winning at least t/k of the question pairs, and a perfect strategy made of
 pairwise commuting projectors converts back into a certificate of size k.
+The checks take any ``Graph``: a game graph is one, with the quadruples a
+lift reads, and a DIMACS graph is a plain one.
 
 The checks work on stacks: a certificate's K listed entries form one
 (K, d, d) stack, its orthogonality candidates come in bounded row blocks of
@@ -251,6 +253,8 @@ class QuantumIndependentSet:
         for (i, v), mat in self.projectors.items():
             if not (_is_integer(i) and _is_integer(v)
                     and 0 <= i < self.t and 0 <= v < self.n_vertices):
+                # repr keeps a non-integer index, such as "\n", on one line
+                i, v = (k if _is_integer(k) else repr(k) for k in (i, v))
                 misfit = f"certificate entry ({i},{v}) out of range"
                 break
             mat = np.asarray(mat)
@@ -305,9 +309,7 @@ class QisReport:
 
 
 def _adjacency(graph) -> Graph:
-    """Accept a GameGraph or a plain Graph."""
-    if isinstance(graph, GameGraph):
-        return graph.graph
+    """The argument, checked to be a Graph (a GameGraph is one)."""
     if isinstance(graph, Graph):
         return graph
     raise TypeError(f"expected GameGraph or Graph, got {type(graph).__name__}")
@@ -470,8 +472,8 @@ def lift_qis_to_strategy(g: Game, gg: GameGraph, qis: QuantumIndependentSet,
 # Converting a perfect commuting strategy into a certificate
 
 
-def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
-                    gg: GameGraph | None = None) -> QuantumIndependentSet:
+def strategy_to_qis(g: Game, s: QuantumStrategy,
+                    tol: float = 1e-9) -> QuantumIndependentSet:
     """Turn a perfect strategy with pairwise commuting projectors into a
     quantum independent set of size k = |X x Y|.
 
@@ -505,8 +507,7 @@ def strategy_to_qis(g: Game, s: QuantumStrategy, tol: float = 1e-9,
                         f"{side}: extra measurement outcome beyond the answer "
                         "range carries weight; conversion needs one projector "
                         "per answer")
-    if gg is None:
-        gg = build_game_graph(g)
+    gg = build_game_graph(g)
     vertex_index = {quad: idx for idx, quad in enumerate(gg.vertices)}
     worst = 0.0
     losing = None

@@ -664,7 +664,7 @@ def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL) -> QuantumBoundResult
 def _game_graph_bound(gg: GameGraph, tol: float) -> QuantumBoundResult:
     """quantum_upper_bound on a pipeline graph already built."""
     weights, divisor = gg.objective()
-    theta = weighted_theta(gg.graph, weights, tol)
+    theta = weighted_theta(gg, weights, tol)
     return QuantumBoundResult(theta.dual_bound / divisor, theta, gg.source_k,
                               gg.weights is not None, gg)
 

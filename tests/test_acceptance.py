@@ -95,7 +95,7 @@ def test_criterion_2_alpha_equals_brute_force_uniform():
             assert via_graph.exact == via_brute.exact
             # graph branch and bound on the same game graph
             gg = via_graph.graph
-            via_bnb = weighted_independence(gg.graph, gg.objective()[0])
+            via_bnb = weighted_independence(gg, gg.objective()[0])
             assert via_bnb.value == via_graph.alpha.value
         assert time.perf_counter() - start < 30.0
 
@@ -112,7 +112,7 @@ def test_criterion_3_weighted_equals_brute_force():
             assert via_graph.exact is None  # weighted pipeline used
             assert abs(via_graph.value - via_brute.value) <= 1e-10
             gg = via_graph.graph
-            via_bnb = weighted_independence(gg.graph, gg.objective()[0])
+            via_bnb = weighted_independence(gg, gg.objective()[0])
             assert abs(via_bnb.value - via_graph.alpha.value) <= 1e-10
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from gamebounds import gamegraph, independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
+from gamebounds.gameio import load_game
 from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
 from gamebounds.independence import classical_value
@@ -489,6 +490,30 @@ def test_lift_tolerance_option(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lift", "chsh", str(path), "--tol", "1e-6")
     assert code == 0
     assert "winning probability: 0.75" in out
+
+
+@pytest.mark.parametrize("distribution", [[0.9, 0.1], [0.5, 0.5]])
+def test_lift_prints_t_over_k_only_on_uniform_questions(
+        tmp_path, capsys, distribution):
+    # the lifted strategy wins question 1 only: t/k = 1/2 is a bound on
+    # the winning probability p only when the questions are uniform
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps({
+        "name": "two-questions", "nx": 2, "ny": 1, "na": 2, "nb": 2,
+        "predicate": {"winning": [[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1],
+                                  [1, 0, 1, 0]]},
+        "distribution": distribution}))
+    qis_path = tmp_path / "qis.json"
+    qis_path.write_text(json.dumps(qis_to_dict(qis_from_vertex_set(
+        build_game_graph(load_game(str(game_path))), [2]))))
+    code, out, _ = run_cli(capsys, "lift", str(game_path), str(qis_path))
+    assert code == 0
+    lines = dict(line.rsplit(": ", 1) for line in out.splitlines())
+    p = float(lines.pop("lifted strategy winning probability"))
+    assert p == pytest.approx(distribution[1])
+    if distribution[0] == distribution[1]:
+        assert float(lines.pop("certified lower bound t/k")) == 0.5 <= p
+    assert lines == {}
 
 
 def test_analyze_magic_square(capsys):

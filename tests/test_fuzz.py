@@ -5,7 +5,7 @@ any DSL predicate evaluates or raises DslError."""
 import json
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gamebounds.cli import main
@@ -137,6 +137,9 @@ def test_dsl_evaluates_or_raises_dsl_error(text):
 
 @SETTINGS
 @given(doc=certificates)
+# a string index that prints as a line break must not split the error line
+@example(doc={"t": 0, "d": 1, "n_vertices": 8, "projectors": [
+    {"measurement": 0, "vertex": "\n", "matrix": [[1.0]]}]})
 def test_any_certificate_verifies_lifts_or_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "qis.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gamebounds import gamegraph
 from gamebounds.games import (Game, SizeCapError, all_ones, chsh,
                               parallel_repetition)
-from gamebounds.gamegraph import (Graph, build_game_graph,
+from gamebounds.gamegraph import (GameGraph, Graph, build_game_graph,
                                   build_weighted_game_graph, cycle_graph,
                                   dimacs_sidecar, parse_dimacs, pipeline_graph,
                                   to_dimacs, to_plain_graph)
@@ -18,7 +20,7 @@ def test_chsh_game_graph_counts():
     gg = build_game_graph(chsh())
     assert gg.n == 8
     assert gg.num_edges == 12
-    assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
+    assert set(gg.edges()) == naive_game_graph_edges(gg.vertices)
 
 
 def test_all_ones_1122_graph():
@@ -26,7 +28,7 @@ def test_all_ones_1122_graph():
     assert gg.n == 4
     # every pair differing in a is adjacent, and every pair differing in b;
     # only identical answer pairs are non-adjacent, so this is K4
-    assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
+    assert set(gg.edges()) == naive_game_graph_edges(gg.vertices)
     assert gg.num_edges == 6
 
 
@@ -45,10 +47,10 @@ def test_edge_rule_matches_naive_reference():
     for _ in range(30):
         g = random_boolean_game(rng)
         gg = build_game_graph(g)
-        assert set(gg.graph.edges()) == naive_game_graph_edges(gg.vertices)
+        assert set(gg.edges()) == naive_game_graph_edges(gg.vertices)
         # no edge between same-x vertices sharing the answer a via the x-rule:
         # verify no self-inconsistent adjacency was produced
-        for i, j in gg.graph.edges():
+        for i, j in gg.edges():
             xi, yi, ai, bi = gg.vertices[i]
             xj, yj, aj, bj = gg.vertices[j]
             assert (xi == xj and ai != aj) or (yi == yj and bi != bj)
@@ -61,7 +63,7 @@ def test_weighted_graph_uniform_matches_unweighted():
         gg = build_game_graph(g)
         wgg = build_weighted_game_graph(g)
         assert wgg.vertices == gg.vertices
-        assert wgg.graph == gg.graph
+        assert to_plain_graph(wgg) == to_plain_graph(gg)
         assert np.allclose(wgg.weights, 1.0 / g.k)
         # the bound pipeline's objective: unit weights over k, weights over 1
         assert gg.objective() == ((1.0,) * gg.n, g.k)
@@ -130,6 +132,19 @@ def test_to_plain_graph_preserves_adjacency():
     empty = build_game_graph(
         Game("none", 1, 1, 1, 1, np.zeros((1, 1, 1, 1)), np.ones((1, 1))))
     assert to_plain_graph(empty).n == 0
+
+
+def test_a_game_graph_is_a_graph():
+    gg = pipeline_graph(chsh())
+    assert isinstance(gg, Graph)
+    assert [f.name for f in dataclasses.fields(gg)] == [
+        "n", "rows", "vertices", "source_k", "weights"]
+    assert not {"n", "num_edges", "graph"} & set(vars(GameGraph))
+    plain = to_plain_graph(gg)
+    assert type(plain) is Graph and (plain.n, plain.rows) == (gg.n, gg.rows)
+    # the labels do not exempt the rows from Graph's checks
+    with pytest.raises(ValueError, match="symmetric"):
+        GameGraph(2, (2, 0), ((0, 0, 0, 0), (0, 0, 1, 1)), 1)
 
 
 def test_graph_validation():

@@ -245,7 +245,7 @@ def test_graph_branch_and_bound_is_pinned(name, rep, weighted, nodes, witness):
     if rep > 1:
         g = parallel_repetition(g, rep)
     gg = pipeline_graph(g, weighted)
-    res = weighted_independence(gg.graph, gg.objective()[0])
+    res = weighted_independence(gg, gg.objective()[0])
     assert res.nodes_explored == nodes
     assert [gg.vertices[v] for v in res.witness] == witness
 

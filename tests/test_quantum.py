@@ -288,6 +288,14 @@ def test_classical_embedding_on_plain_graph():
     assert report.violations[0].magnitude == pytest.approx(1.0)
 
 
+def test_certificate_checks_refuse_a_non_graph():
+    qis = qis_from_vertex_set(cycle_graph(5), [0, 2])
+    with pytest.raises(TypeError, match="expected GameGraph or Graph, got"):
+        verify_quantum_independent_set(cycle_graph(5).rows, qis)
+    with pytest.raises(TypeError, match="got dict"):
+        qis_from_vertex_set({}, [0])
+
+
 def test_constructed_violation_reported():
     c5 = cycle_graph(5)
     p = np.ones((1, 1))
@@ -444,7 +452,7 @@ def test_lift_two_dimensional_certificate():
     gg = build_game_graph(g)
 
     def independent(vs):
-        return all(not gg.graph.has_edge(u, v)
+        return all(not gg.has_edge(u, v)
                    for u in vs for v in vs if u != v)
 
     first = classical_value(g).alpha.witness  # size 3

@@ -202,7 +202,7 @@ def test_theta_program_above_the_cap_fails_fast(monkeypatch):
 
 
 def _chsh2_graph():
-    return build_game_graph(parallel_repetition(chsh(), 2)).graph
+    return build_game_graph(parallel_repetition(chsh(), 2))
 
 
 def _colour_refinement_is_discrete(graph):
@@ -285,7 +285,7 @@ def test_relabelled_graph_gives_the_same_program():
 
 def test_class_program_agrees_with_per_edge_program(monkeypatch):
     tol = 1e-7
-    graphs = [build_game_graph(magic_square()).graph, _chsh2_graph()]
+    graphs = [build_game_graph(magic_square()), _chsh2_graph()]
     assert [len(_classes(g)[2]) for g in graphs] == [5, 7]
     by_class = [lovasz_theta(g, tol) for g in graphs]
     # the per-edge programs, m = 1117 and 673
@@ -308,13 +308,13 @@ def _catalog_graphs():
                            (parallel_repetition(chsh(), 2), False)):
         gg = pipeline_graph(game, weighted)
         root = np.sqrt(gg.objective()[0])
-        out.append((gg.graph, np.outer(root, root)))
+        out.append((gg, np.outer(root, root)))
     return out
 
 
 @pytest.fixture(scope="module")
 def chsh3_graph():
-    return build_game_graph(parallel_repetition(chsh(), 3)).graph
+    return build_game_graph(parallel_repetition(chsh(), 3))
 
 
 def test_block_decomposition_rebuilds_the_program(chsh3_graph):
@@ -334,7 +334,7 @@ def test_block_decomposition_rebuilds_the_program(chsh3_graph):
 
 
 def test_theta_result_records_its_program():
-    isg3, magic = (build_game_graph(g).graph for g in (
+    isg3, magic = (build_game_graph(g) for g in (
         independent_set_game(cycle_graph(5), 3), magic_square()))
     res = lovasz_theta(isg3)
     assert res.m == 18
@@ -378,6 +378,68 @@ def test_corrupted_blocks_still_bracket_theta(monkeypatch):
         assert res.value <= proper.dual_bound + 10 * tol
         assert res.dual_bound >= proper.value - 10 * tol
         assert not res.converged
+
+
+def _drop_last_component(copies, rng):
+    return copies[:-1]
+
+
+def _random_bases(copies, rng):
+    # orthonormal columns of the same shape as the first component's
+    copies, q = list(copies), copies[0]
+    basis = np.linalg.qr(rng.standard_normal(
+        (q.shape[1], q.shape[0] * q.shape[2])))[0]
+    copies[0] = basis.reshape(q.shape[1], q.shape[0], q.shape[2]).transpose(
+        1, 0, 2)
+    return copies
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_component, _random_bases])
+def test_rejected_decomposition_takes_the_n_by_n_route(monkeypatch, corrupt):
+    # _block_bases checks what _wedderburn returns: a decomposition that
+    # misses a component, or whose bases do not rebuild the algebra, is
+    # refused, and theta is the forced n x n solve bit for bit
+    graph = build_game_graph(magic_square())
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_block_bases", lambda colours, c: None)
+        forced = lovasz_theta(graph)
+    wedderburn = sdp._wedderburn
+    rng = np.random.default_rng(4)
+    monkeypatch.setattr(sdp, "_wedderburn",
+                        lambda colours: corrupt(wedderburn(colours), rng))
+    res = lovasz_theta(graph)
+    assert res.blocks == forced.blocks == ((72, 1),)
+    assert res.converged
+    assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
+        forced.value.hex(), forced.dual_bound.hex(), forced.iterations)
+    assert np.array_equal(res.primal_matrix, forced.primal_matrix)
+
+
+@pytest.mark.parametrize("fail_from", [1, 4])
+def test_failed_factorization_still_brackets_theta(monkeypatch, fail_from):
+    # every Schur factorization from call fail_from on fails, shifts
+    # included: _factor_schur raises after its last shift, and _ipm_sdp
+    # stops and certifies the best iterate it kept (the start when the
+    # first step fails)
+    cases = [(cycle_graph(5), SQRT5), (build_game_graph(chsh()), 2.0 + SQRT2),
+             (build_game_graph(magic_square()), 9.0)]
+    cholesky = sdp._cholesky_in_place
+    calls = []
+
+    def failing(a):
+        calls.append(1)
+        if len(calls) >= fail_from:
+            raise np.linalg.LinAlgError("forced failure")
+        return cholesky(a)
+
+    monkeypatch.setattr(sdp, "_cholesky_in_place", failing)
+    for graph, theta in cases:
+        del calls[:]
+        res = lovasz_theta(graph)
+        assert len(calls) == fail_from + len(sdp.SCHUR_SHIFTS)
+        assert not res.converged
+        assert res.value <= theta <= res.dual_bound
+        assert res.gap == res.dual_bound - res.value > 1e-6
 
 
 def test_n_by_n_path_is_pinned():
@@ -438,7 +500,7 @@ def test_block_schur_matches_the_lifted_builder(monkeypatch, chsh3_graph):
     root = np.sqrt(gg.objective()[0])
     h = random_graph(np.random.default_rng(7), 10, 0.5)
     copies = disjoint_union(disjoint_union(h, h), h)
-    cases = _catalog_graphs() + [(gg.graph, np.outer(root, root)),
+    cases = _catalog_graphs() + [(gg, np.outer(root, root)),
                                  (chsh3_graph, np.ones((512, 512))),
                                  (copies, np.ones((30, 30)))]
     for graph, c in cases:
@@ -492,7 +554,7 @@ def test_block_path_is_pinned(monkeypatch, chsh3_graph):
         del calls[:]
         res = sdp._game_graph_bound(gg, sdp.DEFAULT_TOL).theta
         assert (res.iterations, res.converged) == (iterations, True)
-        assert len(res.blocks) > 1 and calls == [(gg.graph.n,) * 2]
+        assert len(res.blocks) > 1 and calls == [(gg.n,) * 2]
     del calls[:]
     res = lovasz_theta(chsh3_graph)
     assert (res.iterations, res.converged) == (12, True)
@@ -502,7 +564,7 @@ def test_block_path_is_pinned(monkeypatch, chsh3_graph):
 def test_theta_is_deterministic():
     gg = build_weighted_game_graph(magic_square())
     for solve in (lambda: lovasz_theta(_chsh2_graph()),
-                  lambda: weighted_theta(gg.graph, gg.weights),
+                  lambda: weighted_theta(gg, gg.weights),
                   lambda: lovasz_theta(_criterion7_random_graphs(1)[0])):
         a, b = solve(), solve()
         assert (a.value, a.dual_bound, a.gap, a.iterations, a.converged) == (
@@ -612,7 +674,7 @@ def test_weighted_sandwich_on_random_game_graphs():
 def test_unit_weights_reproduce_unweighted_solvers(game):
     # the uniform 0/1 pipeline runs the weighted solvers on unit weights;
     # its reports stay byte-identical only if this holds exactly
-    graph = build_game_graph(game).graph
+    graph = build_game_graph(game)
     ones = [1.0] * graph.n
     plain, unit = lovasz_theta(graph), weighted_theta(graph, ones)
     assert (unit.value, unit.dual_bound, unit.gap, unit.iterations,
