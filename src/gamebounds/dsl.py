@@ -1,16 +1,16 @@
 """A small expression language for game predicates over the variables x, y, a, b.
 
-Grammar (lowest to highest precedence):
+Grammar; the binary levels are the rows of the table _LEVELS, loosest
+first, so that level 0 is "or" and level 5 is "*" and "%":
 
-    expr    := or_e
-    or_e    := xor_e ("or" xor_e)*
-    xor_e   := and_e ("xor" and_e)*
-    and_e   := cmp_e ("and" cmp_e)*
-    cmp_e   := add_e (("==" | "!=") add_e)?
-    add_e   := mul_e (("+" | "-") mul_e)*
-    mul_e   := unary (("*" | "%") unary)*
-    unary   := "not" unary | "-" unary | atom
-    atom    := integer | "x" | "y" | "a" | "b" | "(" expr ")"
+    expr     := level_0
+    level_i  := level_i+1 (op_i level_i+1)*    op_i an operator of row i
+    level_6  := unary
+    unary    := "not" unary | "-" unary | integer | "x" | "y" | "a" | "b"
+              | "(" expr ")"
+
+Each level chains to the left, except that a comparison ("==" or "!=")
+takes at most one right operand.
 
 Values are integers. Boolean operators and comparisons return 0/1 and treat
 any nonzero operand as true; % is the mathematical modulo (result has the
@@ -84,65 +84,40 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 # ("binary", op, left, right).
 
 
+# the binary operators of each precedence level, loosest first
+_LEVELS = (("or",), ("xor",), ("and",), ("==", "!="), ("+", "-"), ("*", "%"))
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def take(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise DslError(f"expected '{op}'", at)
-        return self.take()
-
     def parse(self):
-        node = self.or_expr()
-        kind, _, at = self.peek()
+        node = self.binary()
+        kind, _, at = self.tokens[self.pos]
         if kind != "end":
             raise DslError("trailing input after expression", at)
         return node
 
-    def _left_chain(self, sub, ops):
-        node = sub()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ops:
-                self.take()
-                node = ("binary", val, node, sub())
-            else:
-                return node
-
-    def or_expr(self):
-        return self._left_chain(self.xor_expr, ("or",))
-
-    def xor_expr(self):
-        return self._left_chain(self.and_expr, ("xor",))
-
-    def and_expr(self):
-        return self._left_chain(self.cmp_expr, ("and",))
-
-    def cmp_expr(self):
-        node = self.add_expr()
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ("==", "!="):
-            self.take()
-            node = ("binary", val, node, self.add_expr())
+    def binary(self, level=0):
+        """Parse the operators of _LEVELS[level] and tighter ones."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.binary(level + 1)
+        # no literal or variable equals an operator, so the value decides
+        while self.tokens[self.pos][1] in _LEVELS[level]:
+            op = self.take()[1]
+            node = ("binary", op, node, self.binary(level + 1))
+            if op in ("==", "!="):
+                break
         return node
-
-    def add_expr(self):
-        return self._left_chain(self.mul_expr, ("+", "-"))
-
-    def mul_expr(self):
-        return self._left_chain(self.unary_expr, ("*", "%"))
 
     def nested(self, at, parse):
         """Run parse one nesting level deeper, refusing past MAX_NESTING."""
@@ -153,22 +128,17 @@ class _Parser:
         self.nesting -= 1
         return node
 
-    def unary_expr(self):
-        kind, val, at = self.peek()
-        if kind == "op" and val in ("not", "-"):
-            self.take()
-            return ("unary", val, self.nested(at, self.unary_expr))
-        return self.atom()
-
-    def atom(self):
+    def unary(self):
         kind, val, at = self.take()
-        if kind == "int":
-            return ("int", val)
-        if kind == "var":
-            return ("var", val)
-        if kind == "op" and val == "(":
-            node = self.nested(at, self.or_expr)
-            self.expect_op(")")
+        if kind in ("int", "var"):
+            return (kind, val)
+        if val in ("not", "-"):
+            return ("unary", val, self.nested(at, self.unary))
+        if val == "(":
+            node = self.nested(at, self.binary)
+            _, val, at = self.take()
+            if val != ")":
+                raise DslError("expected ')'", at)
             return node
         raise DslError("expected a value", at)
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from .games import Game, SizeCapError
 
-# Vertices of a graph the exact search takes; fixed.  The bound pipeline
-# counts a game's vertices against it before building the graph.
+# Vertices of a graph the exact search takes, and of a DIMACS file
+# parse_dimacs reads; fixed.  The bound pipeline counts a game's vertices
+# against it before building the graph.
 VERTEX_CAP = 512
 
 
@@ -224,7 +225,8 @@ def dimacs_sidecar(gg: GameGraph) -> dict:
 
 
 def parse_dimacs(text: str) -> Graph:
-    """Read a DIMACS edge list back into a plain graph."""
+    """Read a DIMACS edge list back into a plain graph of at most VERTEX_CAP
+    vertices; a larger vertex count raises SizeCapError."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -235,7 +237,13 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge" or n is not None:
                 raise ValueError(f"line {lineno}: malformed problem line")
+            if not parts[2].isdecimal():
+                raise ValueError(f"line {lineno}: vertex count {parts[2]!r} "
+                                 "is not a non-negative integer")
             n = int(parts[2])
+            if n > VERTEX_CAP:
+                raise SizeCapError(f"line {lineno}: graph has {n} vertices "
+                                   f"(cap {VERTEX_CAP})")
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before problem line")

@@ -253,8 +253,9 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
              target: float, mult: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
-    s.t. Z = a_adj(y) - c PSD; returns (X, y, lower, upper, iterations),
-    with lower <= optimum <= upper the ends _certify reads off (X, y).
+    s.t. Z = a_adj(y) - c PSD; returns (X, y, lower, upper, steps), with
+    lower <= optimum <= upper the ends _certify reads off (X, y) and steps
+    the number of steps completed.
 
     The only SDP solver here: it takes the theta program from either
     builder and the XOR program.  Primal-dual interior point with the HKM
@@ -285,14 +286,14 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     z = a_adj(y) - c
     best = (np.inf, x, y, None)
     low = np.zeros((len(y), len(y)))
-    stalled = 0
-    it = 0
-    for it in range(1, MAX_ITERATIONS + 1):
+    stalled = steps = 0
+    while steps < MAX_ITERATIONS:
         try:
             x, y, z = _hkm_step(c, b, a_map, a_adj, schur, project, weights,
                                 x, y, z, low)
         except np.linalg.LinAlgError:
             break
+        steps += 1
         certificate = certify(x, y)
         gap = certificate[2] - certificate[1]
         if gap < best[0]:
@@ -302,7 +303,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
         if gap <= target or stalled == STALL_STEPS:
             break
     _, x, y, certificate = best
-    return (x, y) + (certificate or certify(x, y))[1:] + (it,)
+    return (x, y) + (certificate or certify(x, y))[1:] + (steps,)
 
 
 def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
@@ -649,8 +650,6 @@ class QuantumBoundResult:
 
     bound: float
     theta: ThetaResult
-    k: int
-    weighted: bool
     graph: GameGraph
 
 
@@ -665,8 +664,7 @@ def _game_graph_bound(gg: GameGraph, tol: float) -> QuantumBoundResult:
     """quantum_upper_bound on a pipeline graph already built."""
     weights, divisor = gg.objective()
     theta = weighted_theta(gg, weights, tol)
-    return QuantumBoundResult(theta.dual_bound / divisor, theta, gg.source_k,
-                              gg.weights is not None, gg)
+    return QuantumBoundResult(theta.dual_bound / divisor, theta, gg)
 
 
 # ---------------------------------------------------------------------------

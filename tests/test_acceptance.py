@@ -201,7 +201,7 @@ def test_criterion_7_sandwich_battery(chsh2_results, magic_square_results):
                           lovasz_theta(graph, TOL).dual_bound))
         for _, value, bound in (chsh2_results, magic_square_results):
             pairs.append((len(value.alpha.witness), bound.theta.dual_bound
-                          * (bound.k if not bound.weighted else 1.0)))
+                          * bound.graph.objective()[1]))
         # random graphs
         rng = np.random.default_rng(4096)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gamebounds import gamegraph, independence, sdp
+from gamebounds import cli, gamegraph, independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
 from gamebounds.gameio import load_game
 from gamebounds.games import chsh, parallel_repetition
@@ -65,6 +66,25 @@ def test_analyze_timings(capsys):
     del report["timings"]
     _, plain, _ = run_cli(capsys, "analyze", "chsh", "--json")
     assert report == json.loads(plain)
+
+
+def test_text_report_ends_with_the_timings(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "chsh", "--timings")
+    assert code == 0
+    stages = [line.split(":")[0] for line in out.splitlines()[-4:]]
+    assert stages == ["time build_graph", "time alpha", "time theta",
+                      "time xor_value"]
+
+
+def test_text_report_warns_of_a_solver_failure(capsys, monkeypatch):
+    # a bound below omega can only come from a faulty solver
+    def below_omega(gg, tol):
+        return dataclasses.replace(sdp._game_graph_bound(gg, tol), bound=0.5)
+
+    monkeypatch.setattr(cli, "_game_graph_bound", below_omega)
+    code, out, _ = run_cli(capsys, "analyze", "chsh")
+    assert code == 0
+    assert "WARNING: solver failure: omega exceeds theta/k\n" in out
 
 
 def test_analyze_reports_are_byte_identical(capsys):
@@ -224,6 +244,11 @@ def test_catalog_list_and_emit(capsys):
     assert np.array_equal(g.predicate, chsh().predicate)
     code, _, err = run_cli(capsys, "catalog", "emit", "nope")
     assert code == 1
+
+
+def test_catalog_emit_without_a_name_exits_1(capsys):
+    err = _exits_1_with_one_error_line(capsys, "catalog", "emit")
+    assert err == "error: catalog emit requires a game name\n"
 
 
 def test_verify_qis_valid_and_invalid(tmp_path, capsys):
@@ -442,6 +467,26 @@ def test_dimacs_endpoint_out_of_range(tmp_path, capsys):
                                        str(qis_path), "--graph",
                                        str(graph_path))
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("p edge 100000000000000000000 0",
+     "line 1: graph has 100000000000000000000 vertices (cap 512)"),
+    ("p edge 513 0", "line 1: graph has 513 vertices (cap 512)"),
+    ("p edge -1 0", "line 1: vertex count '-1' is not a non-negative integer"),
+    ("p edge x 0", "line 1: vertex count 'x' is not a non-negative integer")],
+    ids=["huge", "above-cap", "negative", "not-a-number"])
+def test_dimacs_vertex_count_is_checked_first(tmp_path, capsys, header,
+                                              message):
+    qis_path = tmp_path / "qis.json"
+    qis_path.write_text(json.dumps(qis_to_dict(
+        qis_from_vertex_set(build_game_graph(chsh()), [0]))))
+    graph_path = tmp_path / "graph.dimacs"
+    graph_path.write_text(header + "\n")
+    err = _exits_1_with_one_error_line(capsys, "verify-qis", "chsh",
+                                       str(qis_path), "--graph",
+                                       str(graph_path))
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("predicate", [

@@ -39,9 +39,20 @@ def test_boolean_coercion_and_precedence():
     assert eval_expr(parse_expr("not x"), env) == 0
     assert eval_expr(parse_expr("x xor y"), env) == 1
     assert eval_expr(parse_expr("x xor a"), env) == 0
+    assert eval_expr(parse_expr("x != a"), env) == 1
+    assert eval_expr(parse_expr("a != 1"), env) == 0
     # * binds tighter than +, comparisons tighter than and
     assert eval_expr(parse_expr("1 + 2 * 3"), env) == 7
     assert eval_expr(parse_expr("1 + 1 == 2 and 2 + 2 == 4"), env) == 1
+
+
+def test_comparisons_do_not_chain_and_unary_binds_tightest():
+    with pytest.raises(DslError, match=r"trailing input after expression "
+                       r"\(at position 7\)"):
+        parse_expr("x == y == a")
+    assert eval_expr(parse_expr("1 - 2 - 3 == -4"), {}) == 1
+    assert parse_expr("not x == y") == (
+        "binary", "==", ("unary", "not", ("var", "x")), ("var", "y"))
 
 
 def test_mathematical_modulo_is_nonnegative():

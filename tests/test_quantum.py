@@ -419,6 +419,18 @@ def test_conversion_rejects_unannihilated_losing_pair():
         strategy_to_qis(_agree_game(), s)
 
 
+def test_conversion_rejects_weight_on_an_extra_outcome():
+    # wins on |00>, but Alice's third outcome, beyond the two answers, is
+    # diag(0, 1)
+    s = QuantumStrategy(2, 2, np.array([1.0, 0.0, 0.0, 0.0]),
+                        alice=((np.diag([1.0, 0.0]), np.zeros((2, 2)),
+                                np.diag([0.0, 1.0])),),
+                        bob=((np.eye(2), np.zeros((2, 2))),))
+    assert winning_probability(_agree_game(), s) == 1.0
+    with pytest.raises(ValueError, match="alice: extra measurement outcome"):
+        strategy_to_qis(_agree_game(), s)
+
+
 def test_conversion_rejects_complex_products():
     v = np.array([1.0, 1j]) / np.sqrt(2.0)
     p = np.outer(v, v.conj())

@@ -8,6 +8,7 @@ import pkgutil
 import re
 
 import gamebounds
+from gamebounds import dsl
 from gamebounds.cli import main, make_parser
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -55,3 +56,12 @@ def test_every_module_name_in_the_readme_exists():
     assert named, "the README names no module attribute"
     assert [f"{module}.{attr}" for module, attr in named
             if not hasattr(MODULES[module], attr)] == []
+
+
+def test_readme_precedence_is_the_parser_table():
+    line = re.search(r"### Predicate language\n.*?```\n(.*?)\n```", README,
+                     re.S)
+    assert line is not None
+    levels = [tuple(level.split()) for level in re.split(r" {2,}",
+                                                         line.group(1))]
+    assert levels == [*dsl._LEVELS, ("(unary)", "not", "-")]

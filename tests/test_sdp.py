@@ -437,6 +437,7 @@ def test_failed_factorization_still_brackets_theta(monkeypatch, fail_from):
         del calls[:]
         res = lovasz_theta(graph)
         assert len(calls) == fail_from + len(sdp.SCHUR_SHIFTS)
+        assert res.iterations == fail_from - 1
         assert not res.converged
         assert res.value <= theta <= res.dual_bound
         assert res.gap == res.dual_bound - res.value > 1e-6
@@ -697,7 +698,7 @@ def test_quantum_upper_bound_never_winnable_game():
 def test_quantum_upper_bound_chsh():
     res = quantum_upper_bound(chsh())
     assert res.bound == pytest.approx(0.8535533905932737, abs=1e-4)
-    assert not res.weighted
+    assert res.graph.weights is None
 
 
 def test_quantum_upper_bound_k2_isg():
@@ -712,7 +713,7 @@ def test_quantum_upper_bound_weighted_dispatch():
     pi = np.array([[0.5, 1 / 6], [1 / 6, 1 / 6]])
     g = Game("chsh-skew", 2, 2, 2, 2, chsh().predicate, pi)
     res = quantum_upper_bound(g)
-    assert res.weighted
+    assert res.graph.weights is not None
     # uniform weighting of the same graph reproduces theta/k
     uniform = quantum_upper_bound(chsh())
     assert abs(res.bound - uniform.bound) > 1e-3  # skew actually matters
