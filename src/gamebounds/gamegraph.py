@@ -224,9 +224,18 @@ def dimacs_sidecar(gg: GameGraph) -> dict:
             "source_k": gg.source_k, "vertices": entries}
 
 
+def _dimacs_number(lineno: int, what: str, token: str) -> int:
+    """token as a non-negative integer, or a ValueError naming its line."""
+    if not token.isdecimal():
+        raise ValueError(f"line {lineno}: {what} {token!r} is not a "
+                         "non-negative integer")
+    return int(token)
+
+
 def parse_dimacs(text: str) -> Graph:
     """Read a DIMACS edge list back into a plain graph of at most VERTEX_CAP
-    vertices; a larger vertex count raises SizeCapError."""
+    vertices; a larger vertex count raises SizeCapError.  Every error names
+    its line."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,22 +246,23 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge" or n is not None:
                 raise ValueError(f"line {lineno}: malformed problem line")
-            if not parts[2].isdecimal():
-                raise ValueError(f"line {lineno}: vertex count {parts[2]!r} "
-                                 "is not a non-negative integer")
-            n = int(parts[2])
+            n = _dimacs_number(lineno, "vertex count", parts[2])
             if n > VERTEX_CAP:
                 raise SizeCapError(f"line {lineno}: graph has {n} vertices "
                                    f"(cap {VERTEX_CAP})")
+            _dimacs_number(lineno, "edge count", parts[3])
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = (_dimacs_number(lineno, "edge endpoint", t)
+                    for t in parts[1:])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(
                     f"line {lineno}: edge endpoint outside 1..{n}")
+            if u == v:
+                raise ValueError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u - 1, v - 1))
         else:
             raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")

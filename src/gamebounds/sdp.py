@@ -19,7 +19,11 @@ map a_map with its adjoint a_adj over the class-sorted edges, lift to n x n,
 Schur builder), with b = (1, 0, ..., 0), and one solver takes the
 description, as it takes the XOR program (unit diagonal): a primal-dual
 interior-point method (HKM direction, Mehrotra predictor-corrector) that
-factors the m x m Schur complement every iteration, m = classes + 1.  It
+factors the m x m Schur complement every iteration, m = classes + 1.  The
+predictor goes STEP_FRACTION of the way to the PSD boundary and the
+corrector max(STEP_FRACTION, 1 - sigma) of it, with sigma Mehrotra's
+centring weight (Mehrotra 1992): where the affine step predicts the end
+well, sigma is small and the steps come close to the boundary.  It
 reads each iterate's bracket [lower, upper] with _certify, aims for a
 bracket tol wide and stops there, or when a factorization fails, STALL_STEPS
 steps in a row do not narrow the bracket or MAX_ITERATIONS steps have run,
@@ -65,10 +69,10 @@ from .games import Game, SizeCapError
 from .gamegraph import GameGraph, Graph, pipeline_graph
 
 DEFAULT_TOL = 1e-7
-# Interior-point steps per solve.  The most any measured solve took is 14:
+# Interior-point steps per solve.  The most any measured solve took is 13:
 # the Tier-1 tests, and the catalog, theta-battery and xor benchmark
-# corpora (10, 13 and 12 steps there).  The cap adds a margin of 100.
-MAX_ITERATIONS = 14 + 100
+# corpora (10, 13 and 11 steps there).  The cap leaves a margin of 101.
+MAX_ITERATIONS = 114
 
 # A theta program with more constraints m (edge classes + 1) than this is
 # refused.  The Schur matrix takes 8 m^2 bytes, 288 MB here, and a solve at
@@ -76,7 +80,8 @@ MAX_ITERATIONS = 14 + 100
 # game has m <= 18 by classes; graphs that 1-WL separates have one
 # constraint per edge.
 MAX_CONSTRAINTS = 6000
-# interior-point steps go this fraction of the way to the PSD boundary
+# predictor steps go this fraction of the way to the PSD boundary, corrector
+# steps at least this fraction
 STEP_FRACTION = 0.95
 SCHUR_SHIFTS = (1e-12, 1e-10)
 STALL_STEPS = 3
@@ -180,14 +185,15 @@ def _cho_solve(low: np.ndarray, inverses: list[np.ndarray],
     return v
 
 
-def _step_to_boundary(li: np.ndarray, d: np.ndarray) -> float:
+def _step_to_boundary(li: np.ndarray, d: np.ndarray,
+                      fraction: float) -> float:
     """Step length along d from the positive definite L L^T, given
-    li = L^-1: STEP_FRACTION of the distance to the PSD boundary, capped
-    at 1."""
+    li = L^-1: fraction of the distance to the PSD boundary, capped at 1;
+    fraction < 1 keeps the new point positive definite."""
     lam_min = float(np.linalg.eigvalsh(li @ d @ li.T)[0])
-    if lam_min >= -STEP_FRACTION:
+    if lam_min >= -fraction:
         return 1.0
-    return STEP_FRACTION / -lam_min
+    return fraction / -lam_min
 
 
 def _factor_schur(schur, x: np.ndarray, zi: np.ndarray,
@@ -215,7 +221,14 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
     interior point (x, y, z), with low the m x m Schur matrix's storage,
     project the program's _affine_projection and weights the column of
     row multiplicities that inner products use; returns the new point.
-    Raises LinAlgError when X, Z or the Schur matrix fails to factor."""
+    Raises LinAlgError when X, Z or the Schur matrix fails to factor.
+
+    The affine (predictor) step goes STEP_FRACTION of the way to the PSD
+    boundary and predicts mu_aff; sigma = (mu_aff / mu)^3, at most 1,
+    centres the corrector, whose primal and dual steps go the fraction
+    max(STEP_FRACTION, 1 - sigma) of the way, below 1 even when sigma
+    rounds to 0.  A good prediction thus gives a long step, and the
+    bracket narrows superlinearly near a well-predicted optimum."""
     n = float(np.sum(weights))
     lxi = np.linalg.inv(np.linalg.cholesky(x))
     lzi = np.linalg.inv(np.linalg.cholesky(z))
@@ -240,11 +253,15 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
         return project(dx, r_p), dy, dz
 
     dx, dy, dz = direction(-x)
-    ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
+    ap = _step_to_boundary(lxi, dx, STEP_FRACTION)
+    ad = _step_to_boundary(lzi, dz, STEP_FRACTION)
     mu_aff = float(np.sum((x + ap * dx) * (z + ad * dz) * weights)) / n
     sigma = min(1.0, (mu_aff / mu) ** 3)
     dx, dy, dz = direction(sigma * mu * zi - x - dx @ dz @ zi)
-    ap, ad = _step_to_boundary(lxi, dx), _step_to_boundary(lzi, dz)
+    # sigma rounds to 0, or below it, when the affine step reaches mu = 0
+    gamma = max(STEP_FRACTION, min(1.0 - sigma, np.nextafter(1.0, 0.0)))
+    ap = _step_to_boundary(lxi, dx, gamma)
+    ad = _step_to_boundary(lzi, dz, gamma)
     z = z + ad * dz
     return x + ap * dx, y + ad * dy, 0.5 * (z + z.T)
 
@@ -465,7 +482,9 @@ def _wedderburn(colours: np.ndarray):
             break
         linked = joined
     copies = []
-    for first in np.unique(np.argmax(linked, axis=1)):
+    # the first eigenspace of each component; np.unique would do, but with no
+    # return options it imports numpy.ma
+    for first in np.flatnonzero(np.bincount(np.argmax(linked, axis=1))):
         members = [spaces[a] for a in np.flatnonzero(linked[first])]
         base = members[0]
         if any(v.shape[1] != base.shape[1] for v in members):

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from gamebounds.games import Game, uniform_distribution
-from gamebounds.gamegraph import Graph
+from gamebounds.gamegraph import Graph, build_game_graph, to_plain_graph
 
 
 def random_boolean_game(rng: np.random.Generator, max_size: int = 3,
@@ -26,6 +26,23 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def criterion7_random_graphs(count, games=0):
+    """The first random graphs of the criterion-7 battery, then the graphs
+    of its first random uniform games that have a vertex."""
+    rng = np.random.default_rng(4096)
+    graphs = []
+    for _ in range(count):
+        n = int(rng.integers(2, 15))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < rng.uniform(0.2, 0.8)]
+        graphs.append(Graph.from_edges(n, edges))
+    for _ in range(games):
+        graph = to_plain_graph(build_game_graph(random_boolean_game(rng)))
+        if graph.n:
+            graphs.append(graph)
+    return graphs
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -152,13 +152,13 @@ def test_catalog_theta_takes_interior_point_steps(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["chsh"], "3a0ebbebf3666f59"),
-    (["isg-c5-t2"], "f550cb924c4f772e"),
-    (["isg-c5-t3"], "6e2a1f00c79e9b67"),
-    (["magic-square"], "9e4d13133a8fdb40"),
-    (["magic-square", "--weighted"], "bbd5a7e877ab1fb1"),
-    (["chsh", "--rep", "2"], "c742bd9a236114db"),
-    (["chsh", "--weighted"], "b792d2213091ff68")],
+    (["chsh"], "9caa95be44bbfcc5"),
+    (["isg-c5-t2"], "40763c7e602b7a9c"),
+    (["isg-c5-t3"], "0adbd97fae0b8d5d"),
+    (["magic-square"], "1ba2346abbabc126"),
+    (["magic-square", "--weighted"], "c949064d97f1a380"),
+    (["chsh", "--rep", "2"], "f51c4f919d349d9d"),
+    (["chsh", "--weighted"], "2de67e2b574df23a")],
     ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square",
          "magic-square-weighted", "chsh-rep2", "chsh-weighted"])
 def test_catalog_reports_are_pinned(capsys, argv, digest):
@@ -457,15 +457,21 @@ def test_errors_after_loading_exit_1(tmp_path, capsys, argv):
     _exits_1_with_one_error_line(capsys, *(a.format(**paths) for a in argv))
 
 
-def test_dimacs_endpoint_out_of_range(tmp_path, capsys):
+def _verify_qis_on_graph_text(tmp_path, capsys, text):
+    """verify-qis of a one-vertex CHSH certificate against the DIMACS text,
+    which must exit 1 with one error line; returns that line."""
     qis_path = tmp_path / "qis.json"
     qis_path.write_text(json.dumps(qis_to_dict(
         qis_from_vertex_set(build_game_graph(chsh()), [0]))))
     graph_path = tmp_path / "graph.dimacs"
-    graph_path.write_text("p edge 8 1\ne 9 1\n")
-    err = _exits_1_with_one_error_line(capsys, "verify-qis", "chsh",
-                                       str(qis_path), "--graph",
-                                       str(graph_path))
+    graph_path.write_text(text)
+    return _exits_1_with_one_error_line(capsys, "verify-qis", "chsh",
+                                        str(qis_path), "--graph",
+                                        str(graph_path))
+
+
+def test_dimacs_endpoint_out_of_range(tmp_path, capsys):
+    err = _verify_qis_on_graph_text(tmp_path, capsys, "p edge 8 1\ne 9 1\n")
     assert "line 2" in err
 
 
@@ -478,14 +484,24 @@ def test_dimacs_endpoint_out_of_range(tmp_path, capsys):
     ids=["huge", "above-cap", "negative", "not-a-number"])
 def test_dimacs_vertex_count_is_checked_first(tmp_path, capsys, header,
                                               message):
-    qis_path = tmp_path / "qis.json"
-    qis_path.write_text(json.dumps(qis_to_dict(
-        qis_from_vertex_set(build_game_graph(chsh()), [0]))))
-    graph_path = tmp_path / "graph.dimacs"
-    graph_path.write_text(header + "\n")
-    err = _exits_1_with_one_error_line(capsys, "verify-qis", "chsh",
-                                       str(qis_path), "--graph",
-                                       str(graph_path))
+    err = _verify_qis_on_graph_text(tmp_path, capsys, header + "\n")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p edge 3 1\ne x 1\n",
+     "line 2: edge endpoint 'x' is not a non-negative integer"),
+    ("c two\np edge 3 1\ne 1 2.0\n",
+     "line 3: edge endpoint '2.0' is not a non-negative integer"),
+    ("p edge 3 1\ne 1 1\n", "line 2: self-loop at vertex 1"),
+    ("p edge 3 x\n", "line 1: edge count 'x' is not a non-negative integer"),
+    ("p edge 3 -4\n",
+     "line 1: edge count '-4' is not a non-negative integer")],
+    ids=["endpoint-not-a-number", "endpoint-not-an-integer", "self-loop",
+         "edge-count-not-a-number", "edge-count-negative"])
+def test_dimacs_lines_fail_with_their_line_number(tmp_path, capsys, text,
+                                                  message):
+    err = _verify_qis_on_graph_text(tmp_path, capsys, text)
     assert err == f"error: {message}\n"
 
 
@@ -572,7 +588,8 @@ def test_analyze_magic_square(capsys):
 
 
 def test_analyze_nonconvergence_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 5)
+    # CHSH converges in 4 steps; 3 leave its bracket open
+    monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
     code, out, _ = run_cli(capsys, "analyze", "chsh", "--json")
     assert code == 2
     report = json.loads(out)
@@ -639,6 +656,25 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err
+
+
+def test_analyze_does_not_load_numpy_ma():
+    # numpy.ma takes about 9 ms to import; np.unique with no return options
+    # loads it
+    code = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+from gamebounds.cli import main
+main(["analyze", "chsh", "--json"])
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    by_numpy, after_analyze = lines[0], lines[-1]
+    assert after_analyze == "False" or by_numpy == "True"
 
 
 def test_analyze_loads_only_numpy_outside_the_standard_library():

@@ -8,8 +8,13 @@ import pkgutil
 import re
 
 import gamebounds
-from gamebounds import dsl
-from gamebounds.cli import main, make_parser
+from gamebounds import dsl, sdp
+from gamebounds.cli import CATALOG, main, make_parser
+from gamebounds.games import chsh, independent_set_game, parallel_repetition
+from gamebounds.gamegraph import (build_game_graph, complete_graph,
+                                  cycle_graph, empty_graph, pipeline_graph)
+
+from conftest import criterion7_random_graphs
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
     encoding="utf-8")
@@ -65,3 +70,21 @@ def test_readme_precedence_is_the_parser_table():
     levels = [tuple(level.split()) for level in re.split(r" {2,}",
                                                          line.group(1))]
     assert levels == [*dsl._LEVELS, ("(unary)", "not", "-")]
+
+
+def test_readme_step_maximum_is_measured():
+    # the catalog games, plain and weighted, and the criterion-7 battery:
+    # its fixed graphs, CHSH^2, and its random graphs and game graphs
+    stated = re.search(r"at most (\d+) on every input\s+measured", README)
+    assert stated is not None
+    games = [make() for make in CATALOG.values()]
+    games.append(parallel_repetition(chsh(), 2))
+    steps = [sdp._game_graph_bound(pipeline_graph(g, weighted),
+                                   sdp.DEFAULT_TOL).theta.iterations
+             for g in games for weighted in (False, True)]
+    graphs = [cycle_graph(5), complete_graph(4), empty_graph(5),
+              build_game_graph(chsh()),
+              build_game_graph(independent_set_game(cycle_graph(5), 2)),
+              *criterion7_random_graphs(20, games=10)]
+    steps += [sdp.lovasz_theta(graph).iterations for graph in graphs]
+    assert max(steps) <= int(stated.group(1))

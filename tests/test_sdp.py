@@ -13,7 +13,7 @@ from gamebounds.independence import independence_number, weighted_independence
 from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
 
-from conftest import disjoint_union, random_boolean_game, random_graph
+from conftest import criterion7_random_graphs, disjoint_union, random_graph
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -62,9 +62,9 @@ def test_theta_result_invariants(monkeypatch):
     assert len(_classes(per_edge)[2]) == 413
     for graph in (cycle_graph(5), complete_graph(4),
                   to_plain_graph(build_game_graph(chsh())), per_edge):
-        # two steps leave the solver short of the bracket; the full cap is
+        # one step leaves the solver short of the bracket; the full cap is
         # set last, for the weighted solve below
-        for cap in (2, full):
+        for cap in (1, full):
             monkeypatch.setattr(sdp, "MAX_ITERATIONS", cap)
             res = lovasz_theta(graph, tol)
             x = res.primal_matrix
@@ -149,23 +149,6 @@ def test_certify_is_sound_on_any_iterate(monkeypatch):
                 assert upper >= optimum - 1e-12
 
 
-def _criterion7_random_graphs(count, games=0):
-    """The first random graphs of the criterion-7 battery, then the graphs
-    of its first random uniform games that have a vertex."""
-    rng = np.random.default_rng(4096)
-    graphs = []
-    for _ in range(count):
-        n = int(rng.integers(2, 15))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < rng.uniform(0.2, 0.8)]
-        graphs.append(Graph.from_edges(n, edges))
-    for _ in range(games):
-        graph = to_plain_graph(build_game_graph(random_boolean_game(rng)))
-        if graph.n:
-            graphs.append(graph)
-    return graphs
-
-
 def _complement(graph):
     return Graph.from_edges(graph.n, [(i, j) for i in range(graph.n)
                                       for j in range(i + 1, graph.n)
@@ -178,7 +161,7 @@ def test_theta_times_complement_theta_is_at_least_n():
     # so a product of two of its ends is within 10*tol times the sum of the
     # factors of the exact product.
     tol = 1e-7
-    cases = [(g, False) for g in _criterion7_random_graphs(4)]
+    cases = [(g, False) for g in criterion7_random_graphs(4)]
     cases += [(g, True) for g in (cycle_graph(7), cycle_graph(9),
                                   Graph_from_petersen())]
     for graph, transitive in cases:
@@ -238,7 +221,7 @@ def _one_class(graph, vertex_keys):
 
 
 def test_discrete_graphs_keep_one_class_per_edge():
-    graphs = _criterion7_random_graphs(20, games=10)
+    graphs = criterion7_random_graphs(20, games=10)
     discrete = [g for g in graphs if _colour_refinement_is_discrete(g)]
     assert len(discrete) == 18
     for graph in graphs:
@@ -253,7 +236,7 @@ def test_discrete_graphs_keep_one_class_per_edge():
 
 def test_too_coarse_partition_still_brackets_theta(monkeypatch):
     tol = 1e-7
-    graphs = [g for g in _criterion7_random_graphs(20)
+    graphs = [g for g in criterion7_random_graphs(20)
               if _colour_refinement_is_discrete(g)][:4]
     graphs.append(random_graph(np.random.default_rng(0), 32, 0.85))
     proper = [lovasz_theta(g, tol) for g in graphs]
@@ -346,7 +329,7 @@ def test_theta_result_records_its_program():
     assert sorted(res.blocks) == [(1, 1), (1, 4), (1, 4), (1, 6), (1, 9),
                                   (1, 12), (1, 18), (2, 9)]
     # 1-WL separates this graph's vertices: one constraint per edge, n x n
-    graphs = _criterion7_random_graphs(20, games=2)
+    graphs = criterion7_random_graphs(20, games=2)
     discrete = graphs[0]
     assert _classes(discrete)[3] is None
     res = lovasz_theta(discrete)
@@ -415,7 +398,7 @@ def test_rejected_decomposition_takes_the_n_by_n_route(monkeypatch, corrupt):
     assert np.array_equal(res.primal_matrix, forced.primal_matrix)
 
 
-@pytest.mark.parametrize("fail_from", [1, 4])
+@pytest.mark.parametrize("fail_from", [1, 3])
 def test_failed_factorization_still_brackets_theta(monkeypatch, fail_from):
     # every Schur factorization from call fail_from on fails, shifts
     # included: _factor_schur raises after its last shift, and _ipm_sdp
@@ -443,24 +426,72 @@ def test_failed_factorization_still_brackets_theta(monkeypatch, fail_from):
         assert res.gap == res.dual_bound - res.value > 1e-6
 
 
+def _recorded_fractions(monkeypatch, full_predictor=False):
+    """Record every fraction passed to _step_to_boundary.  Each step calls
+    it for its predictor (primal, then dual) and then for its corrector;
+    full_predictor lets every predictor step go all the way (length 1)."""
+    calls = []
+    step_to_boundary = sdp._step_to_boundary
+
+    def recording(li, d, fraction):
+        calls.append(fraction)
+        if full_predictor and len(calls) % 4 in (1, 2):
+            return 1.0
+        return step_to_boundary(li, d, fraction)
+
+    monkeypatch.setattr(sdp, "_step_to_boundary", recording)
+    return calls
+
+
+def test_corrector_steps_approach_the_boundary_as_sigma_falls(monkeypatch):
+    # C5 and CHSH on the block builder, a graph that 1-WL separates on the
+    # n x n builder, and the XOR program
+    calls = _recorded_fractions(monkeypatch)
+    for solve in (lambda: lovasz_theta(cycle_graph(5)),
+                  lambda: lovasz_theta(build_game_graph(chsh())),
+                  lambda: lovasz_theta(criterion7_random_graphs(1)[0]),
+                  lambda: xor_tsirelson_value(_odd_cycle_game(9))):
+        del calls[:]
+        solve()
+        assert calls and len(calls) % 4 == 0
+        predictor = [f for i, f in enumerate(calls) if i % 4 < 2]
+        corrector = [f for i, f in enumerate(calls) if i % 4 >= 2]
+        assert set(predictor) == {sdp.STEP_FRACTION}
+        assert all(sdp.STEP_FRACTION <= f < 1.0 for f in corrector)
+        assert max(corrector) > sdp.STEP_FRACTION
+
+
+def test_corrector_stops_short_of_the_boundary_when_sigma_underflows(
+        monkeypatch):
+    # after a full predictor step the predicted mu is 0 up to rounding, so
+    # sigma rounds to 0 or below; the corrector still stops short of the
+    # PSD boundary, and the result still brackets the optimum
+    calls = _recorded_fractions(monkeypatch, full_predictor=True)
+    res = lovasz_theta(cycle_graph(5))
+    corrector = [f for i, f in enumerate(calls) if i % 4 >= 2]
+    assert np.nextafter(1.0, 0.0) in corrector
+    assert all(f < 1.0 for f in corrector)
+    assert res.value <= SQRT5 <= res.dual_bound
+
+
 def test_n_by_n_path_is_pinned():
     # graphs on which no block repeats take the n x n program, pinned bit
     # for bit: three that 1-WL separates and the battery's random-game-1
     # (312 classes, every block of multiplicity 1)
-    graphs = _criterion7_random_graphs(20, games=2)
-    pins = [(graphs[0], "0x1.ffffff9477e86p+1", "0x1.000000043425dp+2", 8),
-            (graphs[1], "0x1.7fffffb3b6e29p+1", "0x1.8000001007ea9p+1", 12),
-            (graphs[4], "0x1.7fffffe577989p+1", "0x1.800000088e9d2p+1", 8),
-            (graphs[21], "0x1.1fffffd0ae692p+3", "0x1.200000001bd67p+3", 9)]
+    graphs = criterion7_random_graphs(20, games=2)
+    pins = [(graphs[0], "0x1.ffffffb6ded19p+1", "0x1.000000073c802p+2", 7),
+            (graphs[1], "0x1.7fffff93c7cc6p+1", "0x1.80000011c9155p+1", 13),
+            (graphs[4], "0x1.7fffff76633d0p+1", "0x1.8000003abfd36p+1", 6),
+            (graphs[21], "0x1.1fffffe9a0e0ap+3", "0x1.200000000c8c5p+3", 9)]
     for graph, value, dual_bound, iterations in pins:
         res = lovasz_theta(graph)
         assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
             value, dual_bound, iterations)
     assert _classes(graphs[21])[3] is not None
     assert xor_tsirelson_value(_odd_cycle_game(9)).hex() == (
-        "0x1.fc1c5c60a6d26p-1")
+        "0x1.fc1c5c6408910p-1")
     assert xor_tsirelson_value(_odd_cycle_game(15)).hex() == (
-        "0x1.fe98fca7598c1p-1")
+        "0x1.fe98fca7b6aedp-1")
 
 
 def test_chsh3_theta(chsh3_graph):
@@ -544,12 +575,12 @@ def test_block_path_is_pinned(monkeypatch, chsh3_graph):
     # built from the blocks: no step lifts or averages an iterate, so the
     # only average is the certificate's, on the returned n x n primal
     calls = _counting_class_average(monkeypatch)
-    pins = [(chsh(), False, 7), (independent_set_game(cycle_graph(5), 2),
-                                 False, 9),
-            (independent_set_game(cycle_graph(5), 3), False, 10),
-            (magic_square(), False, 8), (parallel_repetition(chsh(), 2),
-                                         False, 9),
-            (magic_square(), True, 8), (chsh(), True, 7)]
+    pins = [(chsh(), False, 4), (independent_set_game(cycle_graph(5), 2),
+                                 False, 10),
+            (independent_set_game(cycle_graph(5), 3), False, 9),
+            (magic_square(), False, 7), (parallel_repetition(chsh(), 2),
+                                         False, 8),
+            (magic_square(), True, 6), (chsh(), True, 4)]
     for game, weighted, iterations in pins:
         gg = pipeline_graph(game, weighted)
         del calls[:]
@@ -558,7 +589,7 @@ def test_block_path_is_pinned(monkeypatch, chsh3_graph):
         assert len(res.blocks) > 1 and calls == [(gg.n,) * 2]
     del calls[:]
     res = lovasz_theta(chsh3_graph)
-    assert (res.iterations, res.converged) == (12, True)
+    assert (res.iterations, res.converged) == (11, True)
     assert calls == [(512, 512)]
 
 
@@ -566,7 +597,7 @@ def test_theta_is_deterministic():
     gg = build_weighted_game_graph(magic_square())
     for solve in (lambda: lovasz_theta(_chsh2_graph()),
                   lambda: weighted_theta(gg, gg.weights),
-                  lambda: lovasz_theta(_criterion7_random_graphs(1)[0])):
+                  lambda: lovasz_theta(criterion7_random_graphs(1)[0])):
         a, b = solve(), solve()
         assert (a.value, a.dual_bound, a.gap, a.iterations, a.converged) == (
             b.value, b.dual_bound, b.gap, b.iterations, b.converged)
@@ -737,6 +768,24 @@ def _odd_cycle_game(n):
       for n in (5, 9, 15, 31)]], ids=["chsh", "5", "9", "15", "31"])
 def test_tsirelson_odd_cycles(game, value):
     assert xor_tsirelson_value(game) == pytest.approx(value, abs=1e-6)
+
+
+def test_odd_cycle_xor_takes_few_steps(monkeypatch):
+    # the affine step predicts the end of an odd-cycle solve well, so its
+    # correctors go nearly all the way: 6 steps, against 10 when every step
+    # goes STEP_FRACTION of the way
+    steps = []
+    ipm_sdp = sdp._ipm_sdp
+
+    def counting(*args):
+        out = ipm_sdp(*args)
+        steps.append(out[4])
+        return out
+
+    monkeypatch.setattr(sdp, "_ipm_sdp", counting)
+    value = xor_tsirelson_value(_odd_cycle_game(31))
+    assert value == pytest.approx(np.cos(np.pi / 124) ** 2, abs=1e-9)
+    assert len(steps) == 1 and steps[0] <= 7
 
 
 def test_tsirelson_constant_game():
