@@ -10,6 +10,7 @@ module, such as gamegraph.VERTEX_CAP; no option sets one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -20,8 +21,9 @@ from fractions import Fraction
 from . import gameio
 from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
-from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
-                        dimacs_sidecar, parse_dimacs, pipeline_graph, to_dimacs)
+from .gamegraph import (GameGraph, build_game_graph, check_vertex_cap,
+                        cycle_graph, dimacs_sidecar, parse_dimacs,
+                        pipeline_graph, to_dimacs)
 from .independence import _game_alpha
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
@@ -226,6 +228,7 @@ def cmd_verify_qis(args) -> int:
         with open(args.graph, "r", encoding="utf-8") as fh:
             target = parse_dimacs(fh.read())
     else:
+        check_vertex_cap(g.predicate)
         target = build_game_graph(g)
     report = verify_quantum_independent_set(target, qis, args.tol)
     if report.valid:
@@ -240,6 +243,7 @@ def cmd_verify_qis(args) -> int:
 def cmd_lift(args) -> int:
     qis = _load_qis(args.qis)
     g = _load_game(args)
+    check_vertex_cap(g.predicate)
     gg = build_game_graph(g)
     strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
     value = winning_probability(g, strategy)
@@ -271,7 +275,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call; parsing keeps it."""
     parser = _Parser(
         prog="gamebounds",
         description="Classical and entangled-value bounds for non-local games "

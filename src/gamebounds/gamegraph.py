@@ -181,6 +181,14 @@ def build_weighted_game_graph(g: Game) -> GameGraph:
     return _graph_on(g, g.predicate * g.distribution[:, :, None, None], True)
 
 
+def check_vertex_cap(table: np.ndarray) -> None:
+    """SizeCapError if ``table`` has more than VERTEX_CAP positive entries."""
+    n = int(np.count_nonzero(table))
+    if n > VERTEX_CAP:
+        raise SizeCapError(
+            f"game graph would have {n} vertices (cap {VERTEX_CAP})")
+
+
 def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
     """The game graph the bound pipeline runs on.
 
@@ -190,10 +198,7 @@ def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
     quadruple of positive weight, so a game with more than VERTEX_CAP of
     them raises SizeCapError before any graph is built.
     """
-    n = int(np.count_nonzero(g.predicate * g.distribution[:, :, None, None]))
-    if n > VERTEX_CAP:
-        raise SizeCapError(
-            f"game graph would have {n} vertices (cap {VERTEX_CAP})")
+    check_vertex_cap(g.predicate * g.distribution[:, :, None, None])
     if weighted or not (g.is_boolean() and g.is_uniform()):
         return build_weighted_game_graph(g)
     return build_game_graph(g)

@@ -31,7 +31,7 @@ from .gamegraph import GameGraph, Graph, pipeline_graph
 # Deterministic strategy pairs that classical_value_brute covers; fixed.
 BRUTE_CAP = 1 << 24
 # Nodes of one graph branch and bound or one game search; fixed.  The game
-# search of CHSH^3 opens 43,978 (about 1 s); graph branch and bound, at the
+# search of CHSH^3 opens 43,978 (about 0.4 s); graph branch and bound, at the
 # 35 us per node measured on CHSH^3, runs out in about 7 s.
 NODE_BUDGET = 200_000
 
@@ -191,6 +191,16 @@ def _first_answers(t: np.ndarray) -> list[int]:
     return np.flatnonzero(orbit_min == answers).tolist()
 
 
+def _kept_answers(flat: np.ndarray) -> list[int]:
+    """Answer 0 and the first answer of each distinct nonzero row of
+    ``flat``, in order; rows are equal when their values are, as in
+    np.unique, so -0.0 equals 0.0."""
+    live = np.flatnonzero(flat.any(axis=1))[::-1]
+    # later entries overwrite earlier ones: each row keeps its first answer
+    first = dict(zip(map(tuple, flat[live].tolist()), live.tolist()))
+    return sorted({0, *first.values()})
+
+
 def _game_search(table: np.ndarray) -> tuple[ClassicalStrategy, int]:
     """A best deterministic strategy pair for the (x, y, a, b) ``table`` and
     the nodes searched.
@@ -198,15 +208,19 @@ def _game_search(table: np.ndarray) -> tuple[ClassicalStrategy, int]:
     The side with fewer strategies (Alice on a tie) answers its questions
     in order, depth first; the other side best-responds per question.  A
     node's bound relaxes every unanswered question to its best answer per
-    (y, b), one suffix sum over the questions, and one numpy expression
-    scores all children of a node.  Children are visited in answer order
-    and only strict improvements are taken, so the row found is the
+    (y, b), a suffix sum over the questions that set-up adds to each
+    question's answer gains once, as ``reach``.  So one numpy expression
+    scores all children of a node, and a child's accumulator is built only
+    when the search descends into it.  At a leaf the suffix is 0, so a
+    leaf's bound is its value.  Children are visited in answer order and
+    only strict improvements are taken, so the row found is the
     lexicographically smallest optimal one; the best response takes the
     lowest answer on ties: the tie-break of classical_value_brute.  An
     answer whose gains equal those of an earlier answer to the same
     question, or are all zero, is never branched on: the earlier answer, or
-    answer 0, does at least as well in every row and comes first.  A search
-    that would open more than NODE_BUDGET nodes raises SizeCapError.
+    answer 0, does at least as well in every row and comes first
+    (``_kept_answers``).  A search that would open more than NODE_BUDGET
+    nodes raises SizeCapError.
     """
     nx, ny, na, nb = table.shape
     alice = na ** nx <= nb ** ny
@@ -217,45 +231,38 @@ def _game_search(table: np.ndarray) -> tuple[ClassicalStrategy, int]:
     # rest[d]: questions d, d + 1, ... each at its best answer per (y, b)
     rest = np.zeros((depth + 1,) + gain.shape[2:])
     rest[:depth] = np.cumsum(gain.max(axis=1)[::-1], axis=0)[::-1]
-    answers = []
-    for d in range(depth):
-        flat = gain[d].reshape(width, -1)
-        live = np.flatnonzero(flat.any(axis=1))
-        won = flat[live][:, flat[live].any(axis=0)]  # nonzero rows and columns
-        kept = live[np.unique(won, axis=0, return_index=True)[1]]
-        answers.append(sorted({0, *kept.tolist()}))
+    answers = [_kept_answers(gain[d].reshape(width, -1)) for d in range(depth)]
     first = set(_first_answers(t))
     answers[0] = [a for a in answers[0] if a in first]
     options = [gain[d, ans] for d, ans in enumerate(answers)]
+    # reach[d][i]: answer i to question d, each later one at its best
+    reach = [options[d] + rest[d + 1] for d in range(depth)]
     budget = NODE_BUDGET
     nodes = 0
 
-    def frame(d: int, acc: np.ndarray) -> list:
+    def frame(d: int, acc: np.ndarray) -> tuple:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise SizeCapError(f"game search passed its budget of {budget} "
                                f"nodes ({nx} x {ny} questions)")
-        children = acc + options[d]
-        bounds = (children + rest[d + 1]).max(axis=2).sum(axis=1).tolist()
-        return [d, children, bounds, 0]
+        bounds = (acc + reach[d]).max(axis=2).sum(axis=1).tolist()
+        return d, acc, enumerate(bounds)
 
     best, best_row, row = -1.0, (), [0] * depth
     frames = [frame(0, np.zeros(gain.shape[2:]))]
     while frames:
-        top = frames[-1]
-        d, children, bounds, i = top
-        if i == len(bounds):
+        d, acc, children = frames[-1]
+        for i, bound in children:
+            if bound <= best + 1e-12:
+                continue
+            row[d] = answers[d][i]
+            if d + 1 < depth:
+                frames.append(frame(d + 1, acc + options[d][i]))
+                break
+            best, best_row = bound, tuple(row)  # a leaf's bound is its value
+        else:
             frames.pop()
-            continue
-        top[3] = i + 1
-        if bounds[i] <= best + 1e-12:
-            continue
-        row[d] = answers[d][i]
-        if d + 1 < depth:
-            frames.append(frame(d + 1, children[i]))
-        else:  # a leaf's bound is its value
-            best, best_row = bounds[i], tuple(row)
     acc = np.zeros(gain.shape[2:])
     for d, a in enumerate(best_row):  # in question order, as the oracle sums
         acc += gain[d, a]

@@ -199,6 +199,25 @@ def test_alpha_search_is_pinned(name, rep, weighted, nodes, witness):
     assert [tuple(w["quadruple"]) for w in report["alpha"]["witness"]] == witness
 
 
+def test_one_parser_per_process():
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # the shared parser gives each call its own defaults: verify-qis's
+    # tolerance and analyze's --weighted do not leak into a later analyze
+    path = tmp_path / "qis.json"
+    path.write_text(json.dumps(qis_to_dict(
+        qis_from_vertex_set(build_game_graph(chsh()), [0]))))
+    assert run_cli(capsys, "analyze", "chsh", "--weighted", "--json")[0] == 0
+    assert run_cli(capsys, "verify-qis", "chsh", str(path))[0] == 0
+    assert cli.make_parser().parse_args(
+        ["verify-qis", "chsh", str(path)]).tol == 1e-9
+    code, out, _ = run_cli(capsys, "analyze", "chsh", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "9caa95be44bbfcc5"
+
+
 def test_analyze_weighted_flag(capsys):
     code, out, _ = run_cli(capsys, "analyze", "chsh", "--weighted", "--json")
     assert code == 0
@@ -409,15 +428,46 @@ def test_chsh_rep3_analyzes_end_to_end(capsys):
     assert report["alpha"]["value"] == 31
     assert report["theta"]["converged"] is True
     assert report["bell_gap_certificate"] is True
+    assert report["alpha"]["nodes_explored"] == 43978
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(vertices):
+        raise AssertionError(f"built a graph on {len(vertices)} vertices")
+    monkeypatch.setattr(gamegraph, "_adjacency", refuse)
+
+
+@pytest.mark.parametrize("command", ["verify-qis", "lift"])
+def test_certificate_commands_refuse_a_graph_above_the_cap(
+        tmp_path, capsys, monkeypatch, command):
+    # chsh --rep 4 has 4,096 vertices; a one-vertex certificate of that
+    # graph is read, then the game is refused as analyze refuses it
+    doc = qis_to_dict(qis_from_vertex_set(build_game_graph(chsh()), [0]))
+    doc["n_vertices"] = 4096
+    path = tmp_path / "qis.json"
+    path.write_text(json.dumps(doc))
+    if command == "verify-qis":  # the certificate itself is valid
+        with monkeypatch.context() as m:
+            m.setattr(gamegraph, "VERTEX_CAP", 4096)
+            code, out, _ = run_cli(capsys, command, "chsh", str(path),
+                                   "--rep", "4")
+        assert (code, out) == (0, "valid quantum independent set: t=1 d=1\n")
+    expected = _exits_1_with_one_error_line(capsys, "analyze", "chsh",
+                                            "--rep", "4")
+    assert "4096 vertices (cap 512)" in expected
+    _refuse_to_build(monkeypatch)
+    start = time.perf_counter()
+    err = _exits_1_with_one_error_line(capsys, command, "chsh", str(path),
+                                       "--rep", "4")
+    assert time.perf_counter() - start < 1.0
+    assert err == expected
 
 
 @pytest.mark.parametrize("command", ["verify-qis", "lift"])
 def test_missing_certificate_exits_1_before_the_graph(
         tmp_path, capsys, monkeypatch, command):
     # chsh --rep 4 has 4,096 vertices; the certificate is read first
-    def refuse(vertices):
-        raise AssertionError(f"built a graph on {len(vertices)} vertices")
-    monkeypatch.setattr(gamegraph, "_adjacency", refuse)
+    _refuse_to_build(monkeypatch)
     start = time.perf_counter()
     err = _exits_1_with_one_error_line(
         capsys, command, "chsh", str(tmp_path / "missing.json"), "--rep", "4")

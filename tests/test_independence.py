@@ -267,6 +267,46 @@ def test_game_search_node_budget(monkeypatch, game):
         classical_value(g)
 
 
+def _kept_answers_oracle(flat: np.ndarray) -> list[int]:
+    # the set-up's earlier form: np.unique over the nonzero rows and columns
+    live = np.flatnonzero(flat.any(axis=1))
+    won = flat[live][:, flat[live].any(axis=0)]
+    kept = live[np.unique(won, axis=0, return_index=True)[1]]
+    return sorted({0, *kept.tolist()})
+
+
+def _answer_table(rng) -> np.ndarray:
+    # rows of 0/1 or weighted values, some copied, some all zero, with
+    # -0.0 for some zeros
+    width, cols = (int(v) for v in rng.integers(1, 12, 2))
+    values = ([0.0, 1.0] if rng.random() < 0.5
+              else [0.0, 0.25, 1 / 3, 0.5, float(rng.random())])
+    flat = rng.choice(values, size=(width, cols))
+    copies = rng.integers(0, width, width)
+    copied = rng.random(width) < 0.4
+    flat[copied] = flat[copies[copied]]
+    flat[rng.random(width) < 0.2] = 0.0
+    flat[(flat == 0.0) & (rng.random((width, cols)) < 0.5)] = -0.0
+    return flat
+
+
+def test_kept_answers_are_the_np_unique_oracles():
+    rng = np.random.default_rng(22)
+    signed_zero = merged = 0
+    for _ in range(400):
+        flat = _answer_table(rng)
+        kept = independence._kept_answers(flat)
+        assert kept == _kept_answers_oracle(flat)
+        signed_zero += bool(np.signbit(flat).any())
+        merged += len(set(kept) - {0}) < flat.any(axis=1).sum()
+    assert signed_zero > 100 and merged > 100
+    # rows that differ only in the sign of a zero are one row
+    flat = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [1.0, -0.0],
+                     [1.0, 0.0], [-0.0, -0.0]])
+    assert independence._kept_answers(flat) == [0, 3]
+    assert _kept_answers_oracle(flat) == [0, 3]
+
+
 def _dyadic_game(rng) -> Game:
     # question weights that are multiples of 1/64: every sum is exact, so
     # the weighted tie-breaks are those of exact arithmetic too
