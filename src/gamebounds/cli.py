@@ -16,15 +16,14 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import gameio
 from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
-from .gamegraph import (GameGraph, build_game_graph, check_vertex_cap,
-                        cycle_graph, dimacs_sidecar, parse_dimacs,
-                        pipeline_graph, to_dimacs)
-from .independence import _game_alpha
+from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
+                        dimacs_sidecar, parse_dimacs, pipeline_graph,
+                        to_dimacs)
+from .independence import _classical_value
 from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
@@ -102,17 +101,11 @@ def build_report(g: Game, tol: float, force_weighted: bool,
 
     t0 = time.perf_counter()
     gg = pipeline_graph(g, force_weighted)
-    divisor = gg.objective()[1]
-    weighted = gg.weights is not None
     timings["build_graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alpha, _ = _game_alpha(g, gg)
-    omega = alpha.value / divisor
-    omega_exact = None
-    if not weighted:
-        frac = Fraction(len(alpha.witness), divisor)
-        omega_exact = f"{frac.numerator}/{frac.denominator}"
+    classical = _classical_value(g, gg)
+    alpha, omega, exact = classical.alpha, classical.value, classical.exact
     timings["alpha"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -132,7 +125,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
         "name": g.name,
         "sizes": {"nx": g.nx, "ny": g.ny, "na": g.na, "nb": g.nb},
         "k": g.k,
-        "weighted_pipeline": weighted,
+        "weighted_pipeline": exact is None,
         "graph": {"num_vertices": gg.n, "num_edges": gg.num_edges},
         "alpha": {
             "value": float(alpha.value),
@@ -141,7 +134,8 @@ def build_report(g: Game, tol: float, force_weighted: bool,
             "nodes_explored": alpha.nodes_explored,
         },
         "omega_classical": float(omega),
-        "omega_exact": omega_exact,
+        "omega_exact": (None if exact is None
+                        else f"{exact.numerator}/{exact.denominator}"),
         "theta": {
             "value": theta.value,
             "dual_bound": theta.dual_bound,
@@ -155,7 +149,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
         # objective of a feasible primal matrix, so a loose or unconverged
         # dual bound never sets it; a failure shows against the upper end
         "bell_gap_certificate": bool(
-            theta.value / divisor > omega + 10.0 * tol),
+            theta.value / gg.objective()[1] > omega + 10.0 * tol),
         "solver_failure": bool(omega > bound.bound + 10.0 * tol),
         "tolerance": tol,
     }
@@ -228,7 +222,6 @@ def cmd_verify_qis(args) -> int:
         with open(args.graph, "r", encoding="utf-8") as fh:
             target = parse_dimacs(fh.read())
     else:
-        check_vertex_cap(g.predicate)
         target = build_game_graph(g)
     report = verify_quantum_independent_set(target, qis, args.tol)
     if report.valid:
@@ -243,7 +236,6 @@ def cmd_verify_qis(args) -> int:
 def cmd_lift(args) -> int:
     qis = _load_qis(args.qis)
     g = _load_game(args)
-    check_vertex_cap(g.predicate)
     gg = build_game_graph(g)
     strategy = lift_qis_to_strategy(g, gg, qis, args.tol)
     value = winning_probability(g, strategy)

@@ -7,7 +7,8 @@ set therefore picks at most one consistent answer pair per question pair.
 
 A ``GameGraph`` is a ``Graph`` with its quadruples, the game's question-pair
 count and, for the weighted construction, vertex weights; every algorithm on
-a ``Graph`` takes it as it is.
+a ``Graph`` takes it as it is.  Every builder goes through ``_graph_on``,
+which refuses more than VERTEX_CAP vertices before it builds one.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .games import Game, SizeCapError
 
 # Vertices of a graph the exact search takes, and of a DIMACS file
-# parse_dimacs reads; fixed.  The bound pipeline counts a game's vertices
-# against it before building the graph.
+# parse_dimacs reads; fixed.  Every game-graph builder counts a game's
+# vertices against it before building the graph.
 VERTEX_CAP = 512
 
 
@@ -155,19 +156,23 @@ def _adjacency(vertices) -> tuple[int, ...]:
 
 def _graph_on(g: Game, table: np.ndarray, weighted: bool) -> GameGraph:
     """Game graph on the quadruples where ``table`` is positive, in
-    lexicographic order, weighted by their table entries when asked."""
+    lexicographic order, weighted by their table entries when asked.  More
+    than VERTEX_CAP of them raise SizeCapError before any vertex is built."""
     positive = table > 0.0
+    n = int(np.count_nonzero(positive))
+    if n > VERTEX_CAP:
+        raise SizeCapError(
+            f"game graph would have {n} vertices (cap {VERTEX_CAP})")
     vertices = tuple(map(tuple, np.argwhere(positive).tolist()))
     weights = tuple(table[positive].tolist()) if weighted else None
-    return GameGraph(len(vertices), _adjacency(vertices), vertices, g.k,
-                     weights)
+    return GameGraph(n, _adjacency(vertices), vertices, g.k, weights)
 
 
 def build_game_graph(g: Game) -> GameGraph:
     """Game graph of a 0/1 game: vertices are the winning quadruples."""
     if not g.is_boolean():
-        raise ValueError(
-            "game has a non-boolean predicate; use build_weighted_game_graph")
+        raise ValueError("game has a non-boolean predicate; certificates "
+                         "need a 0/1 predicate")
     return _graph_on(g, g.predicate, False)
 
 
@@ -181,24 +186,15 @@ def build_weighted_game_graph(g: Game) -> GameGraph:
     return _graph_on(g, g.predicate * g.distribution[:, :, None, None], True)
 
 
-def check_vertex_cap(table: np.ndarray) -> None:
-    """SizeCapError if ``table`` has more than VERTEX_CAP positive entries."""
-    n = int(np.count_nonzero(table))
-    if n > VERTEX_CAP:
-        raise SizeCapError(
-            f"game graph would have {n} vertices (cap {VERTEX_CAP})")
-
-
 def pipeline_graph(g: Game, weighted: bool = False) -> GameGraph:
     """The game graph the bound pipeline runs on.
 
     Uniform 0/1 games get the 0/1 construction, so their values come out as
     alpha/k and theta/k; every other game, and any game when ``weighted`` is
     set, gets the weighted construction.  Either has one vertex per
-    quadruple of positive weight, so a game with more than VERTEX_CAP of
-    them raises SizeCapError before any graph is built.
+    quadruple of positive weight, and either refuses a game with more than
+    VERTEX_CAP of them.
     """
-    check_vertex_cap(g.predicate * g.distribution[:, :, None, None])
     if weighted or not (g.is_boolean() and g.is_uniform()):
         return build_weighted_game_graph(g)
     return build_game_graph(g)

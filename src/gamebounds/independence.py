@@ -5,10 +5,10 @@ its game graph over the graph's divisor: unit weights over the number of
 question pairs for a 0/1 predicate with uniform questions, the weights
 predicate * probability over 1 otherwise.  Three routes compute maxima:
 
-- the game search (``classical_value`` and the ``analyze`` report): a
-  depth-first search over one player's answers, question by question, while
-  the other player best-responds; the independent set is the set of game
-  graph vertices that the best strategy pair wins;
+- the game search (``classical_value``, whose result the ``analyze`` report
+  prints): a depth-first search over one player's answers, question by
+  question, while the other player best-responds; the independent set is the
+  set of game graph vertices that the best strategy pair wins;
 - graph branch and bound (``independence_number``, ``weighted_independence``)
   on plain graphs, bounded by a first-fit clique cover peeled off bitsets one
   class at a time;
@@ -272,11 +272,10 @@ def _game_search(table: np.ndarray) -> tuple[ClassicalStrategy, int]:
     return strategy, nodes
 
 
-def _game_alpha(g: Game, gg: GameGraph) -> tuple[IndependenceResult,
-                                                 ClassicalStrategy]:
-    """Maximum-weight independent set of the pipeline graph ``gg`` of ``g``,
-    from the game search: the vertices its strategy pair wins, checked to
-    be independent."""
+def _classical_value(g: Game, gg: GameGraph) -> ClassicalValueResult:
+    """classical_value on the pipeline graph ``gg`` of ``g``, already built:
+    the maximum-weight independent set is the set of vertices that the game
+    search's strategy pair wins, checked to be independent."""
     table = (g.predicate if gg.weights is None
              else g.predicate * g.distribution[:, :, None, None])
     strategy, nodes = _game_search(table)
@@ -286,10 +285,12 @@ def _game_alpha(g: Game, gg: GameGraph) -> tuple[IndependenceResult,
     chosen = sum(1 << v for v in witness)
     if any(gg.rows[v] & chosen for v in witness):
         raise AssertionError("game search witness is not independent")
-    weights, _ = gg.objective()
+    weights, divisor = gg.objective()
     alpha = IndependenceResult(float(sum(weights[v] for v in witness)),
                                witness, nodes)
-    return alpha, strategy
+    exact = Fraction(len(witness), divisor) if gg.weights is None else None
+    return ClassicalValueResult(alpha.value / divisor, exact, strategy, alpha,
+                                gg)
 
 
 def classical_value(g: Game) -> ClassicalValueResult:
@@ -299,13 +300,7 @@ def classical_value(g: Game) -> ClassicalValueResult:
     divisor; for uniform 0/1 games that is alpha/k, also given as an exact
     rational.
     """
-    gg = pipeline_graph(g)
-    alpha, strategy = _game_alpha(g, gg)
-    divisor = gg.objective()[1]
-    exact = (Fraction(len(alpha.witness), divisor) if gg.weights is None
-             else None)
-    return ClassicalValueResult(alpha.value / divisor, exact, strategy, alpha,
-                                gg)
+    return _classical_value(g, pipeline_graph(g))
 
 
 @dataclass(frozen=True)

@@ -464,6 +464,20 @@ def test_certificate_commands_refuse_a_graph_above_the_cap(
 
 
 @pytest.mark.parametrize("command", ["verify-qis", "lift"])
+def test_certificate_commands_refuse_a_non_boolean_game(tmp_path, capsys,
+                                                        command):
+    game = tmp_path / "real.json"
+    game.write_text(json.dumps({"name": "real", "nx": 1, "ny": 1, "na": 2,
+                                "nb": 2, "predicate": {"table": [0.5] * 4}}))
+    qis = tmp_path / "qis.json"
+    qis.write_text(json.dumps(qis_to_dict(
+        qis_from_vertex_set(build_game_graph(chsh()), [0]))))
+    err = _exits_1_with_one_error_line(capsys, command, str(game), str(qis))
+    assert "non-boolean" in err and "0/1 predicate" in err
+    assert "build_" not in err  # the message names no library function
+
+
+@pytest.mark.parametrize("command", ["verify-qis", "lift"])
 def test_missing_certificate_exits_1_before_the_graph(
         tmp_path, capsys, monkeypatch, command):
     # chsh --rep 4 has 4,096 vertices; the certificate is read first

@@ -11,9 +11,11 @@ from gamebounds.gamegraph import (GameGraph, Graph, build_game_graph,
                                   dimacs_sidecar, parse_dimacs, pipeline_graph,
                                   to_dimacs, to_plain_graph)
 from gamebounds.independence import classical_value
+from gamebounds.quantum import strategy_to_qis
 from gamebounds.sdp import quantum_upper_bound
 
 from conftest import naive_game_graph_edges, random_boolean_game, random_graph
+from quantum_fixtures import strategy_from_classical
 
 
 def test_chsh_game_graph_counts():
@@ -105,8 +107,15 @@ def test_vertex_count_equals_nonzero_weights():
         assert wgg.n == nonzero
 
 
-@pytest.mark.parametrize("compute", [pipeline_graph, classical_value,
-                                     quantum_upper_bound])
+def _perfect_strategy_to_qis(g):
+    # every answer wins, so answering 0 everywhere is a perfect d = 1 strategy
+    return strategy_to_qis(g, strategy_from_classical(g, [0] * g.nx,
+                                                      [0] * g.ny))
+
+
+@pytest.mark.parametrize("compute", [
+    build_game_graph, build_weighted_game_graph, pipeline_graph,
+    classical_value, quantum_upper_bound, _perfect_strategy_to_qis])
 def test_vertex_cap_is_checked_before_the_graph_is_built(monkeypatch, compute):
     def refuse(vertices):
         raise AssertionError(f"built a graph on {len(vertices)} vertices")
