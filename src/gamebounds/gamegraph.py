@@ -84,20 +84,28 @@ def _first_asymmetry(rows, n: int) -> tuple[int, int]:
     """The first (i, j) in row-major order with bit j set in row i and bit i
     clear in row j, or (n, n).  The rows are unpacked into a bit matrix and
     compared with its transpose, in blocks of about 2^24 entries."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
-                           np.uint8).reshape(n, width)
-    step = max(8, (1 << 24) // max(n, 1) // 8 * 8)
+    step = max(1, (1 << 24) // max(n, 1))
     for start in range(0, n, step):
         stop = min(n, start + step)
-        block = np.unpackbits(packed[start:stop], axis=1, count=n,
-                              bitorder="little")
-        mirror = np.unpackbits(packed[:, start // 8:(stop + 7) // 8], axis=1,
-                               count=stop - start, bitorder="little")
+        block = bit_matrix(rows[start:stop], n)
+        # columns start:stop of every row: the block itself when it holds
+        # every row
+        window = (1 << (stop - start)) - 1
+        mirror = block if stop - start == n else bit_matrix(
+            [r >> start & window for r in rows], stop - start)
         found = np.argwhere(block > mirror.T)
         if len(found):
             return start + int(found[0, 0]), int(found[0, 1])
     return n, n
+
+
+def bit_matrix(rows, n: int) -> np.ndarray:
+    """The bitsets rows, of n bits each, as a len(rows) x n 0/1 uint8
+    matrix: entry (i, j) is bit j of rows[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+                           np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 def cycle_graph(n: int) -> Graph:

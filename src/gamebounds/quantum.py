@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game
-from .gamegraph import GameGraph, Graph, build_game_graph
+from .gamegraph import GameGraph, Graph, bit_matrix, build_game_graph
 
 MEASUREMENT_TOL = 1e-9
 STATE_TOL = 1e-10
@@ -329,7 +329,6 @@ def _orthogonality(adjacency: Graph, stack: np.ndarray, vertices: np.ndarray,
     whose product's norm is not <= tol, as arrays (p, q, norm) in (p, q)
     order, taken in row blocks of about _PAIR_BLOCK_ENTRIES pair entries."""
     count, n, d = len(stack), adjacency.n, stack.shape[-1]
-    width = (n + 7) // 8
     rows = max(1, _PAIR_BLOCK_ENTRIES // (d * d * max(count, n)))
     found = [(np.zeros(0, np.intp),) * 2 + (np.zeros(0),)]
     for s in range(0, count, rows):
@@ -337,10 +336,8 @@ def _orthogonality(adjacency: Graph, stack: np.ndarray, vertices: np.ndarray,
         lo = later[s]  # later is non-decreasing, so no pair starts below it
         if lo == count:
             break
-        packed = np.frombuffer(b"".join(
-            adjacency.rows[v].to_bytes(width, "little")
-            for v in vertices[s:e].tolist()), np.uint8).reshape(e - s, width)
-        bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+        bits = bit_matrix([adjacency.rows[v] for v in vertices[s:e].tolist()],
+                          n)
         near = bits[:, vertices[lo:]] | (vertices[s:e, None] == vertices[lo:])
         near &= np.arange(lo, count) >= later[s:e, None]
         p, q = np.nonzero(near)

@@ -23,13 +23,15 @@ factors the m x m Schur complement every iteration, m = classes + 1.  The
 predictor goes STEP_FRACTION of the way to the PSD boundary and the
 corrector max(STEP_FRACTION, 1 - sigma) of it, with sigma Mehrotra's
 centring weight (Mehrotra 1992): where the affine step predicts the end
-well, sigma is small and the steps come close to the boundary.  It
-reads each iterate's bracket [lower, upper] with _certify, aims for a
-bracket tol wide and stops there, or when a factorization fails, STALL_STEPS
-steps in a row do not narrow the bracket or MAX_ITERATIONS steps have run,
-keeping the narrowest bracket seen.  The step cap is a fixed constant, read
-at each solve and far above every measured step count; it only bounds the
-time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
+well, sigma is small and the steps come close to the boundary.  Its
+iterates stay primal and dual feasible up to rounding, so each one's
+duality gap is <X, Z> (Helmberg, Rendl, Vanderbei and Wolkowicz 1996): it
+aims for a gap tol wide and stops there, or when a factorization fails,
+STALL_STEPS steps in a row do not shrink the gap or MAX_ITERATIONS steps
+have run, keeping the iterate with the smallest gap.  Only that iterate is
+certified, by the caller, with _certify.  The step cap is a fixed constant,
+read at each solve and far above every measured step count; it only bounds
+the time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
 theta program with more than MAX_CONSTRAINTS constraints raises SizeCapError
 as soon as its classes are known, before any m x m array exists.
 
@@ -46,8 +48,7 @@ M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) built from the class matrices
 B_k,i on the blocks.  Otherwise (1-WL separates the graph, no block
 repeats, or the check fails) _theta_program describes the n x n program,
 the one-block case, whose Schur builder computes one representative row per
-class.  No step lifts an iterate, and each step's bracket, which only
-decides when to stop, is read inside the program.
+class.  No step lifts an iterate.
 
 The solve ends in _certify on the per-edge n x n program, whatever the
 classes or blocks: the lifted primal, averaged over the pair colours, and
@@ -56,7 +57,8 @@ dual_bound then bracket the exact theta up to eigensolver precision, with
 every edge of the primal exactly 0; a partition that is too coarse or a
 wrong block basis only widens the bracket.  converged is set in one place:
 that bracket is at most 10*tol wide (times the largest objective entry,
-when that exceeds 1).  The XOR value is the midpoint of its bracket.
+when that exceeds 1).  The XOR value is the midpoint of the bracket that
+_certify gives its kept iterate.
 """
 
 from __future__ import annotations
@@ -66,12 +68,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, SizeCapError
-from .gamegraph import GameGraph, Graph, pipeline_graph
+from .gamegraph import GameGraph, Graph, bit_matrix, pipeline_graph
 
 DEFAULT_TOL = 1e-7
-# Interior-point steps per solve.  The most any measured solve took is 13:
-# the Tier-1 tests, and the catalog, theta-battery and xor benchmark
-# corpora (10, 13 and 11 steps there).  The cap leaves a margin of 101.
+# Interior-point steps per solve.  The most any measured solve took is 15,
+# in a Tier-1 test that forces a too-coarse edge partition; the catalog,
+# theta-battery and xor benchmark corpora take at most 11, 13 and 11 steps.
+# The cap leaves a margin of 99.
 MAX_ITERATIONS = 114
 
 # A theta program with more constraints m (edge classes + 1) than this is
@@ -130,7 +133,9 @@ def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray):
     """certify(x, y) = (X, lower, upper) for the program _ipm_sdp takes,
     from any square x and y: lower = <c, X> (rows weighted by mult) is the
     objective of the feasible X and upper that of a feasible dual, so
-    lower <= optimum <= upper up to eigensolver roundoff.
+    lower <= optimum <= upper up to eigensolver roundoff.  Each solve
+    calls it once, on the point it reports: theta on the per-edge program,
+    the XOR value on the solver's kept iterate.
 
     X is x symmetrized and projected onto {a_map(X) = b}; if its least
     eigenvalue lam is negative, it becomes (X - lam I) / (1 - lam n / b.b)
@@ -158,8 +163,13 @@ def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
     lower triangle, with its Cholesky factor L, a block column at a time, so
     that no second m x m array is allocated (numpy's cholesky makes two).
     Returns the inverses of L's diagonal blocks, which _cho_solve needs;
-    raises LinAlgError when a is not numerically positive definite."""
+    raises LinAlgError when a is not numerically positive definite.  When m
+    is at most _BLOCK, L is one block: one cholesky and one inv, the same
+    bits as the block loop."""
     m = a.shape[0]
+    if m <= _BLOCK:
+        a[:] = np.linalg.cholesky(a)
+        return [np.linalg.inv(a)]
     inverses = []
     for s in range(0, m, _BLOCK):
         e = min(s + _BLOCK, m)
@@ -174,7 +184,11 @@ def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
 def _cho_solve(low: np.ndarray, inverses: list[np.ndarray],
                r: np.ndarray) -> np.ndarray:
     """Solve L L^T v = r by block forward and back substitution, given what
-    _cholesky_in_place left in low and returned."""
+    _cholesky_in_place left in low and returned; with one block, L^-1 is
+    inverses[0] and v = L^-T (L^-1 r)."""
+    if len(inverses) == 1:
+        li = inverses[0]
+        return li.T @ (li @ r)
     v = r.copy()
     blocks = [(s, s + len(li), li) for s, li in
               zip(range(0, len(r), _BLOCK), inverses)]
@@ -268,11 +282,11 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
 
 def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
              target: float, mult: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+             ) -> tuple[np.ndarray, np.ndarray, int]:
     """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
-    s.t. Z = a_adj(y) - c PSD; returns (X, y, lower, upper, steps), with
-    lower <= optimum <= upper the ends _certify reads off (X, y) and steps
-    the number of steps completed.
+    s.t. Z = a_adj(y) - c PSD; returns (X, y, steps), the kept iterate and
+    the number of steps completed.  It certifies nothing: the caller hands
+    (X, y), or what it lifts them to, to _certify once.
 
     The only SDP solver here: it takes the theta program from either
     builder and the XOR program.  Primal-dual interior point with the HKM
@@ -288,20 +302,21 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     products, the traces of M included, and sums to n.
     Both programs have a_adj(b) = I, so the start is strictly feasible: X
     the projection of 0 onto {a_map(X) = b} (I/n for theta, I for XOR) and
-    y = t b, Z = t I - C, with t above the Gershgorin bound of C.
-    Every step's iterate is certified; iteration stops once its ends are at
-    most target apart, or when a factorization fails, STALL_STEPS steps in
-    a row do not narrow them or MAX_ITERATIONS steps have run, and returns
-    the iterate with the narrowest ends (the start if no step was taken).
+    y = t b, Z = t I - C, with t above the Gershgorin bound of C.  Every
+    step keeps the iterate feasible up to rounding, so its duality gap
+    b.y - <c, X> is <X, Z> (rows weighted by mult).  Iteration stops once
+    that gap is at most target, or when a factorization fails, STALL_STEPS
+    steps in a row do not shrink it or MAX_ITERATIONS steps have run, and
+    returns the iterate with the smallest gap (the start if no step was
+    taken).
     """
     size = c.shape[0]
     weights = mult[:, None]
     project = _affine_projection(a_map, a_adj, len(b))
-    certify = _certify(c, b, a_map, a_adj, mult)
     x = project(np.zeros((size, size)), b)
     y = (1.0 + float(np.max(np.sum(np.abs(c), axis=1)))) * b
     z = a_adj(y) - c
-    best = (np.inf, x, y, None)
+    best = (np.inf, x, y)
     low = np.zeros((len(y), len(y)))
     stalled = steps = 0
     while steps < MAX_ITERATIONS:
@@ -311,16 +326,14 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
         except np.linalg.LinAlgError:
             break
         steps += 1
-        certificate = certify(x, y)
-        gap = certificate[2] - certificate[1]
+        gap = float(np.sum(x * z * weights))
         if gap < best[0]:
-            best, stalled = (gap, x, y, certificate), 0
+            best, stalled = (gap, x, y), 0
         else:
             stalled += 1
         if gap <= target or stalled == STALL_STEPS:
             break
-    _, x, y, certificate = best
-    return (x, y) + (certificate or certify(x, y))[1:] + (steps,)
+    return best[1], best[2], steps
 
 
 def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
@@ -333,19 +346,28 @@ def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
 
 
 def _wl_colours(colours: np.ndarray, step) -> np.ndarray:
-    """Refine colours by step(r1[colours], r2[colours]) until the colour
-    count stops growing.  r1 and r2 are random integers below 2^20 from a
-    fixed seed, so sums of up to 2^13 of their products are exact in
-    float64.  A hash collision only merges colours: the result may be
-    coarser than the exact refinement, never finer."""
+    """Refine colours by step(r1[colours], r2[colours]) until a round only
+    confirms them: every colour below the count is in use and the hash is
+    one value on each colour class.  That round returns the colours without
+    the sort that _refine makes; a colouring that skips a colour (an
+    edgeless graph has no pair colour 1) is renumbered by _refine first.
+    r1 and r2 are random integers below 2^20 from a fixed seed, so sums of
+    up to 2^13 of their products are exact in float64.  A hash collision
+    only merges colours: the result may be coarser than the exact
+    refinement, never finer."""
     rng = np.random.default_rng(0)
     count = int(colours.max()) + 1
     while True:
         r1, r2 = rng.integers(1, 1 << 20, size=(2, count)).astype(float)
-        refined = _refine(colours, step(r1[colours], r2[colours]))
-        if int(refined.max()) + 1 == count:
+        hashed = step(r1[colours], r2[colours])
+        # the hash of one entry of each class; NaN marks a colour that no
+        # entry has
+        rep = np.full(count, np.nan)
+        rep[colours.ravel()] = hashed.ravel()
+        if not np.isnan(rep).any() and np.array_equal(rep[colours], hashed):
             return colours
-        colours, count = refined, int(refined.max()) + 1
+        colours = _refine(colours, hashed)
+        count = int(colours.max()) + 1
 
 
 def _edge_classes(graph: Graph, vertex_keys: np.ndarray):
@@ -360,14 +382,15 @@ def _edge_classes(graph: Graph, vertex_keys: np.ndarray):
     with its transpose; classes are numbered by colour, so the partition
     does not depend on the vertex labelling."""
     n = graph.n
-    ei, ej = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2).T
-    adj = np.zeros((n, n))
-    adj[ei, ej] = adj[ej, ei] = 1.0
+    bits = bit_matrix(graph.rows, n)
+    # row-major, as graph.edges() lists them
+    ei, ej = np.nonzero(np.triu(bits, 1))
+    adj = bits.astype(float)
     vertex = _wl_colours(np.unique(vertex_keys, return_inverse=True)[1],
                          lambda r1, r2: adj @ r1)
     if int(vertex.max()) + 1 == n:
         return ei, ej, np.arange(len(ei)), None
-    pairs = adj.astype(np.int64)
+    pairs = bits.astype(np.int64)
     pairs[np.diag_indices(n)] = 2 + vertex
     pairs = _wl_colours(pairs, np.matmul)
     colours = _refine(np.minimum(pairs, pairs.T), np.maximum(pairs, pairs.T))
@@ -404,11 +427,17 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
     sizes = np.diff(bounds)
     # flat indices of the edge entries read much faster than (ei, ej) pairs
     fij, fji = ei * n + ej, ej * n + ei
+    # with one edge per class (graphs that 1-WL separates, and the per-edge
+    # certificate) a class sum is its one edge's entry
+    singletons = len(starts) == len(ei)
+
+    def class_sums(v):
+        return v if singletons else np.add.reduceat(v, starts)
 
     def a_map(w):
         f = w.ravel()
-        return np.concatenate(([np.trace(w)], np.add.reduceat(
-            0.5 * (f[fij] + f[fji]), starts)))
+        return np.concatenate(([np.trace(w)],
+                               class_sums(0.5 * (f[fij] + f[fji]))))
 
     def a_adj(y):
         out = np.zeros((n, n))
@@ -426,7 +455,7 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
             x, zi = average(x), average(zi)
         out[0, 0] = np.sum(x * zi)
         w = x @ zi
-        out[1:, 0] = np.add.reduceat(0.5 * (w[ei, ej] + w[ej, ei]), starts)
+        out[1:, 0] = class_sums(0.5 * (w[ei, ej] + w[ej, ei]))
         # M_kl = |k| sum over f = (p, q) in class l of (X_jp Zi_iq +
         # X_jq Zi_ip + X_ip Zi_jq + X_iq Zi_jp) / 4, with (i, j) the first
         # edge of class k, built a block of rows at a time
@@ -437,12 +466,14 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
             fk, fl = ei[:bounds[e]], ej[:bounds[e]]
             xi, xj, zi_i, zi_j = x[i], x[j], zi[i], zi[j]
             rows_out = out[1 + s:1 + e, 1:1 + e]
-            block = np.empty((e - s, bounds[e]))
+            block = (rows_out if singletons
+                     else np.empty((e - s, bounds[e])))
             np.multiply(xj[:, fk], zi_i[:, fl], out=block)
             block += xj[:, fl] * zi_i[:, fk]
             block += xi[:, fk] * zi_j[:, fl]
             block += xi[:, fl] * zi_j[:, fk]
-            np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
+            if not singletons:
+                np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
             rows_out *= 0.25 * sizes[s:e, None]
 
     return c, np.ones(n), a_map, a_adj, lambda w: w, schur
@@ -617,12 +648,12 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     cb, mult, a_map, a_adj, lift, schur = program
     b = np.append(1.0, np.zeros(m - 1))
     scale = max(1.0, float(np.max(np.abs(c))))
-    # aim for a bracket tol wide but certify at 10*tol: the reported ends
+    # aim for a duality gap tol wide but certify at 10*tol: the reported ends
     # then sit well inside the certified width (aiming at 10*tol left the
     # CHSH lower end 5.9e-7 below 2 + sqrt(2)), and a solve that stalls just
     # short of tol still certifies
-    x, y, _, _, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur,
-                                      tol * scale, mult)
+    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, tol * scale,
+                                mult)
     # the per-edge program's certificate: the lifted primal averaged over the
     # pair colours (still PSD, each class sum spread over its edges), each
     # edge with its class's multiplier; the projection zeroes every edge
@@ -723,8 +754,10 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
     c = np.zeros((n, n))
     c[:g.nx, g.nx:] = d / 2.0
     c[g.nx:, :g.nx] = d.T / 2.0
-    # unit diagonal: A_k = E_kk, so M = X o Z^-1; the ends bracket the exact
-    # correlation optimum, and their midpoint is within half their distance
-    _, _, lower, upper, _ = _ipm_sdp(c, np.ones(n), np.diag, np.diag,
-                                     np.multiply, tol, np.ones(n))
+    # unit diagonal: A_k = E_kk, so M = X o Z^-1; the certified ends bracket
+    # the exact correlation optimum, and their midpoint is within half their
+    # distance
+    b, mult = np.ones(n), np.ones(n)
+    x, y, _ = _ipm_sdp(c, b, np.diag, np.diag, np.multiply, tol, mult)
+    _, lower, upper = _certify(c, b, np.diag, np.diag, mult)(x, y)
     return constant + 0.5 * (lower + upper)

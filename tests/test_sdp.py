@@ -5,7 +5,7 @@ from gamebounds import sdp
 from gamebounds.games import (SizeCapError, all_ones, chsh,
                               independent_set_game, magic_square,
                               parallel_repetition, xor_game)
-from gamebounds.gamegraph import (Graph, build_game_graph,
+from gamebounds.gamegraph import (Graph, bit_matrix, build_game_graph,
                                   build_weighted_game_graph, complete_graph,
                                   cycle_graph, empty_graph,
                                   pipeline_graph, to_plain_graph)
@@ -155,6 +155,33 @@ def _complement(graph):
                                       if not graph.has_edge(i, j)])
 
 
+def test_each_reported_bound_is_certified_once(monkeypatch):
+    # the solver stops on its iterates' duality gap; only the point a solve
+    # reports is certified: theta on the block route, on the n x n route and
+    # weighted, and the XOR program
+    calls = []
+    certify = sdp._certify
+
+    def counting(*args):
+        inner = certify(*args)
+
+        def counted(x, y):
+            calls.append(x.shape)
+            return inner(x, y)
+        return counted
+
+    monkeypatch.setattr(sdp, "_certify", counting)
+    gg = build_weighted_game_graph(magic_square())
+    for solve in (lambda: lovasz_theta(cycle_graph(5)),
+                  lambda: lovasz_theta(criterion7_random_graphs(1)[0]),
+                  lambda: weighted_theta(gg, gg.weights),
+                  lambda: xor_tsirelson_value(chsh()),
+                  lambda: xor_tsirelson_value(_odd_cycle_game(9))):
+        del calls[:]
+        solve()
+        assert len(calls) == 1
+
+
 def test_theta_times_complement_theta_is_at_least_n():
     # Lovasz: theta(G) theta(co-G) >= n for every graph, with equality when
     # G is vertex-transitive.  A converged bracket is at most 10*tol wide,
@@ -232,6 +259,89 @@ def test_discrete_graphs_keep_one_class_per_edge():
             assert np.array_equal(starts, np.arange(graph.num_edges))
         else:
             assert colours is not None
+
+
+def test_edge_arrays_follow_graph_edges():
+    # the bit matrix of the rows, its upper triangle read row-major, lists
+    # the edges as graph.edges() does; a graph that 1-WL separates (every
+    # vertex its own key) keeps that order in _edge_classes
+    rng = np.random.default_rng(5)
+    graphs = [random_graph(rng, n) for n in (0, 1, 7, 8, 9, 64)]
+    graphs += [random_graph(rng, int(rng.integers(2, 40)), rng.uniform())
+               for _ in range(20)]
+    graphs += [empty_graph(9), complete_graph(9)]
+    for graph in graphs:
+        bits = bit_matrix(graph.rows, graph.n)
+        assert bits.shape == (graph.n, graph.n)
+        ei, ej = np.nonzero(np.triu(bits, 1))
+        assert list(zip(ei.tolist(), ej.tolist())) == graph.edges()
+        assert np.array_equal(bits, bits.T)
+        assert int(bits.sum()) == 2 * graph.num_edges
+        if graph.n:
+            ei, ej, starts, colours = sdp._edge_classes(graph,
+                                                        np.arange(graph.n))
+            assert colours is None
+            assert list(zip(ei.tolist(), ej.tolist())) == graph.edges()
+            assert np.array_equal(starts, np.arange(graph.num_edges))
+
+
+def _wl_colours_by_refinement(colours, step):
+    """The colour refinement loop that sorts in every round, the one that
+    only confirms too: the reference for sdp._wl_colours."""
+    rng = np.random.default_rng(0)
+    count = int(colours.max()) + 1
+    while True:
+        r1, r2 = rng.integers(1, 1 << 20, size=(2, count)).astype(float)
+        refined = sdp._refine(colours, step(r1[colours], r2[colours]))
+        if int(refined.max()) + 1 == count:
+            return colours
+        colours, count = refined, int(refined.max()) + 1
+
+
+def test_wl_colours_match_the_refine_only_loop(monkeypatch, chsh3_graph):
+    # random, edgeless and complete graphs (whose pair colourings skip a
+    # colour), the catalog graphs and CHSH^3, for 1-WL and 2-WL: the same
+    # colours as refining every round, with no _refine in the round that
+    # only confirms
+    refine = sdp._refine
+    refines = []
+
+    def counting(colours, hashed):
+        refines.append(1)
+        return refine(colours, hashed)
+
+    wl_colours = sdp._wl_colours
+    seen = []
+
+    def compared(colours, step):
+        dense = len(np.unique(colours)) == int(colours.max()) + 1
+        del refines[:]
+        reference = _wl_colours_by_refinement(colours, step)
+        expected = len(refines) - 1
+        del refines[:]
+        out = wl_colours(colours, step)
+        assert out.dtype == reference.dtype
+        assert np.array_equal(out, reference)
+        assert len(refines) == expected
+        seen.append(dense)
+        return out
+
+    monkeypatch.setattr(sdp, "_refine", counting)
+    monkeypatch.setattr(sdp, "_wl_colours", compared)
+    rng = np.random.default_rng(11)
+    graphs = [(g, np.ones(g.n)) for g in criterion7_random_graphs(20,
+                                                                  games=10)]
+    graphs += [(random_graph(rng, 12, p), np.ones(12))
+               for p in (0.2, 0.5, 0.8)]
+    graphs += [(empty_graph(6), np.ones(6)),
+               (empty_graph(6), np.array([1.0, 2.0] * 3)),
+               (complete_graph(5), np.ones(5)),
+               (complete_graph(6), np.array([1.0, 2.0] * 3))]
+    graphs += [(graph, np.diag(c)) for graph, c in _catalog_graphs()]
+    graphs.append((chsh3_graph, np.ones(512)))
+    for graph, keys in graphs:
+        sdp._edge_classes(graph, keys)
+    assert True in seen and False in seen
 
 
 def test_too_coarse_partition_still_brackets_theta(monkeypatch):
@@ -481,7 +591,7 @@ def test_n_by_n_path_is_pinned():
     graphs = criterion7_random_graphs(20, games=2)
     pins = [(graphs[0], "0x1.ffffffb6ded19p+1", "0x1.000000073c802p+2", 7),
             (graphs[1], "0x1.7fffff93c7cc6p+1", "0x1.80000011c9155p+1", 13),
-            (graphs[4], "0x1.7fffff76633d0p+1", "0x1.8000003abfd36p+1", 6),
+            (graphs[4], "0x1.7fffffdf5378bp+1", "0x1.8000000e33a10p+1", 7),
             (graphs[21], "0x1.1fffffe9a0e0ap+3", "0x1.200000000c8c5p+3", 9)]
     for graph, value, dual_bound, iterations in pins:
         res = lovasz_theta(graph)
@@ -492,6 +602,22 @@ def test_n_by_n_path_is_pinned():
         "0x1.fc1c5c6408910p-1")
     assert xor_tsirelson_value(_odd_cycle_game(15)).hex() == (
         "0x1.fe98fca7b6aedp-1")
+
+
+def test_cholesky_solves_on_either_path():
+    # one block up to _BLOCK rows, the block loop above: L L^T v = r to a
+    # relative residual of 1e-12, reading only the lower triangle
+    rng = np.random.default_rng(3)
+    for m in (1, sdp._BLOCK, sdp._BLOCK + 1, 3 * sdp._BLOCK):
+        a = rng.standard_normal((m, m))
+        matrix = a @ a.T + m * np.eye(m)
+        r = rng.standard_normal(m)
+        low = np.tril(matrix) + np.triu(np.full((m, m), np.nan), 1)
+        inverses = sdp._cholesky_in_place(low)
+        assert len(inverses) == -(-m // sdp._BLOCK)
+        v = sdp._cho_solve(low, inverses, r)
+        assert (np.linalg.norm(matrix @ v - r)
+                <= 1e-12 * np.linalg.norm(r))
 
 
 def test_chsh3_theta(chsh3_graph):
@@ -779,7 +905,7 @@ def test_odd_cycle_xor_takes_few_steps(monkeypatch):
 
     def counting(*args):
         out = ipm_sdp(*args)
-        steps.append(out[4])
+        steps.append(out[2])
         return out
 
     monkeypatch.setattr(sdp, "_ipm_sdp", counting)
