@@ -147,8 +147,11 @@ class GameGraph(Graph):
 
 
 def _adjacency(vertices) -> tuple[int, ...]:
-    """Adjacency rule: same x with a different a, or same y with a different b."""
-    rows = [0] * len(vertices)
+    """Adjacency rule: same x with a different a, or same y with a different
+    b.  Every vertex asked x and answering a has the same x side: the
+    vertices asked x less those answering a; likewise for y.  Both sides are
+    built once per (question, answer), and a row is the OR of its two."""
+    sides = []
     for q in (0, 1):  # question x with answer a, then y with answer b
         answered: dict[tuple[int, int], int] = {}
         asked: dict[int, int] = {}
@@ -157,9 +160,10 @@ def _adjacency(vertices) -> tuple[int, ...]:
             key = (v[q], v[q + 2])
             answered[key] = answered.get(key, 0) | bit
             asked[v[q]] = asked.get(v[q], 0) | bit
-        for idx, v in enumerate(vertices):
-            rows[idx] |= asked[v[q]] & ~answered[v[q], v[q + 2]]
-    return tuple(rows)
+        sides.append({key: asked[key[0]] & ~mask
+                      for key, mask in answered.items()})
+    by_x, by_y = sides
+    return tuple(by_x[x, a] | by_y[y, b] for x, y, a, b in vertices)
 
 
 def _graph_on(g: Game, table: np.ndarray, weighted: bool) -> GameGraph:

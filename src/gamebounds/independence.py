@@ -12,8 +12,8 @@ predicate * probability over 1 otherwise.  Three routes compute maxima:
 - graph branch and bound (``independence_number``, ``weighted_independence``)
   on plain graphs, bounded by a first-fit clique cover peeled off bitsets one
   class at a time;
-- ``classical_value_brute``: every strategy of one player listed whole, the
-  other best-responding, an oracle independent of both.
+- ``classical_value_brute``: every strategy of one player scored by prefix
+  sums, the other best-responding, an oracle independent of both.
 """
 
 from __future__ import annotations
@@ -317,22 +317,18 @@ class BruteForceResult:
         return Fraction(self.wins, self.k) if self.wins is not None else None
 
 
-def _all_functions(domain: int, codomain: int) -> np.ndarray:
-    """All codomain**domain functions as rows of an array, row-major packed."""
-    count = codomain ** domain
-    table = np.empty((count, domain), dtype=np.int64)
-    for pos in range(domain):
-        period = codomain ** (domain - 1 - pos)
-        table[:, pos] = (np.arange(count) // period) % codomain
-    return table
-
-
 def classical_value_brute(g: Game) -> BruteForceResult:
     """Exact classical value: the side with fewer strategies (Alice on a
     tie) is listed whole, the other best-responds per question; ties go to
     the lowest listed row, then the lowest answer.  BRUTE_CAP counts
     strategy pairs.  Independent of the game-graph machinery, as a
     cross-check.
+
+    Rows that share their first q answers share the sum over those
+    questions, so each question adds its gains once to every prefix.  Row s
+    answers the digits of s in base the listed side's answer count,
+    question 0 the most significant, so rows run in lexicographic order,
+    and each entry is summed from 0.0 in question order.
     """
     # the pairs are multiplied out only as far as the cap: bit_length(cap)
     # factors of 2 or more exceed it already
@@ -347,15 +343,16 @@ def classical_value_brute(g: Game) -> BruteForceResult:
     alice_listed = g.na ** g.nx <= g.nb ** g.ny
     if not alice_listed:
         table = table.transpose(1, 0, 3, 2)
-    listed = _all_functions(table.shape[0], table.shape[2])
+    depth, _, width, _ = table.shape
     # score[s, q, r]: the listed side plays row s, the other answers r to q
-    by_answer = table.transpose(0, 2, 1, 3)
-    score = np.zeros((len(listed),) + by_answer.shape[2:])
-    for question, answers in enumerate(listed.T):
-        score += by_answer[question, answers]
+    gains = table.transpose(0, 2, 1, 3)
+    other_side = gains.shape[2:]
+    score = np.zeros((1,) + other_side)
+    for question in range(depth):
+        score = (score[:, None] + gains[question]).reshape((-1,) + other_side)
     totals = score.max(axis=2).sum(axis=1)
     best = int(np.argmax(totals))
-    own = tuple(int(v) for v in listed[best])
+    own = tuple(int(v) for v in np.unravel_index(best, (width,) * depth))
     other = tuple(int(v) for v in score[best].argmax(axis=1))
     strategy = (ClassicalStrategy(own, other) if alice_listed
                 else ClassicalStrategy(other, own))

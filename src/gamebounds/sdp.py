@@ -338,10 +338,17 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
 
 def _refine(colours: np.ndarray, hashed: np.ndarray) -> np.ndarray:
     """Colours numbered 0, 1, ... by the sorted distinct pairs (colour,
-    hash); hashed holds exact integers, so equal inputs give equal ids
-    whatever the vertex labelling."""
-    rank = np.unique(hashed.ravel(), return_inverse=True)[1]
-    keys = colours.ravel() * (int(rank.max()) + 1) + rank
+    hash); hashed holds exact non-negative integers, so equal inputs give
+    equal ids whatever the vertex labelling.  The pairs are sorted once, as
+    colour * span + hash with span above every hash; when those keys could
+    pass int64 (they reach colour count * span - 1), the hashes are first
+    replaced by their ranks, which keep their order."""
+    flat = hashed.ravel()
+    span = int(flat.max()) + 1
+    if (int(colours.max()) + 1) * span > 1 << 63:
+        flat = np.unique(flat, return_inverse=True)[1]
+        span = int(flat.max()) + 1
+    keys = colours.ravel() * span + flat.astype(np.int64)
     return np.unique(keys, return_inverse=True)[1].reshape(colours.shape)
 
 

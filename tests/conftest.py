@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import pathlib
+import sys
 
 import numpy as np
 
@@ -118,3 +121,36 @@ def exhaustive_strategy_value(g: Game) -> float:
                     total += g.distribution[x, y] * g.predicate[x, y, fa[x], fb[y]]
             best = max(best, total)
     return best
+
+
+def benchmark_classical_games(seed: int) -> list[Game]:
+    """The benchmark's ``classical`` corpus as relabelled at ``seed``, in
+    the benchmark's order, without the round trip through a game file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules.get(spec.name)
+    if corpus is None:
+        corpus = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = corpus  # dataclasses look their module up
+        spec.loader.exec_module(corpus)
+    rng = np.random.default_rng(seed)
+    return [corpus.relabel_game(g, rng) for g in corpus._classical_corpus()]
+
+
+def oracle_games(rng: np.random.Generator, count: int) -> list[Game]:
+    """Random games with 1-4 questions and answers a side, in turn uniform
+    0/1, weighted 0/1, uniform with predicate entries in {0, 1/3, 2/3, 1},
+    and all-zero."""
+    out = []
+    for i in range(count):
+        sizes = tuple(int(v) for v in rng.integers(1, 5, 4))
+        lam = (rng.random(sizes) < rng.uniform(0.2, 0.8)).astype(float)
+        raw = np.ones(sizes[:2])
+        if i % 4 == 1:
+            raw = rng.integers(1, 10, sizes[:2]).astype(float)
+        elif i % 4 == 2:
+            lam *= rng.integers(1, 4, sizes) / 3
+        elif i % 4 == 3:
+            lam[:] = 0.0
+        out.append(Game(f"oracle-{i}", *sizes, lam, raw / raw.sum()))
+    return out

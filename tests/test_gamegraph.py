@@ -14,7 +14,9 @@ from gamebounds.independence import classical_value
 from gamebounds.quantum import strategy_to_qis
 from gamebounds.sdp import quantum_upper_bound
 
-from conftest import naive_game_graph_edges, random_boolean_game, random_graph
+import classical_oracle
+from conftest import (benchmark_classical_games, naive_game_graph_edges,
+                      oracle_games, random_boolean_game, random_graph)
 from quantum_fixtures import strategy_from_classical
 
 
@@ -124,6 +126,18 @@ def test_vertex_cap_is_checked_before_the_graph_is_built(monkeypatch, compute):
         compute(all_ones(1, 1, 1, 513))
     with pytest.raises(AssertionError, match="on 512 vertices"):
         compute(all_ones(1, 1, 1, 512))
+
+
+def test_adjacency_matches_the_per_vertex_oracle():
+    # the oracle games, the benchmark's classical corpus at two seeds and
+    # CHSH^3; vertices listed as the builders list them, but uncapped
+    games = oracle_games(np.random.default_rng(26), 120)
+    games += benchmark_classical_games(1) + benchmark_classical_games(2)
+    games.append(parallel_repetition(chsh(), 3))
+    for g in games:
+        vertices = tuple(map(tuple, np.argwhere(g.predicate > 0).tolist()))
+        assert gamegraph._adjacency(vertices) == classical_oracle.adjacency(
+            vertices)
 
 
 def test_non_boolean_predicate_rejected_by_plain_builder():

@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,10 @@ from gamebounds.independence import (classical_value, classical_value_brute,
                                      independence_number,
                                      weighted_independence)
 
-from conftest import (alpha_by_enumeration, exhaustive_strategy_value,
-                      max_weight_by_enumeration, random_boolean_game,
-                      random_graph)
+import classical_oracle
+from conftest import (alpha_by_enumeration, benchmark_classical_games,
+                      exhaustive_strategy_value, max_weight_by_enumeration,
+                      oracle_games, random_boolean_game, random_graph)
 
 
 def _check_witness(g: Graph, witness):
@@ -391,6 +394,59 @@ def test_brute_matches_nested_loop_reference():
         g = random_boolean_game(rng, uniform=False)
         assert classical_value_brute(g).value == pytest.approx(
             exhaustive_strategy_value(g), abs=1e-12)
+
+
+def _assert_same_brute(g):
+    res, ref = classical_value_brute(g), classical_oracle.classical_value_brute(g)
+    assert res.value.hex() == ref.value.hex()
+    assert res.strategy == ref.strategy
+    assert res.wins == ref.wins and res.exact == ref.exact
+
+
+def test_brute_matches_the_listing_oracle():
+    # the prefix sums add each row's gains from 0.0 in question order, as
+    # the listing table does, and keep its tie-break: the bits agree
+    games = oracle_games(np.random.default_rng(25), 240)
+    for g in games:
+        _assert_same_brute(g)
+    # Alice listed and Bob listed, one answer, one question, all-zero tables
+    covered = [(g.na ** g.nx <= g.nb ** g.ny, g.na == 1, g.nx == 1,
+                not g.predicate.any()) for g in games]
+    assert [set(flags) for flags in zip(*covered)] == [{True, False}] * 4
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_brute_matches_the_listing_oracle_on_the_benchmark_corpus(seed):
+    games = benchmark_classical_games(seed)
+    # u6644-0 sits at the cap
+    assert games[0].na ** games[0].nx * games[0].nb ** games[0].ny == (
+        independence.BRUTE_CAP)
+    for g in games:
+        _assert_same_brute(g)
+
+
+@pytest.mark.parametrize("sizes", [(13, 1, 4, 1), (7, 6, 4, 4), (30000, 1, 2, 1)])
+def test_brute_cap_message_matches_the_listing_oracle(sizes):
+    g = Game("over", *sizes, np.ones(sizes), uniform_distribution(*sizes[:2]))
+    with pytest.raises(SizeCapError) as ref:
+        classical_oracle.classical_value_brute(g)
+    with pytest.raises(SizeCapError, match=f"^{re.escape(str(ref.value))}$"):
+        classical_value_brute(g)
+
+
+def test_brute_peak_memory_stays_near_its_score_array():
+    # at the cap the listing oracle peaks at about 2.25 times the score
+    # array of every (row, question, answer); the prefix sums hold the last
+    # level and the one before it
+    g = benchmark_classical_games(1)[0]
+    final = g.na ** g.nx * g.ny * g.nb * 8
+    tracemalloc.start()
+    try:
+        classical_value_brute(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * final
 
 
 def _exact_wins(g, strategy) -> int:

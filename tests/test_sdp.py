@@ -285,14 +285,25 @@ def test_edge_arrays_follow_graph_edges():
             assert np.array_equal(starts, np.arange(graph.num_edges))
 
 
+def _refine_by_two_sorts(colours, hashed):
+    """sdp._refine as two sorts: the hashes ranked, then the (colour, rank)
+    keys."""
+    rank = np.unique(hashed.ravel(), return_inverse=True)[1]
+    keys = colours.ravel() * (int(rank.max()) + 1) + rank
+    return np.unique(keys, return_inverse=True)[1].reshape(colours.shape)
+
+
 def _wl_colours_by_refinement(colours, step):
     """The colour refinement loop that sorts in every round, the one that
-    only confirms too: the reference for sdp._wl_colours."""
+    only confirms too, with the two-sort refinement: the reference for
+    sdp._wl_colours.  Each round also checks sdp._refine on its input."""
     rng = np.random.default_rng(0)
     count = int(colours.max()) + 1
     while True:
         r1, r2 = rng.integers(1, 1 << 20, size=(2, count)).astype(float)
-        refined = sdp._refine(colours, step(r1[colours], r2[colours]))
+        hashed = step(r1[colours], r2[colours])
+        refined = _refine_by_two_sorts(colours, hashed)
+        assert np.array_equal(sdp._refine(colours, hashed), refined)
         if int(refined.max()) + 1 == count:
             return colours
         colours, count = refined, int(refined.max()) + 1
@@ -342,6 +353,46 @@ def test_wl_colours_match_the_refine_only_loop(monkeypatch, chsh3_graph):
     for graph, keys in graphs:
         sdp._edge_classes(graph, keys)
     assert True in seen and False in seen
+
+
+def test_refine_matches_the_two_sort_oracle(monkeypatch, chsh3_graph):
+    # every 1-WL and 2-WL round and every transpose merge of _edge_classes
+    # on random graphs, the catalog graphs and CHSH^3
+    refine = sdp._refine
+    hashes = set()
+
+    def checked(colours, hashed):
+        out = refine(colours, hashed)
+        reference = _refine_by_two_sorts(colours, hashed)
+        assert out.dtype == reference.dtype
+        assert np.array_equal(out, reference)
+        hashes.add(hashed.dtype)
+        return out
+
+    monkeypatch.setattr(sdp, "_refine", checked)
+    rng = np.random.default_rng(12)
+    graphs = [(random_graph(rng, int(rng.integers(2, 30)), rng.uniform()),
+               None) for _ in range(30)]
+    graphs += [(cycle_graph(n), None) for n in range(3, 12)]
+    graphs += [(graph, np.diag(c)) for graph, c in _catalog_graphs()]
+    graphs.append((chsh3_graph, None))
+    for graph, keys in graphs:
+        sdp._edge_classes(graph, np.ones(graph.n) if keys is None else keys)
+    assert hashes == {np.dtype(float), np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("top, fallback", [((1 << 62) - 1, False),
+                                           (1 << 62, True)])
+def test_refine_ranks_hashes_whose_keys_would_pass_int64(top, fallback):
+    # two colours: keys colour * (top + 1) + hash reach 2 * (top + 1) - 1,
+    # which fits int64 up to top = 2^62 - 1; past that the hashes are
+    # ranked first
+    colours = np.array([[0, 1, 1], [1, 0, 1]])
+    hashed = np.array([[top, 0, top], [5, top, top - 1]], dtype=np.int64)
+    assert (2 * (top + 1) > 1 << 63) == fallback
+    out = sdp._refine(colours, hashed)
+    assert np.array_equal(out, _refine_by_two_sorts(colours, hashed))
+    assert out.tolist() == [[0, 1, 4], [2, 0, 3]]
 
 
 def test_too_coarse_partition_still_brackets_theta(monkeypatch):
