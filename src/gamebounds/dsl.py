@@ -14,7 +14,10 @@ takes at most one right operand.
 
 Values are integers. Boolean operators and comparisons return 0/1 and treat
 any nonzero operand as true; % is the mathematical modulo (result has the
-sign of the divisor, so non-negative here).
+sign of the divisor, so non-negative here).  A table is evaluated one block
+at a time, over open grids of the block's indices that hold Python ints, so
+no value overflows.  "and" and "or" read their right side only where the
+left one does not decide, and % by zero is an error only where it is read.
 
 Parentheses and unary operators may nest at most MAX_NESTING deep, so that
 neither parsing nor evaluation can exhaust the interpreter's stack; chains
@@ -23,10 +26,16 @@ of binary operators may be of any length.
 
 from __future__ import annotations
 
+import itertools
+import operator
+import re
+
 import numpy as np
 
 VARIABLES = ("x", "y", "a", "b")
 MAX_NESTING = 32
+# a table is evaluated a block of at most this many entries at a time
+_BLOCK_ENTRIES = 1 << 14
 
 
 class DslError(ValueError):
@@ -37,46 +46,28 @@ class DslError(ValueError):
         self.position = position
 
 
-_TWO_CHAR = ("==", "!=")
-_ONE_CHAR = "+-*%()"
+# after any whitespace: an operator, a run of decimal digits, a word (which
+# must start with a letter or "_"), or any other character
+_TOKEN = re.compile(r"\s*(?:(==|!=|[-+*%()])|(\d+)|(\w+)|(\S))")
 _KEYWORDS = ("and", "or", "not", "xor")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append(("op", text[i:i + 2], i))
-            i += 2
-        elif c in _ONE_CHAR:
-            tokens.append(("op", c, i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append(("op", word, i))
-            elif word in VARIABLES:
-                tokens.append(("var", word, i))
-            else:
-                raise DslError(f"unknown identifier '{word}'", i)
-            i = j
+    for m in _TOKEN.finditer(text):
+        op, digits, word, other = m.groups()
+        at = m.start(m.lastindex)
+        if op or word in _KEYWORDS:
+            tokens.append(("op", op or word, at))
+        elif digits:
+            tokens.append(("int", int(digits), at))
+        elif word in VARIABLES:
+            tokens.append(("var", word, at))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            raise DslError(f"unknown identifier '{word}'", at)
         else:
-            raise DslError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
+            raise DslError(f"unexpected character {(other or word[0])!r}", at)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -86,6 +77,13 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 # the binary operators of each precedence level, loosest first
 _LEVELS = (("or",), ("xor",), ("and",), ("==", "!="), ("+", "-"), ("*", "%"))
+# binary operators, and where "and" and "or" read their right operand
+_OPS = {"or": lambda lv, rv: (lv != 0) | (rv != 0),
+        "xor": lambda lv, rv: (lv != 0) ^ (rv != 0),
+        "and": lambda lv, rv: (lv != 0) & (rv != 0),
+        "==": operator.eq, "!=": operator.ne, "+": operator.add,
+        "-": operator.sub, "*": operator.mul, "%": operator.mod}
+_READS = {"or": lambda lv: lv == 0, "and": lambda lv: lv != 0}
 
 
 class _Parser:
@@ -150,50 +148,40 @@ def parse_expr(text: str):
 
 def eval_expr(node, env: dict[str, int]) -> int:
     """Evaluate an AST over integer variable bindings."""
-    kind = node[0]
-    if kind == "int":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "unary":
-        v = eval_expr(node[2], env)
-        return (0 if v else 1) if node[1] == "not" else -v
+    return int(_evaluate(node, env, True))
+
+
+def _evaluate(node, env, live):
+    """node's value over bindings that are ints or broadcasting object arrays
+    of ints; only entries where live holds raise, the rest are arbitrary."""
+    if node[0] in ("int", "var"):
+        return env[node[1]] if node[0] == "var" else node[1]
+    if node[0] == "unary":
+        v = _evaluate(node[2], env, live)
+        return _as_int(v == 0) if node[1] == "not" else -v
     # a chain a op b op c ... nests to the left; walk it with a loop, so
     # that only parentheses and unary operators deepen the recursion
     chain = []
     while node[0] == "binary":
         chain.append(node)
         node = node[2]
-    value = eval_expr(node, env)
+    value = _evaluate(node, env, live)
     for _, op, _, right in reversed(chain):
-        value = _apply(op, value, right, env)
+        rv = _evaluate(right, env,
+                       live & _READS[op](value) if op in _READS else live)
+        if op == "%":
+            zero = rv == 0
+            if np.any(zero & live):
+                raise DslError("modulo by zero", 0)
+            # dead entries divide by 1; an int64 divisor can overflow big ints
+            rv = np.where(zero, 1, rv) if np.ndim(rv) else rv or 1
+        value = _as_int(_OPS[op](value, rv))
     return value
 
 
-def _apply(op: str, lv: int, right, env: dict[str, int]) -> int:
-    """lv op right; and/or evaluate right only when it decides the value."""
-    if op == "and":
-        return 1 if (lv != 0 and eval_expr(right, env) != 0) else 0
-    if op == "or":
-        return 1 if (lv != 0 or eval_expr(right, env) != 0) else 0
-    rv = eval_expr(right, env)
-    if op == "xor":
-        return 1 if (lv != 0) != (rv != 0) else 0
-    if op == "==":
-        return 1 if lv == rv else 0
-    if op == "!=":
-        return 1 if lv != rv else 0
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "%":
-        if rv == 0:
-            raise DslError("modulo by zero", 0)
-        return lv % rv
-    raise AssertionError(f"unhandled operator {op}")
+def _as_int(v):
+    """A bool array as an object array of the ints False and True."""
+    return v.astype(object) if getattr(v, "dtype", None) == bool else v
 
 
 def parse_predicate_dsl(text: str, nx: int, ny: int, na: int, nb: int) -> np.ndarray:
@@ -204,10 +192,14 @@ def parse_predicate_dsl(text: str, nx: int, ny: int, na: int, nb: int) -> np.nda
     """
     ast = parse_expr(text)
     table = np.zeros((nx, ny, na, nb))
-    for x in range(nx):
-        for y in range(ny):
-            for a in range(na):
-                for b in range(nb):
-                    v = eval_expr(ast, {"x": x, "y": y, "a": a, "b": b})
-                    table[x, y, a, b] = 1.0 if v != 0 else 0.0
+    # blocks of at most _BLOCK_ENTRIES entries, the last axes whole if they fit
+    steps, room = [], _BLOCK_ENTRIES
+    for n in reversed(table.shape):
+        steps.insert(0, max(1, min(n, room)))
+        room //= max(n, 1)
+    for block in itertools.product(*(
+            [slice(i, min(i + step, n)) for i in range(0, n, step)]
+            for n, step in zip(table.shape, steps))):
+        grids = [g.astype(object) for g in np.ogrid[block]]
+        table[block] = _evaluate(ast, dict(zip(VARIABLES, grids)), True) != 0
     return table

@@ -27,8 +27,9 @@ well, sigma is small and the steps come close to the boundary.  Its
 iterates stay primal and dual feasible up to rounding, so each one's
 duality gap is <X, Z> (Helmberg, Rendl, Vanderbei and Wolkowicz 1996): it
 aims for a gap tol wide and stops there, or when a factorization fails,
-STALL_STEPS steps in a row do not shrink the gap or MAX_ITERATIONS steps
-have run, keeping the iterate with the smallest gap.  Only that iterate is
+STALL_STEPS steps in a row do not shrink the gap below STALL_FACTOR times
+the gap of the last step that did, or MAX_ITERATIONS steps have run,
+keeping the iterate with the smallest gap.  Only that iterate is
 certified, by the caller, with _certify.  The step cap is a fixed constant,
 read at each solve and far above every measured step count; it only bounds
 the time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
@@ -71,10 +72,10 @@ from .games import Game, SizeCapError
 from .gamegraph import GameGraph, Graph, bit_matrix, pipeline_graph
 
 DEFAULT_TOL = 1e-7
-# Interior-point steps per solve.  The most any measured solve took is 15,
-# in a Tier-1 test that forces a too-coarse edge partition; the catalog,
-# theta-battery and xor benchmark corpora take at most 11, 13 and 11 steps.
-# The cap leaves a margin of 99.
+# Interior-point steps per solve.  The most any measured solve took is 13:
+# the catalog, theta-battery and xor benchmark corpora take at most 11, 13
+# and 11 steps, and the Tier-1 tests at most 13.  The cap leaves a margin of
+# 101.
 MAX_ITERATIONS = 114
 
 # A theta program with more constraints m (edge classes + 1) than this is
@@ -87,7 +88,10 @@ MAX_CONSTRAINTS = 6000
 # steps at least this fraction
 STEP_FRACTION = 0.95
 SCHUR_SHIFTS = (1e-12, 1e-10)
+# a step makes progress if its gap is below STALL_FACTOR times the gap of
+# the last step that did; STALL_STEPS steps without progress end a solve
 STALL_STEPS = 3
+STALL_FACTOR = 0.9
 # row blocks of the Schur matrix are built this many entries at a time, and
 # the in-place Cholesky works on blocks of _BLOCK columns
 _SCHUR_BLOCK_ENTRIES = 1 << 14
@@ -306,9 +310,10 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     step keeps the iterate feasible up to rounding, so its duality gap
     b.y - <c, X> is <X, Z> (rows weighted by mult).  Iteration stops once
     that gap is at most target, or when a factorization fails, STALL_STEPS
-    steps in a row do not shrink it or MAX_ITERATIONS steps have run, and
-    returns the iterate with the smallest gap (the start if no step was
-    taken).
+    steps in a row do not shrink it below STALL_FACTOR times the gap of the
+    last step that did (so a gap that only oscillates ends the solve), or
+    MAX_ITERATIONS steps have run, and returns the iterate with the
+    smallest gap (the start if no step was taken).
     """
     size = c.shape[0]
     weights = mult[:, None]
@@ -318,7 +323,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     z = a_adj(y) - c
     best = (np.inf, x, y)
     low = np.zeros((len(y), len(y)))
-    stalled = steps = 0
+    progress, stalled, steps = np.inf, 0, 0
     while steps < MAX_ITERATIONS:
         try:
             x, y, z = _hkm_step(c, b, a_map, a_adj, schur, project, weights,
@@ -328,7 +333,9 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
         steps += 1
         gap = float(np.sum(x * z * weights))
         if gap < best[0]:
-            best, stalled = (gap, x, y), 0
+            best = (gap, x, y)
+        if gap < STALL_FACTOR * progress:
+            progress, stalled = gap, 0
         else:
             stalled += 1
         if gap <= target or stalled == STALL_STEPS:

@@ -169,6 +169,19 @@ def test_catalog_reports_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+
+def test_dsl_document_report_is_pinned(tmp_path, capsys):
+    # the report on a predicate expression with "xor", "or", "and" and "%"
+    path = tmp_path / "dsl.json"
+    path.write_text(json.dumps(
+        {"name": "dsl-pinned", "nx": 3, "ny": 3, "na": 2, "nb": 2,
+         "predicate": {"dsl": "(a xor b) == x * y % 2 or x == y and a == b"},
+         "distribution": "uniform"}))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "c9e83f034c1fc62f"
+
+
 _MAGIC_SQUARE_WITNESS = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0),
                          (1, 1, 0, 0), (1, 2, 0, 0), (2, 0, 1, 0), (2, 2, 1, 0)]
 
@@ -722,37 +735,50 @@ def test_closed_stdout_exits_without_traceback(tmp_path):
     assert "Traceback" not in err
 
 
-def test_analyze_does_not_load_numpy_ma():
+def _dsl_chsh_document(tmp_path):
+    path = tmp_path / "chsh-dsl.json"
+    path.write_text(json.dumps({"name": "chsh-dsl", "nx": 2, "ny": 2, "na": 2,
+                                "nb": 2, "predicate": {
+                                    "dsl": "(a + b) % 2 == x * y"}}))
+    return str(path)
+
+
+def test_analyze_does_not_load_numpy_ma(tmp_path):
     # numpy.ma takes about 9 ms to import; np.unique with no return options
-    # loads it
+    # loads it.  The predicate expression's evaluator runs first on a
+    # document
     code = """
 import sys
 import numpy
 print("numpy.ma" in sys.modules)
 from gamebounds.cli import main
+main(["analyze", sys.argv[1], "--json"])
 main(["analyze", "chsh", "--json"])
 print("numpy.ma" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           _dsl_chsh_document(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     by_numpy, after_analyze = lines[0], lines[-1]
     assert after_analyze == "False" or by_numpy == "True"
 
 
-def test_analyze_loads_only_numpy_outside_the_standard_library():
+def test_analyze_loads_only_numpy_outside_the_standard_library(tmp_path):
     code = """
 import sys
 before = set(sys.modules)
 from gamebounds.cli import main
+main(["analyze", sys.argv[1]])
 main(["analyze", "chsh"])
 new = {sys.modules[name] for name in set(sys.modules) - before}
 print(sorted({m.__name__.partition(".")[0] for m in new
               if getattr(m, "__file__", None)} - set(sys.stdlib_module_names)))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           _dsl_chsh_document(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     # modules without a file, such as the runtime state Cython extensions
     # register, are not packages and are not counted

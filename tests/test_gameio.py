@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from gamebounds.cli import main
 from gamebounds.gameio import game_from_dict, parse_game, serialize_game
 from gamebounds.games import GameFormatError, chsh, magic_square
 
@@ -95,3 +97,34 @@ def test_exactly_one_predicate_form():
     doc["predicate"] = {"winning": [[0, 0, 0, 0]], "dsl": "x"}
     with pytest.raises(GameFormatError, match="exactly one"):
         parse_game(json.dumps(doc))
+
+
+_TABLE_DOC = {"name": "g", "nx": 2, "ny": 2, "na": 2, "nb": 2,
+              "predicate": {"table": [0.0] * 16}}
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**_TABLE_DOC, "predicate": {"table": ["1"] * 16}}),
+     "predicate.table: entries must be numbers"),
+    (json.dumps({**_TABLE_DOC,
+                 "predicate": {"table": [10 ** 400] + [0] * 15}}),
+     "predicate.table: entries must be finite"),
+    (json.dumps({**_TABLE_DOC, "distribution": "normal"}),
+     "distribution: unknown keyword 'normal'"),
+    (json.dumps({**_TABLE_DOC, "distribution": [0.5, 0.5]}),
+     "distribution: expected 4 entries"),
+    (json.dumps({**_TABLE_DOC, "distribution": {"x": 1}}),
+     "distribution: must be 'uniform' or a flat list"),
+    ("[" * 100000 + "]" * 100000, "document is nested too deeply")],
+    ids=["string-entry", "400-digit-entry", "keyword", "length", "object",
+         "nested"])
+def test_bad_documents_exit_1_with_their_message(tmp_path, capsys, text,
+                                                 message):
+    with pytest.raises(GameFormatError, match=re.escape(message)):
+        parse_game(text)
+    path = tmp_path / "game.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -190,3 +190,18 @@ def test_strategy_validation():
         strategy_value(g, ClassicalStrategy((0, 2), (0, 0)))
     with pytest.raises(ValueError, match="input set sizes"):
         strategy_value(g, ClassicalStrategy((0,), (0, 0)))
+
+
+def test_bad_games_strategies_and_parameters_are_refused():
+    with pytest.raises(GameFormatError, match="all set sizes must be positive"):
+        Game("empty", 0, 1, 1, 1, np.zeros((0, 1, 1, 1)), np.zeros((0, 1)))
+    with pytest.raises(GameFormatError,
+                       match="distribution: entries must be non-negative"):
+        Game("signed", 1, 2, 1, 1, np.ones((1, 2, 1, 1)),
+             np.array([[1.5, -0.5]]))
+    with pytest.raises(ValueError, match="out of range for player B"):
+        strategy_value(chsh(), ClassicalStrategy((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="repetition count must be >= 1"):
+        parallel_repetition(chsh(), 0)
+    with pytest.raises(ValueError, match="parameter t must be >= 1"):
+        independent_set_game(cycle_graph(5), 0)

@@ -514,3 +514,11 @@ def test_independent_set_game_values():
 def test_complete_graph_alpha_one():
     res = independence_number(complete_graph(7))
     assert res.value == 1
+
+
+def test_graph_rows_and_weight_lengths_are_checked():
+    with pytest.raises(ValueError, match="row count does not match n"):
+        Graph(3, (0, 0))
+    with pytest.raises(ValueError, match="weight vector length does not "
+                       "match vertex count"):
+        weighted_independence(cycle_graph(5), [1.0] * 4)

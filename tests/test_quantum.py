@@ -756,3 +756,28 @@ def test_supp_of_a_stack_is_supp_of_each_matrix():
             assert np.array_equal(out[idx], supp(stack[idx]))
     with pytest.raises(ValueError, match=r"lambda_min=-2\.000e\+00"):
         supp(np.array([np.eye(2), np.diag([1.0, -2.0]), -np.eye(2)]))
+
+
+def test_malformed_strategies_and_vertex_sets_are_refused():
+    s = chsh_optimal_strategy()
+    with pytest.raises(ValueError, match=r"state length must be dA\*dB"):
+        QuantumStrategy(2, 2, np.ones(3) / np.sqrt(3), s.alice,
+                        s.bob).validate()
+    # a 1 x 1 outcome in a d = 2 strategy, read before its dimension
+    nan_outcome = ((np.full((1, 1), np.nan), np.eye(2)),) + s.alice[1:]
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        QuantumStrategy(2, 2, s.state, nan_outcome, s.bob).validate()
+    graph = build_game_graph(chsh())
+    with pytest.raises(ValueError, match="vertices must be distinct"):
+        qis_from_vertex_set(graph, [0, 0])
+    with pytest.raises(ValueError, match="vertex index out of range"):
+        qis_from_vertex_set(graph, [graph.n])
+    half = Game("half", 2, 2, 2, 2, np.full((2, 2, 2, 2), 0.5),
+                uniform_distribution(2, 2))
+    with pytest.raises(ValueError, match="requires a 0/1 predicate"):
+        strategy_to_qis(half, s)
+    unequal = QuantumStrategy(1, 2, np.ones(2) / np.sqrt(2),
+                              ((np.ones((1, 1)), np.zeros((1, 1))),) * 2,
+                              s.bob)
+    with pytest.raises(ValueError, match="requires equal local dimensions"):
+        strategy_to_qis(chsh(), unequal)

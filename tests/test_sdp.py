@@ -412,6 +412,22 @@ def test_too_coarse_partition_still_brackets_theta(monkeypatch):
         assert not coarse.converged
 
 
+
+def test_an_oscillating_gap_stalls(monkeypatch):
+    # the 11-vertex graph above, every edge in one class: <X, Z> runs 3.34,
+    # 1.14, 0.94, 1.04, 0.93, 1.05, 0.92, ... and sets a new minimum every
+    # other step, but no step after the third is below 0.9 times 0.94
+    graph = [g for g in criterion7_random_graphs(20)
+             if _colour_refinement_is_discrete(g)][3]
+    assert graph.n == 11
+    monkeypatch.setattr(sdp, "_edge_classes", _one_class)
+    coarse = lovasz_theta(graph, 1e-7)
+    assert not coarse.converged
+    # three steps without progress after the third; were every new minimum
+    # progress, the solve would run 15 steps, until a factorization fails
+    assert coarse.iterations == 3 + sdp.STALL_STEPS
+
+
 def test_relabelled_graph_gives_the_same_program():
     tol = 1e-7
     graph = _chsh2_graph()
@@ -1012,3 +1028,9 @@ def test_tsirelson_random_xor_games_bounded_by_theta():
         assert omega <= bound.bound + 10 * tol
         assert xor_val <= bound.bound + 1e-4
         assert xor_val >= omega - 1e-9
+
+
+def test_weighted_theta_checks_the_weight_length():
+    with pytest.raises(ValueError, match="weight vector length does not "
+                       "match vertex count"):
+        weighted_theta(cycle_graph(5), [1.0] * 4)
