@@ -60,7 +60,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if op or word in _KEYWORDS:
             tokens.append(("op", op or word, at))
         elif digits:
-            tokens.append(("int", int(digits), at))
+            try:
+                tokens.append(("int", int(digits), at))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise DslError(f"integer literal of {len(digits)} digits is "
+                               "too long", at) from None
         elif word in VARIABLES:
             tokens.append(("var", word, at))
         elif word and (word[0].isalpha() or word[0] == "_"):

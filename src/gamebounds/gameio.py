@@ -35,8 +35,9 @@ def _require(doc: dict, key: str, types) -> object:
 
 
 def _numbers(values: list, key: str) -> np.ndarray:
-    """A JSON list of numbers as a float array."""
-    if not all(isinstance(v, (int, float)) for v in values):
+    """A JSON list of numbers as a float array; true and false are not
+    numbers."""
+    if not all(type(v) in (int, float) for v in values):
         raise GameFormatError(f"{key}: entries must be numbers")
     try:
         return np.array(values, dtype=float)
@@ -72,7 +73,7 @@ def game_from_dict(doc: dict) -> Game:
         table = np.zeros((nx, ny, na, nb))
         for q in pred["winning"]:
             if not (isinstance(q, list) and len(q) == 4
-                    and all(isinstance(v, int) for v in q)):
+                    and all(type(v) is int for v in q)):
                 raise GameFormatError(
                     f"predicate.winning: entries must be [x,y,a,b] integers, got {q!r}")
             x, y, a, b = q

@@ -210,22 +210,18 @@ def parallel_repetition(g: Game, n: int) -> Game:
                 g.nx ** n, g.ny ** n, g.na ** n, g.nb ** n, lam_rep, pi_rep)
 
 
-def independent_set_game(adjacency, t: int, name: str | None = None) -> Game:
+def independent_set_game(graph, t: int, name: str | None = None) -> Game:
     """The independent-set game with parameter t on a graph.
 
     Both players are asked for one of the t members of a claimed independent
     set.  They lose when x == y but the named vertices differ, or when x != y
-    and the named vertices are equal or adjacent.
-
-    ``adjacency`` is anything with ``n`` and ``has_edge(i, j)`` (see
-    gamegraph.Graph) or a square 0/1 array.
+    and the named vertices are equal or adjacent.  ``graph`` is a
+    gamegraph.Graph.
     """
     if t < 1:
         raise ValueError("parameter t must be >= 1")
-    if hasattr(adjacency, "has_edge"):
-        adjacency = [[adjacency.has_edge(v, w) for w in range(adjacency.n)]
-                     for v in range(adjacency.n)]
-    adj = np.asarray(adjacency).astype(bool)
+    adj = np.array([[graph.has_edge(v, w) for w in range(graph.n)]
+                    for v in range(graph.n)], dtype=bool)
     nv = adj.shape[0]
     same_vertex = np.eye(nv, dtype=bool)
     # x == y loses on different vertices, x != y on equal or adjacent ones

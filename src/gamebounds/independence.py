@@ -11,7 +11,8 @@ predicate * probability over 1 otherwise.  Three routes compute maxima:
   set of game graph vertices that the best strategy pair wins;
 - graph branch and bound (``independence_number``, ``weighted_independence``)
   on plain graphs, bounded by a first-fit clique cover peeled off bitsets one
-  class at a time;
+  class at a time; its rows are relabelled, and its witness read, through
+  ``gamegraph.bit_matrix``;
 - ``classical_value_brute``: every strategy of one player scored by prefix
   sums, the other best-responding, an oracle independent of both.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import gamegraph
 from .games import ClassicalStrategy, Game, SizeCapError
-from .gamegraph import GameGraph, Graph, pipeline_graph
+from .gamegraph import GameGraph, Graph, bit_matrix, pipeline_graph
 
 # Deterministic strategy pairs that classical_value_brute covers; fixed.
 BRUTE_CAP = 1 << 24
@@ -45,16 +46,8 @@ class IndependenceResult:
     nodes_explored: int
 
 
-def _mask_to_witness(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float, int, int]:
+def _max_weight_independent_set(n: int, adj: list[int], weights
+                                ) -> tuple[float, tuple[int, ...], int]:
     """Branch and bound over bitset candidate sets.
 
     Vertices are relabelled once to their positions in (-degree, index)
@@ -67,13 +60,13 @@ def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float,
     each removed from the candidates before the next, so the bound prunes
     whole prefixes at once.  The search runs from an explicit stack, so its
     depth is not limited by Python's recursion limit.  Returns (best weight,
-    best mask in the original labels, nodes); a search that would open more
-    than NODE_BUDGET nodes raises SizeCapError instead.
+    best set in the original labels, ascending, nodes); a search that would
+    open more than NODE_BUDGET nodes raises SizeCapError instead.
     """
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    position = {v: p for p, v in enumerate(order)}
-    rows = [sum(1 << position[u] for u in _mask_to_witness(adj[v]))
-            for v in order]
+    packed = np.packbits(bit_matrix(adj, n)[np.ix_(order, order)], axis=1,
+                         bitorder="little")
+    rows = [int.from_bytes(row, "little") for row in packed]
     w = [weights[v] for v in order]
     best_weight = 0.0
     best_mask = 0
@@ -124,16 +117,16 @@ def _max_weight_independent_set(n: int, adj: list[int], weights) -> tuple[float,
         elif picked_weight > best_weight + 1e-12:
             best_weight, best_mask = picked_weight, mask | 1 << i
         # not picking i: the next frame step tries the earlier cover
-    original = sum(1 << order[p] for p in _mask_to_witness(best_mask))
-    return best_weight, original, nodes
+    picked = np.flatnonzero(bit_matrix([best_mask], n)[0]).tolist()
+    return best_weight, tuple(sorted(order[p] for p in picked)), nodes
 
 
 def _independence(g: Graph, weights: list[float]) -> IndependenceResult:
     cap = gamegraph.VERTEX_CAP
     if g.n > cap:
         raise SizeCapError(f"graph has {g.n} vertices (cap {cap})")
-    _, mask, nodes = _max_weight_independent_set(g.n, list(g.rows), weights)
-    witness = _mask_to_witness(mask)
+    _, witness, nodes = _max_weight_independent_set(g.n, list(g.rows),
+                                                    weights)
     return IndependenceResult(float(sum(weights[v] for v in witness)), witness,
                               nodes)
 

@@ -12,8 +12,12 @@ lift reads, and a DIMACS graph is a plain one.
 The checks work on stacks: a certificate's K listed entries form one
 (K, d, d) stack, its orthogonality candidates come in bounded row blocks of
 entries with one batched product each, so the cost follows K, not the
-claimed t; a strategy is checked as one stack per player, and a lift takes
-its supports with one batched eigh.
+claimed t; a strategy is checked as one stack per player, a conversion
+forms its (x, y, a, b) products from those stacks in bounded blocks, and a
+lift takes its supports with one batched eigh.  Strategy checks, supports
+and conversions use the fixed MEASUREMENT_TOL and SUPP_TOL; only a
+certificate's verification and lift take a tolerance, the one ``--tol``
+sets.
 """
 
 from __future__ import annotations
@@ -106,14 +110,13 @@ class QuantumStrategy:
     alice: tuple[tuple[np.ndarray, ...], ...]
     bob: tuple[tuple[np.ndarray, ...], ...]
 
-    def validate(self, tol: float = MEASUREMENT_TOL
-                 ) -> list[tuple[np.ndarray, list[int]]]:
+    def validate(self) -> list[tuple[np.ndarray, list[int]]]:
         """Raise ValueError at the first failing check.  Measurements are
         checked in order, Alice's first; within one, every outcome must be a
         finite square matrix, then of the right dimension, then a projector,
-        and then the outcomes must sum to the identity.  Each player's
-        outcomes are checked as one stack; returns Alice's and Bob's
-        (stack, starts) from _stack_families."""
+        and then the outcomes must sum to the identity, each within
+        MEASUREMENT_TOL.  Each player's outcomes are checked as one stack;
+        returns Alice's and Bob's (stack, starts) from _stack_families."""
         state = np.asarray(self.state, dtype=complex).ravel()
         if state.shape[0] != self.dA * self.dB:
             raise ValueError("state length must be dA*dB")
@@ -126,8 +129,8 @@ class QuantumStrategy:
             stacks.append((stack, starts))
             finite = np.isfinite(stack).all(axis=(-2, -1))
             projector, completeness = _defects(stack, starts)
-            bad = ~finite | ~(projector <= tol)
-            fails = np.append(~(completeness <= tol), True)
+            bad = ~finite | ~(projector <= MEASUREMENT_TOL)
+            fails = np.append(~(completeness <= MEASUREMENT_TOL), True)
             fails[np.repeat(np.arange(len(starts)),
                             np.diff(starts + [len(stack)]))[bad]] = True
             # the first failing measurement, or the first one left unstacked
@@ -188,11 +191,12 @@ def winning_probability(g: Game, s: QuantumStrategy) -> float:
 # Support projectors
 
 
-def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
+def supp(m) -> np.ndarray:
     """Orthogonal projector onto the column space of a PSD matrix, or of
     each matrix of a (..., d, d) stack.
 
-    Eigenvalues above tol * lambda_max of their own matrix count as nonzero.
+    Eigenvalues above SUPP_TOL * lambda_max of their own matrix count as
+    nonzero.
     One eigh on the Hermitian part serves real and complex input; input with
     no imaginary part is taken as real and gives real projectors.  The
     eigenvalues come in ascending order, so the kept eigenvectors are the
@@ -206,12 +210,12 @@ def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
     if not w.shape[-1]:
         return out
     lam_min, lam_max = w[..., 0], w[..., -1]
-    negative = lam_min < -tol * np.maximum(1.0, np.abs(lam_max))
+    negative = lam_min < -SUPP_TOL * np.maximum(1.0, np.abs(lam_max))
     if negative.any():
         raise ValueError("matrix is not positive semidefinite "
                          f"(lambda_min={lam_min[negative][0]:.3e})")
     rank = np.where(lam_max > 0.0,
-                    np.sum(w > tol * lam_max[..., None], axis=-1), 0)
+                    np.sum(w > SUPP_TOL * lam_max[..., None], axis=-1), 0)
     for r in range(1, w.shape[-1] + 1):
         has_rank = rank == r
         if has_rank.any():
@@ -226,6 +230,12 @@ def supp(m, tol: float = SUPP_TOL) -> np.ndarray:
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _entry(i, v) -> str:
+    # repr keeps a non-integer index, such as "\n", on one line
+    i, v = (k if _is_integer(k) else repr(k) for k in (i, v))
+    return f"certificate entry ({i},{v})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,13 +263,11 @@ class QuantumIndependentSet:
         for (i, v), mat in self.projectors.items():
             if not (_is_integer(i) and _is_integer(v)
                     and 0 <= i < self.t and 0 <= v < self.n_vertices):
-                # repr keeps a non-integer index, such as "\n", on one line
-                i, v = (k if _is_integer(k) else repr(k) for k in (i, v))
-                misfit = f"certificate entry ({i},{v}) out of range"
+                misfit = f"{_entry(i, v)} out of range"
                 break
             mat = np.asarray(mat)
             if mat.shape != (self.d, self.d):
-                misfit = f"certificate entry ({i},{v}) has the wrong shape"
+                misfit = f"{_entry(i, v)} has the wrong shape"
                 break
             mats.append(mat)
         # the entries are checked in dict order, so a non-finite entry
@@ -268,8 +276,7 @@ class QuantumIndependentSet:
         finite = np.isfinite(stack).all(axis=1)
         if not finite.all():
             i, v = list(self.projectors)[int(np.argmin(finite))]
-            raise ValueError(
-                f"certificate entry ({i},{v}) has non-finite entries")
+            raise ValueError(f"{_entry(i, v)} has non-finite entries")
         if misfit is not None:
             raise ValueError(misfit)
 
@@ -469,67 +476,77 @@ def lift_qis_to_strategy(g: Game, gg: GameGraph, qis: QuantumIndependentSet,
 # Converting a perfect commuting strategy into a certificate
 
 
-def strategy_to_qis(g: Game, s: QuantumStrategy,
-                    tol: float = 1e-9) -> QuantumIndependentSet:
+def strategy_to_qis(g: Game, s: QuantumStrategy) -> QuantumIndependentSet:
     """Turn a perfect strategy with pairwise commuting projectors into a
     quantum independent set of size k = |X x Y|.
 
-    Requirements checked, in order: a 0/1 predicate; equal local
-    dimensions; winning probability 1 within tol; no weight on outcomes
-    beyond the answer range; commutation of every Alice projector with every
-    Bob projector as d x d matrices (the error names the largest commutator
-    norm); annihilation of every losing answer pair at the operator level
-    (P^x_a Q^y_b = 0 whenever the predicate is 0, the first failing pair in
-    (x, y, a, b) order is named), which is what makes the product
-    measurements complete over the winning quadruples; real-valued products.
-    The last three share one pass over (x, y, a, b) that also builds the
-    certificate, which is re-verified before being returned.
+    Requirements checked, in order, each within MEASUREMENT_TOL: a 0/1
+    predicate; equal local dimensions; winning probability 1; no weight on
+    outcomes beyond the answer range; commutation of every Alice projector
+    with every Bob projector as d x d matrices (the error names the largest
+    commutator norm); annihilation of every losing answer pair at the
+    operator level (P^x_a Q^y_b = 0 whenever the predicate is 0, the first
+    failing pair in (x, y, a, b) order is named), which is what makes the
+    product measurements complete over the winning quadruples; real-valued
+    products.  The last three share one pass over validate's stacks, in
+    blocks of (x, y, a) rows of at most _PAIR_BLOCK_ENTRIES pair entries
+    with one batched product each, that also builds the certificate, which
+    is re-verified before being returned.
     """
     if not g.is_boolean():
         raise ValueError("conversion requires a 0/1 predicate")
     if s.dA != s.dB:
         raise ValueError("conversion requires equal local dimensions")
     value = winning_probability(g, s)
-    if value < 1.0 - tol:
+    if value < 1.0 - MEASUREMENT_TOL:
         raise NotPseudoTelepathy(
             f"strategy wins with probability {value:.12f} < 1")
     d = s.dA
-    alice = [[np.asarray(p, dtype=complex) for p in fam] for fam in s.alice]
-    bob = [[np.asarray(q, dtype=complex) for q in fam] for fam in s.bob]
-    for side, fams, count in (("alice", alice, g.na), ("bob", bob, g.nb)):
-        for fam in fams:
-            for extra in fam[count:]:
-                if float(np.linalg.norm(extra)) > tol:
-                    raise ValueError(
-                        f"{side}: extra measurement outcome beyond the answer "
-                        "range carries weight; conversion needs one projector "
-                        "per answer")
+    (alice, a_starts), (bob, b_starts) = s.validate()
+    for side, stack, starts, count in (("alice", alice, a_starts, g.na),
+                                       ("bob", bob, b_starts, g.nb)):
+        if any(float(np.linalg.norm(extra)) > MEASUREMENT_TOL
+               for lo, hi in zip(starts, starts[1:] + [len(stack)])
+               for extra in stack[lo + count:hi]):
+            raise ValueError(
+                f"{side}: extra measurement outcome beyond the answer range "
+                "carries weight; conversion needs one projector per answer")
     gg = build_game_graph(g)
-    vertex_index = {quad: idx for idx, quad in enumerate(gg.vertices)}
-    worst = 0.0
-    losing = None
-    complex_product = False
+    alice = alice[np.add.outer(a_starts, np.arange(g.na))]
+    bob = bob[np.add.outer(b_starts, np.arange(g.nb))]
+    # row r of the table is (x, y, a) in lexicographic order, its columns b;
+    # the winning entries are the game graph's vertices in the same order
+    table = g.predicate.reshape(-1, g.nb)
+    rows = max(1, _PAIR_BLOCK_ENTRIES // (g.nb * d * d))
+    worst, losing, complex_product, vertex = 0.0, None, False, 0
     projectors: dict[tuple[int, int], np.ndarray] = {}
-    for quad in itertools.product(range(g.nx), range(g.ny), range(g.na),
-                                  range(g.nb)):
-        x, y, a, b = quad
-        p, q = alice[x][a], bob[y][b]
+    for lo in range(0, len(table), rows):
+        r = np.arange(lo, min(lo + rows, len(table)))
+        x, y, a = r // (g.ny * g.na), r // g.na % g.ny, r % g.na
+        p, q = alice[x, a][:, None], bob[y]
         prod = p @ q
-        worst = max(worst, float(np.linalg.norm(prod - q @ p)))
-        if g.predicate[quad] == 0.0:
-            norm = float(np.linalg.norm(prod))
-            if losing is None and norm > tol:
-                losing = ("strategy does not annihilate losing answer "
-                          f"pair (x={x},y={y},a={a},b={b}): "
-                          f"product norm {norm:.3e}")
-            continue
-        if float(np.max(np.abs(np.imag(prod)))) > tol:
+        worst = max(worst, float(np.max(np.linalg.norm(prod - q @ p,
+                                                        axis=(-2, -1)))))
+        wins = table[r] != 0.0
+        norms = np.linalg.norm(prod, axis=(-2, -1))
+        bad = ~wins & (norms > MEASUREMENT_TOL)
+        if losing is None and bad.any():
+            i, b = np.unravel_index(np.argmax(bad), bad.shape)
+            losing = ("strategy does not annihilate losing answer pair "
+                      f"(x={x[i]},y={y[i]},a={a[i]},b={b}): "
+                      f"product norm {norms[i, b]:.3e}")
+        prod = prod[wins]
+        if np.any(np.max(np.abs(prod.imag), axis=(-2, -1)) > MEASUREMENT_TOL):
             complex_product = True
         mat = np.real(prod)
-        mat = 0.5 * (mat + mat.T)
-        if float(np.linalg.norm(mat)) != 0.0:
-            projectors[(x * g.ny + y, vertex_index[quad])] = mat
-    if worst > tol:
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        keep = np.linalg.norm(mat, axis=(-2, -1)) != 0.0
+        measurement = (x * g.ny + y)[np.nonzero(wins)[0][keep]]
+        projectors.update(zip(zip(measurement.tolist(),
+                                  (vertex + np.flatnonzero(keep)).tolist()),
+                              mat[keep]))
+        vertex += len(mat)
+    if worst > MEASUREMENT_TOL:
         raise NonCommutingStrategy(
             f"projector families do not commute (max commutator norm {worst:.3e})")
     if losing is not None:
@@ -537,7 +554,7 @@ def strategy_to_qis(g: Game, s: QuantumStrategy,
     if complex_product:
         raise ValueError("product projectors are not real-valued")
     qis = QuantumIndependentSet(g.k, d, gg.n, projectors)
-    report = verify_quantum_independent_set(gg, qis, max(tol, MEASUREMENT_TOL))
+    report = verify_quantum_independent_set(gg, qis)
     if not report.valid:
         raise InvalidQuantumIndependentSet(
             "converted certificate fails verification: "
@@ -576,16 +593,48 @@ def qis_to_dict(qis: QuantumIndependentSet) -> dict:
             "projectors": entries}
 
 
+def _numbers_only(value) -> bool:
+    """Is value a number, or a list of such values at any depth?  JSON's
+    true and false are not numbers."""
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return type(value) in (int, float)
+
+
 def qis_from_dict(doc: dict) -> QuantumIndependentSet:
-    """Read the qis_to_dict shape; QuantumIndependentSet checks the sizes,
-    indices and matrices."""
+    """Read the qis_to_dict shape: a list of objects, each with a
+    measurement, a vertex and a matrix of numbers, each (measurement,
+    vertex) listed once; QuantumIndependentSet checks the sizes, indices
+    and matrices."""
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be a JSON object")
     for key in ("t", "d", "n_vertices", "projectors"):
         if key not in doc:
             raise ValueError(f"certificate document: missing field {key!r}")
-    projectors = {(entry["measurement"], entry["vertex"]):
-                  np.asarray(entry["matrix"], dtype=float)
-                  for entry in doc["projectors"]}
+    if not isinstance(doc["projectors"], list):
+        raise ValueError("certificate document: projectors must be a list")
+    projectors = {}
+    for k, entry in enumerate(doc["projectors"]):
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"certificate document: projectors[{k}] must be an object")
+        for key in ("measurement", "vertex", "matrix"):
+            if key not in entry:
+                raise ValueError(
+                    f"certificate document: missing field {key!r}")
+        i, v = entry["measurement"], entry["vertex"]
+        if isinstance(i, (list, dict)) or isinstance(v, (list, dict)):
+            raise ValueError(f"certificate document: projectors[{k}]: "
+                             "measurement and vertex must be integers")
+        if (i, v) in projectors:
+            raise ValueError(f"{_entry(i, v)} is listed twice")
+        if not _numbers_only(entry["matrix"]):
+            raise ValueError(f"{_entry(i, v)}: matrix entries must be numbers")
+        try:
+            projectors[i, v] = np.asarray(entry["matrix"], dtype=float)
+        except OverflowError:
+            raise ValueError(f"{_entry(i, v)} has non-finite entries") from None
+        except ValueError:  # ragged rows
+            raise ValueError(f"{_entry(i, v)} has the wrong shape") from None
     return QuantumIndependentSet(doc["t"], doc["d"], doc["n_vertices"],
                                  projectors)

@@ -30,7 +30,8 @@ aims for a gap tol wide and stops there, or when a factorization fails,
 STALL_STEPS steps in a row do not shrink the gap below STALL_FACTOR times
 the gap of the last step that did, or MAX_ITERATIONS steps have run,
 keeping the iterate with the smallest gap.  Only that iterate is
-certified, by the caller, with _certify.  The step cap is a fixed constant,
+certified, by the caller, with one _certify call, which returns the
+feasible primal and both ends.  The step cap is a fixed constant,
 read at each solve and far above every measured step count; it only bounds
 the time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
 theta program with more than MAX_CONSTRAINTS constraints raises SizeCapError
@@ -133,10 +134,11 @@ def _affine_projection(a_map, a_adj, m: int):
     return lambda w, r: w + a_adj((r - a_map(w)) / gram)
 
 
-def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray):
-    """certify(x, y) = (X, lower, upper) for the program _ipm_sdp takes,
-    from any square x and y: lower = <c, X> (rows weighted by mult) is the
-    objective of the feasible X and upper that of a feasible dual, so
+def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray,
+             x: np.ndarray, y: np.ndarray):
+    """(X, lower, upper) for the program _ipm_sdp takes, from any square x
+    and y: lower = <c, X> (rows weighted by mult) is the objective of the
+    feasible X and upper that of a feasible dual, so
     lower <= optimum <= upper up to eigensolver roundoff.  Each solve
     calls it once, on the point it reports: theta on the per-edge program,
     the XOR value on the solver's kept iterate.
@@ -147,19 +149,14 @@ def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray):
     a_adj(b) = I and the constraints where b is nonzero have equal norms.
     The dual y + t b, t = lambda_max(c - a_adj(y)), has the PSD slack
     a_adj(y) - c + t I and the objective b.y + (b.b) t."""
-    project = _affine_projection(a_map, a_adj, len(b))
-    n, bb, weights = float(np.sum(mult)), float(b @ b), mult[:, None]
-
-    def certify(x, y):
-        x = project(0.5 * (x + x.T), b)
-        lam_min = float(np.linalg.eigvalsh(x)[0])
-        if lam_min < 0.0:
-            x[np.diag_indices(x.shape[0])] -= lam_min
-            x /= 1.0 - lam_min * n / bb
-        lam_max = float(np.linalg.eigvalsh(c - a_adj(y))[-1])
-        return x, float(np.sum(c * x * weights)), float(b @ y) + bb * lam_max
-
-    return certify
+    n, bb = float(np.sum(mult)), float(b @ b)
+    x = _affine_projection(a_map, a_adj, len(b))(0.5 * (x + x.T), b)
+    lam_min = float(np.linalg.eigvalsh(x)[0])
+    if lam_min < 0.0:
+        x[np.diag_indices(x.shape[0])] -= lam_min
+        x /= 1.0 - lam_min * n / bb
+    lam_max = float(np.linalg.eigvalsh(c - a_adj(y))[-1])
+    return x, float(np.sum(c * x * mult[:, None])), float(b @ y) + bb * lam_max
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -678,7 +675,7 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     _, edge_mult, edge_map, edge_adj = _theta_program(
         c, ei, ej, np.arange(len(ei)), None)[:4]
     primal, value, dual_bound = _certify(c, edge_b, edge_map, edge_adj,
-                                         edge_mult)(x, edge_y)
+                                         edge_mult, x, edge_y)
     gap = dual_bound - value
     converged = gap <= 10.0 * tol * scale
     return ThetaResult(value, dual_bound, gap, iterations, converged,
@@ -773,5 +770,5 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
     # distance
     b, mult = np.ones(n), np.ones(n)
     x, y, _ = _ipm_sdp(c, b, np.diag, np.diag, np.multiply, tol, mult)
-    _, lower, upper = _certify(c, b, np.diag, np.diag, mult)(x, y)
+    _, lower, upper = _certify(c, b, np.diag, np.diag, mult, x, y)
     return constant + 0.5 * (lower + upper)

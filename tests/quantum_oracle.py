@@ -1,6 +1,7 @@
 """Matrix-at-a-time versions of the certificate checks, kept as the oracle of
 the stacked ones in `gamebounds.quantum`: one defect per projector, one
-adjacency test per pair of entries, and one strategy outcome at a time."""
+adjacency test per pair of entries, one strategy outcome at a time, and one
+(x, y, a, b) product at a time when a strategy becomes a certificate."""
 
 from __future__ import annotations
 
@@ -8,8 +9,12 @@ import itertools
 
 import numpy as np
 
-from gamebounds.quantum import (MEASUREMENT_TOL, QisReport, QisViolation,
+from gamebounds.gamegraph import build_game_graph
+from gamebounds.quantum import (MEASUREMENT_TOL, InvalidQuantumIndependentSet,
+                                NonCommutingStrategy, NotPseudoTelepathy,
+                                QisReport, QisViolation, QuantumIndependentSet,
                                 STATE_TOL, _adjacency)
+from gamebounds import quantum
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -109,3 +114,66 @@ def verify_quantum_independent_set(graph, qis,
                     violations.append(QisViolation(
                         "orthogonality", i, j, u, v, norm))
     return QisReport(not violations, tuple(violations))
+
+
+def strategy_to_qis(g, s) -> QuantumIndependentSet:
+    """`quantum.strategy_to_qis`, one (x, y, a, b) product at a time."""
+    tol = MEASUREMENT_TOL
+    if not g.is_boolean():
+        raise ValueError("conversion requires a 0/1 predicate")
+    if s.dA != s.dB:
+        raise ValueError("conversion requires equal local dimensions")
+    value = quantum.winning_probability(g, s)
+    if value < 1.0 - tol:
+        raise NotPseudoTelepathy(
+            f"strategy wins with probability {value:.12f} < 1")
+    d = s.dA
+    alice = [[np.asarray(p, dtype=complex) for p in fam] for fam in s.alice]
+    bob = [[np.asarray(q, dtype=complex) for q in fam] for fam in s.bob]
+    for side, fams, count in (("alice", alice, g.na), ("bob", bob, g.nb)):
+        for fam in fams:
+            for extra in fam[count:]:
+                if float(np.linalg.norm(extra)) > tol:
+                    raise ValueError(
+                        f"{side}: extra measurement outcome beyond the answer "
+                        "range carries weight; conversion needs one projector "
+                        "per answer")
+    gg = build_game_graph(g)
+    vertex_index = {quad: idx for idx, quad in enumerate(gg.vertices)}
+    worst = 0.0
+    losing = None
+    complex_product = False
+    projectors: dict[tuple[int, int], np.ndarray] = {}
+    for quad in itertools.product(range(g.nx), range(g.ny), range(g.na),
+                                  range(g.nb)):
+        x, y, a, b = quad
+        p, q = alice[x][a], bob[y][b]
+        prod = p @ q
+        worst = max(worst, float(np.linalg.norm(prod - q @ p)))
+        if g.predicate[quad] == 0.0:
+            norm = float(np.linalg.norm(prod))
+            if losing is None and norm > tol:
+                losing = ("strategy does not annihilate losing answer "
+                          f"pair (x={x},y={y},a={a},b={b}): "
+                          f"product norm {norm:.3e}")
+            continue
+        if float(np.max(np.abs(np.imag(prod)))) > tol:
+            complex_product = True
+        mat = np.real(prod)
+        mat = 0.5 * (mat + mat.T)
+        if float(np.linalg.norm(mat)) != 0.0:
+            projectors[(x * g.ny + y, vertex_index[quad])] = mat
+    if worst > tol:
+        raise NonCommutingStrategy(
+            f"projector families do not commute (max commutator norm {worst:.3e})")
+    if losing is not None:
+        raise NotPseudoTelepathy(losing)
+    if complex_product:
+        raise ValueError("product projectors are not real-valued")
+    qis = QuantumIndependentSet(g.k, d, gg.n, projectors)
+    report = quantum.verify_quantum_independent_set(gg, qis, tol)
+    if not report.valid:
+        raise InvalidQuantumIndependentSet(
+            "converted certificate fails verification: "
+            + "; ".join(v.describe() for v in report.violations[:5]))
+    return qis

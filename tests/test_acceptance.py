@@ -160,7 +160,7 @@ def test_criterion_5b_magic_square_qis_round_trip():
         g = magic_square()
         s = magic_square_strategy()
         assert winning_probability(g, s) == pytest.approx(1.0, abs=1e-9)
-        qis = strategy_to_qis(g, s, tol=1e-9)   # raises NonCommutingStrategy
+        qis = strategy_to_qis(g, s)   # raises NonCommutingStrategy
         gg = build_game_graph(g)
         report = verify_quantum_independent_set(gg, qis, tol=1e-9)
         assert qis.t == 9 and report.valid

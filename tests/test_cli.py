@@ -502,20 +502,60 @@ def test_missing_certificate_exits_1_before_the_graph(
     assert "missing.json" in err
 
 
-@pytest.mark.parametrize("text", [
+def _certificate(*entries):
+    """A t = 1, d = 1 CHSH certificate document listing the entries."""
+    return json.dumps({"t": 1, "d": 1, "n_vertices": 8,
+                       "projectors": list(entries)})
+
+
+_ONE = {"measurement": 0, "vertex": 0, "matrix": [[1]]}
+
+
+@pytest.mark.parametrize("text, message", [
     # empty certificates: one of size 4 would certify omega* = 1 for CHSH
-    '{"t": 4, "d": 0, "n_vertices": 8, "projectors": []}',
-    '{"t": -3, "d": 1, "n_vertices": 8, "projectors": []}',
-    '{"t": 1e400, "d": 1, "n_vertices": 8, "projectors": []}',
-    "[" * 100_000 + "]" * 100_000,
+    ('{"t": 4, "d": 0, "n_vertices": 8, "projectors": []}',
+     "certificate d must be an integer >= 1"),
+    ('{"t": -3, "d": 1, "n_vertices": 8, "projectors": []}',
+     "certificate t must be an integer >= 0"),
+    ('{"t": 1e400, "d": 1, "n_vertices": 8, "projectors": []}',
+     "certificate t must be an integer >= 0"),
+    ("[" * 100_000 + "]" * 100_000, "certificate document is nested too deeply"),
     # no entry backs the claimed dimension
-    '{"t": 0, "d": 100000000, "n_vertices": 8, "projectors": []}'],
-    ids=["d0", "t-3", "overflow", "deep", "d-unbacked"])
-def test_bad_certificates_exit_1(tmp_path, capsys, text):
+    ('{"t": 0, "d": 100000000, "n_vertices": 8, "projectors": []}',
+     "certificate d > 1 needs at least one projector"),
+    # a pair listed twice kept only its last matrix
+    (_certificate(_ONE, {**_ONE, "matrix": [[0]]}),
+     "certificate entry (0,0) is listed twice"),
+    (json.dumps({"t": 1, "d": 1, "n_vertices": 8, "projectors": {"a": 1}}),
+     "certificate document: projectors must be a list"),
+    (_certificate([1]), "certificate document: projectors[0] must be an object"),
+    (_certificate(_ONE, "ab"),
+     "certificate document: projectors[1] must be an object"),
+    (_certificate({"measurement": 0, "vertex": 0}),
+     "certificate document: missing field 'matrix'"),
+    (_certificate({**_ONE, "vertex": [0]}), "certificate document: "
+     "projectors[0]: measurement and vertex must be integers"),
+    (_certificate({**_ONE, "matrix": "ab"}),
+     "certificate entry (0,0): matrix entries must be numbers"),
+    # numpy reads true as 1.0 and "1" as 1.0
+    (_certificate({**_ONE, "matrix": [[True]]}),
+     "certificate entry (0,0): matrix entries must be numbers"),
+    (_certificate({**_ONE, "matrix": [["1"]]}),
+     "certificate entry (0,0): matrix entries must be numbers"),
+    (_certificate({**_ONE, "matrix": [[1], [1, 2]]}),
+     "certificate entry (0,0) has the wrong shape"),
+    (_certificate({**_ONE, "matrix": [[10 ** 400]]}),
+     "certificate entry (0,0) has non-finite entries")],
+    ids=["d0", "t-3", "overflow", "deep", "d-unbacked", "repeated-pair",
+         "projectors-object", "entry-list", "entry-string", "missing-matrix",
+         "vertex-list", "matrix-string", "matrix-true", "matrix-strings",
+         "matrix-ragged", "matrix-400-digits"])
+def test_bad_certificates_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     for command in ("verify-qis", "lift"):
-        _exits_1_with_one_error_line(capsys, command, "chsh", str(path))
+        err = _exits_1_with_one_error_line(capsys, command, "chsh", str(path))
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,6 @@
+import json
+import re
+import sys
 import time
 import tracemalloc
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 
 from gamebounds import dsl
+from gamebounds.cli import main
 from gamebounds.dsl import (_LEVELS, MAX_NESTING, DslError, eval_expr,
                             parse_expr, parse_predicate_dsl)
 from gamebounds.games import chsh
@@ -107,6 +111,22 @@ def test_digits_that_int_refuses_are_unexpected_characters(text, position):
         parse_expr(text)
     # decimal digits of other scripts are integers, as int() reads them
     assert eval_expr(parse_expr("x == ١ + ٣"), {"x": 4}) == 1
+
+
+def test_a_literal_too_long_for_int_is_a_dsl_error(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    assert eval_expr(parse_expr("x == " + "1" * limit), {"x": 1}) == 0
+    message = (f"integer literal of {limit + 700} digits is too long "
+               "(at position 5)")
+    with pytest.raises(DslError, match=re.escape(message)):
+        parse_expr("x == " + "1" * (limit + 700))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "name": "long", "nx": 1, "ny": 1, "na": 1, "nb": 1,
+        "predicate": {"dsl": "x == " + "1" * (limit + 700)}}))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def _tokens(tokenize, text):

@@ -115,9 +115,28 @@ _TABLE_DOC = {"name": "g", "nx": 2, "ny": 2, "na": 2, "nb": 2,
      "distribution: expected 4 entries"),
     (json.dumps({**_TABLE_DOC, "distribution": {"x": 1}}),
      "distribution: must be 'uniform' or a flat list"),
-    ("[" * 100000 + "]" * 100000, "document is nested too deeply")],
+    ("[" * 100000 + "]" * 100000, "document is nested too deeply"),
+    (json.dumps({**_TABLE_DOC, "predicate": {"winning": {"0": [0, 0, 0, 0]}}}),
+     "predicate.winning: must be a list"),
+    # JSON's true and false are neither indices nor numbers: numpy would
+    # read a bool index as a mask
+    (json.dumps({**_TABLE_DOC, "predicate": {"winning": [[True] * 4]}}),
+     "predicate.winning: entries must be [x,y,a,b] integers, got "
+     "[True, True, True, True]"),
+    (json.dumps({**_TABLE_DOC, "nx": 1, "ny": 1,
+                 "predicate": {"winning": [[False, False, True, True]]}}),
+     "predicate.winning: entries must be [x,y,a,b] integers, got "
+     "[False, False, True, True]"),
+    (json.dumps({**_TABLE_DOC, "predicate": {"winning": [[1, 0, True, 0]]}}),
+     "predicate.winning: entries must be [x,y,a,b] integers, got "
+     "[1, 0, True, 0]"),
+    (json.dumps({**_TABLE_DOC, "predicate": {"table": [True] + [0] * 15}}),
+     "predicate.table: entries must be numbers"),
+    (json.dumps({**_TABLE_DOC, "distribution": [True, False, False, False]}),
+     "distribution: entries must be numbers")],
     ids=["string-entry", "400-digit-entry", "keyword", "length", "object",
-         "nested"])
+         "nested", "winning-object", "winning-true", "winning-false",
+         "winning-mixed", "table-true", "distribution-true"])
 def test_bad_documents_exit_1_with_their_message(tmp_path, capsys, text,
                                                  message):
     with pytest.raises(GameFormatError, match=re.escape(message)):

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -361,7 +362,7 @@ def test_lift_measurement_invariants():
     # completion outcome appended: na + 1 elements per family
     assert all(len(fam) == g.na + 1 for fam in strategy.alice)
     assert all(len(fam) == g.nb + 1 for fam in strategy.bob)
-    strategy.validate(tol=1e-9)
+    strategy.validate()
 
 
 # --- certificates: conversion from perfect strategies -----------------------
@@ -725,6 +726,122 @@ def test_winning_probability_matches_the_loop_oracle():
                 == quantum_oracle.winning_probability(g, s))
         compared += 1
     assert compared >= 50
+
+
+def _random_conversion_case(rng):
+    """A 0/1 game and a strategy for strategy_to_qis.  The strategy's
+    projectors are diagonal in one random real basis, each basis vector
+    given an answer per question, on the maximally entangled state, or in
+    the standard basis on |00>, where only the first basis vector plays; the
+    game wins exactly the answer pairs the strategy gives, or more.  Most
+    cases then get one fault: a rotated or complex basis for Bob, an extra
+    outcome with or without weight, a lost winning entry, a small
+    perturbation of one projector or a non-0/1 entry."""
+    nx, ny, na, nb = (int(v) for v in rng.integers(1, 4, size=4))
+    d = int(rng.integers(1, 5))
+    product = rng.random() < 0.3
+    basis = np.eye(d) if product else np.linalg.qr(rng.normal(size=(d, d)))[0]
+    fa, fb = rng.integers(na, size=(nx, d)), rng.integers(nb, size=(ny, d))
+    lam = np.zeros((nx, ny, na, nb))
+    lam[np.arange(nx)[:, None, None], np.arange(ny)[None, :, None],
+        fa[:, None], fb[None]] = 1.0
+    if rng.random() < 0.3:
+        lam[rng.random(lam.shape) < 0.3] = 1.0
+    state = np.eye(d).ravel() / np.sqrt(d)
+    if product:
+        state = np.zeros(d * d)
+        state[0] = 1.0
+    fault = int(rng.integers(9))
+    bob_basis = basis
+    if fault == 1:
+        angle = 10.0 ** rng.uniform(-12, -3)
+        turn = np.eye(d)
+        if d > 1:
+            turn[:2, :2] = [[np.cos(angle), -np.sin(angle)],
+                            [np.sin(angle), np.cos(angle)]]
+        bob_basis = basis @ turn
+    elif fault == 2:
+        bob_basis = np.exp(1j * rng.uniform(0, 0.1, size=(d, 1))) * basis
+
+    def side(f, answers, u):
+        return [[u[:, f[x] == a] @ u[:, f[x] == a].conj().T
+                 for a in range(answers)] for x in range(len(f))]
+
+    alice, bob = side(fa, na, basis), side(fb, nb, bob_basis)
+    if fault == 3:
+        x, a = int(rng.integers(nx)), int(rng.integers(na))
+        alice[x].append(np.zeros((d, d)))
+        if rng.random() < 0.5 and alice[x][a].any():
+            i = int(np.flatnonzero(fa[x] == a)[-1])
+            moved = np.outer(basis[:, i], basis[:, i])
+            alice[x][a] = alice[x][a] - moved
+            alice[x][-1] = moved
+    elif fault == 4:
+        x, y, i = (int(rng.integers(k)) for k in (nx, ny, d))
+        lam[x, y, fa[x, i], fb[y, i]] = 0.0
+    elif fault == 5:
+        x, b = int(rng.integers(ny)), int(rng.integers(nb))
+        noise = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-13, -8)
+        bob[x][b] = bob[x][b] + noise + noise.T
+    elif fault == 6:
+        lam[tuple(int(rng.integers(k)) for k in lam.shape)] = 0.5
+    g = Game("random", nx, ny, na, nb, lam, uniform_distribution(nx, ny))
+    return g, QuantumStrategy(d, d, state, tuple(map(tuple, alice)),
+                              tuple(map(tuple, bob)))
+
+
+def _conversion(g, s, convert):
+    try:
+        qis = convert(g, s)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return list(qis.projectors), json.dumps(qis_to_dict(qis))
+
+
+def test_strategy_to_qis_matches_the_loop_oracle(monkeypatch):
+    # the blocks of batched products give the per-quadruple loop's
+    # certificate, byte for byte and in the same entry order, or its error,
+    # under the default block size and under one small enough to put block
+    # boundaries inside every game
+    rng = np.random.default_rng(65)
+    # wins only (0, 0) on |00>, and answers (1, 1) and (2, 2), which lose,
+    # have nonzero products in different blocks: the first is named
+    lam = np.zeros((1, 1, 3, 3))
+    lam[0, 0, 0, 0] = 1.0
+    diagonal = (tuple(np.diag(row) for row in np.eye(3)),)
+    fixed = [(chsh(), chsh_optimal_strategy()),
+             (magic_square(), magic_square_strategy()),
+             (all_ones(2, 2, 2, 2),
+              strategy_from_classical(all_ones(2, 2, 2, 2), (0, 0), (0, 0))),
+             (Game("first", 1, 1, 3, 3, lam, np.ones((1, 1))),
+              QuantumStrategy(3, 3, np.eye(9)[0], diagonal, diagonal))]
+    cases = fixed + [_random_conversion_case(rng) for _ in range(400)]
+    outcomes = set()
+    for g, s in cases:
+        want = _conversion(g, s, quantum_oracle.strategy_to_qis)
+        for entries in (int(rng.choice([1, 5, 17])), 1 << 20):
+            monkeypatch.setattr(quantum, "_PAIR_BLOCK_ENTRIES", entries)
+            assert _conversion(g, s, strategy_to_qis) == want
+        outcomes.add(want[1][:24] if isinstance(want[0], str) else "valid")
+    # every check is reached, and passed
+    assert outcomes >= {"valid", "conversion requires a 0/",
+                        "strategy wins with proba", "alice: extra measurement",
+                        "projector families do no", "strategy does not annihi",
+                        "product projectors are n"}
+
+
+def test_strategy_to_qis_takes_a_large_answer_set_whole():
+    # one winning quadruple among 1024 x 1024 answer pairs; the loop took
+    # about 10 s
+    n = 1024
+    lam = np.zeros((1, 1, n, n))
+    lam[0, 0, 0, 0] = 1.0
+    g = Game("one", 1, 1, n, n, lam, uniform_distribution(1, 1))
+    s = strategy_from_classical(g, (0,), (0,))
+    start = time.perf_counter()
+    qis = strategy_to_qis(g, s)
+    assert time.perf_counter() - start < 1.0
+    assert list(qis.projectors) == [(0, 0)]
 
 
 def test_orthogonality_order_across_row_blocks():

@@ -139,7 +139,7 @@ def test_certify_is_sound_on_any_iterate(monkeypatch):
             for x in (scale * w, scale * w @ w.T):
                 y = scale * rng.standard_normal(len(b))
                 primal, lower, upper = sdp._certify(c, b, a_map, a_adj,
-                                                    mult)(x, y)
+                                                    mult, x, y)
                 assert np.max(np.abs(a_map(primal) - b)) <= 1e-12
                 assert np.linalg.eigvalsh(primal)[0] >= -1e-12
                 if edges is not None:
@@ -162,13 +162,9 @@ def test_each_reported_bound_is_certified_once(monkeypatch):
     calls = []
     certify = sdp._certify
 
-    def counting(*args):
-        inner = certify(*args)
-
-        def counted(x, y):
-            calls.append(x.shape)
-            return inner(x, y)
-        return counted
+    def counting(c, b, a_map, a_adj, mult, x, y):
+        calls.append(x.shape)
+        return certify(c, b, a_map, a_adj, mult, x, y)
 
     monkeypatch.setattr(sdp, "_certify", counting)
     gg = build_weighted_game_graph(magic_square())
