@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from . import gameio
+from . import gameio, quantum
 from .games import (Game, chsh, independent_set_game, magic_square,
                     parallel_repetition)
 from .gamegraph import (GameGraph, build_game_graph, cycle_graph,
@@ -298,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", metavar="PATH",
                    help="verify against this DIMACS graph instead of "
                         "rebuilding the game graph")
-    p.set_defaults(func=cmd_verify_qis, tol=1e-9)
+    p.set_defaults(func=cmd_verify_qis, tol=quantum.MEASUREMENT_TOL)
 
     p = sub.add_parser("lift",
                        help="lift a quantum independent set to a strategy")
@@ -307,7 +307,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--out", metavar="PATH",
                    help="write the lifted strategy JSON here")
-    p.set_defaults(func=cmd_lift, tol=1e-9)
+    p.set_defaults(func=cmd_lift, tol=quantum.MEASUREMENT_TOL)
 
     p = sub.add_parser("catalog", help="list or emit built-in games")
     p.add_argument("action", choices=["list", "emit"])

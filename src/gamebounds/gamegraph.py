@@ -51,12 +51,21 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """The graph on vertices 0..n-1 with the (i, j) pairs of edges; a
+        self-loop, or an endpoint that is not an integer in 0..n-1, raises a
+        ValueError that names it."""
         rows = [0] * n
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            # a try costs nothing until it catches: bad endpoints are found
+            # by the indexing and shifting that good ones need anyway
+            try:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            except (IndexError, TypeError, ValueError):
+                raise ValueError(f"edge ({i!r}, {j!r}): endpoints must be "
+                                 f"integers in 0..{n - 1}") from None
         return Graph(n, tuple(rows))
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -78,6 +87,18 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
+
+
+def _checked_weights(g: Graph, weights) -> np.ndarray:
+    """weights as a float vector, refused with a ValueError unless it holds
+    one finite, non-negative number per vertex of g; the one weight rule of
+    the weighted independence search and weighted theta."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (g.n,):
+        raise ValueError("weight vector length does not match vertex count")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and non-negative")
+    return w
 
 
 def _first_asymmetry(rows, n: int) -> tuple[int, int]:

@@ -9,17 +9,16 @@ predicate * probability over 1 otherwise.  Three routes compute maxima:
   prints): a depth-first search over one player's answers, question by
   question, while the other player best-responds; the independent set is the
   set of game graph vertices that the best strategy pair wins;
-- graph branch and bound (``independence_number``, ``weighted_independence``)
-  on plain graphs, bounded by a first-fit clique cover peeled off bitsets one
-  class at a time; its rows are relabelled, and its witness read, through
-  ``gamegraph.bit_matrix``;
+- graph branch and bound (``_independence``, behind ``independence_number``
+  and ``weighted_independence``) on plain graphs, bounded by a first-fit
+  clique cover peeled off bitsets one class at a time; its rows are
+  relabelled, and its witness read, through ``gamegraph.bit_matrix``;
 - ``classical_value_brute``: every strategy of one player scored by prefix
   sums, the other best-responding, an oracle independent of both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,8 @@ import numpy as np
 
 from . import gamegraph
 from .games import ClassicalStrategy, Game, SizeCapError
-from .gamegraph import GameGraph, Graph, bit_matrix, pipeline_graph
+from .gamegraph import (GameGraph, Graph, _checked_weights, bit_matrix,
+                        pipeline_graph)
 
 # Deterministic strategy pairs that classical_value_brute covers; fixed.
 BRUTE_CAP = 1 << 24
@@ -46,9 +46,9 @@ class IndependenceResult:
     nodes_explored: int
 
 
-def _max_weight_independent_set(n: int, adj: list[int], weights
-                                ) -> tuple[float, tuple[int, ...], int]:
-    """Branch and bound over bitset candidate sets.
+def _independence(g: Graph, weights: list[float]) -> IndependenceResult:
+    """Maximum-weight independent set of g under the Python float weights,
+    by branch and bound over bitset candidate sets.
 
     Vertices are relabelled once to their positions in (-degree, index)
     order, so the next candidate is always the lowest set bit.  Each node
@@ -59,10 +59,15 @@ def _max_weight_independent_set(n: int, adj: list[int], weights
     prefix of the cover.  Vertices are branched from the end of the cover,
     each removed from the candidates before the next, so the bound prunes
     whole prefixes at once.  The search runs from an explicit stack, so its
-    depth is not limited by Python's recursion limit.  Returns (best weight,
-    best set in the original labels, ascending, nodes); a search that would
-    open more than NODE_BUDGET nodes raises SizeCapError instead.
+    depth is not limited by Python's recursion limit.  The witness is the
+    best set in the original labels, ascending, and the value its weights
+    summed in that order.  A graph of more than VERTEX_CAP vertices, or a
+    search that would open more than NODE_BUDGET nodes, raises SizeCapError.
     """
+    n, adj = g.n, g.rows
+    cap = gamegraph.VERTEX_CAP
+    if n > cap:
+        raise SizeCapError(f"graph has {n} vertices (cap {cap})")
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     packed = np.packbits(bit_matrix(adj, n)[np.ix_(order, order)], axis=1,
                          bitorder="little")
@@ -118,15 +123,7 @@ def _max_weight_independent_set(n: int, adj: list[int], weights
             best_weight, best_mask = picked_weight, mask | 1 << i
         # not picking i: the next frame step tries the earlier cover
     picked = np.flatnonzero(bit_matrix([best_mask], n)[0]).tolist()
-    return best_weight, tuple(sorted(order[p] for p in picked)), nodes
-
-
-def _independence(g: Graph, weights: list[float]) -> IndependenceResult:
-    cap = gamegraph.VERTEX_CAP
-    if g.n > cap:
-        raise SizeCapError(f"graph has {g.n} vertices (cap {cap})")
-    _, witness, nodes = _max_weight_independent_set(g.n, list(g.rows),
-                                                    weights)
+    witness = tuple(sorted(order[p] for p in picked))
     return IndependenceResult(float(sum(weights[v] for v in witness)), witness,
                               nodes)
 
@@ -137,13 +134,10 @@ def independence_number(g: Graph) -> IndependenceResult:
 
 
 def weighted_independence(g: Graph, weights) -> IndependenceResult:
-    """Exact maximum-weight independent set with a witness."""
-    weights = [float(w) for w in weights]
-    if len(weights) != g.n:
-        raise ValueError("weight vector length does not match vertex count")
-    if not all(math.isfinite(w) and w >= 0.0 for w in weights):
-        raise ValueError("weights must be finite and non-negative")
-    return _independence(g, weights)
+    """Exact maximum-weight independent set with a witness.  weights must
+    hold one finite, non-negative number per vertex (ValueError
+    otherwise)."""
+    return _independence(g, _checked_weights(g, weights).tolist())
 
 
 @dataclass(frozen=True)

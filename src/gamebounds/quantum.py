@@ -271,8 +271,10 @@ class QuantumIndependentSet:
                 break
             mats.append(mat)
         # the entries are checked in dict order, so a non-finite entry
-        # before the first misfit is the one named
-        stack = np.array(mats).reshape(len(mats), self.d ** 2)
+        # before the first misfit is the one named; the width is read from
+        # the stacked entries, not from d, which may pass numpy's size limit
+        # when no entry was stacked
+        stack = np.array(mats).reshape(len(mats), -1 if mats else 0)
         finite = np.isfinite(stack).all(axis=1)
         if not finite.all():
             i, v = list(self.projectors)[int(np.argmin(finite))]

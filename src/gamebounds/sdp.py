@@ -48,9 +48,11 @@ describes the program on one copy of each block: block-diagonal matrices of
 N = sum n_i rows, each row weighted by its block's m_i, and the Schur matrix
 M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) built from the class matrices
 B_k,i on the blocks.  Otherwise (1-WL separates the graph, no block
-repeats, or the check fails) _theta_program describes the n x n program,
-the one-block case, whose Schur builder computes one representative row per
-class.  No step lifts an iterate.
+repeats, the check fails, or the three m x sum n_i^2 arrays of the block
+program would take more than the 8 MAX_CONSTRAINTS^2 bytes allowed the
+Schur matrix) _theta_program describes the n x n program, the one-block
+case, whose Schur builder computes one representative row per class.  No
+step lifts an iterate.
 
 The solve ends in _certify on the per-edge n x n program, whatever the
 classes or blocks: the lifted primal, averaged over the pair colours, and
@@ -70,7 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import Game, SizeCapError
-from .gamegraph import GameGraph, Graph, bit_matrix, pipeline_graph
+from .gamegraph import (GameGraph, Graph, _checked_weights, bit_matrix,
+                        pipeline_graph)
 
 DEFAULT_TOL = 1e-7
 # Interior-point steps per solve.  The most any measured solve took is 13:
@@ -639,9 +642,9 @@ def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
 
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResult:
     """Theta of graph with objective c: one _ipm_sdp solve of the program
-    that _block_program describes when some block repeats and
-    _theta_program describes otherwise, then _certify on the per-edge
-    n x n program."""
+    that _block_program describes when some block repeats and its arrays
+    fit the Schur matrix's byte cap, and _theta_program describes
+    otherwise, then _certify on the per-edge n x n program."""
     n = graph.n
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
@@ -650,6 +653,12 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
                            f"(cap {MAX_CONSTRAINTS})")
     average = _class_average(colours)
     bases = None if colours is None else _block_bases(colours, c)
+    # the block route holds three m x (sum of n_i^2) float arrays; where they
+    # would take more than the 8 MAX_CONSTRAINTS^2 bytes the cap allows the
+    # Schur matrix, the n x n route, whose memory the cap bounds, solves
+    if bases is not None and 24 * m * sum(
+            p.shape[1] ** 2 for p, _ in bases) > 8 * MAX_CONSTRAINTS ** 2:
+        bases = None
     if bases is None:
         program = _theta_program(c, ei, ej, starts, average)
         blocks = ((n, 1),)
@@ -692,14 +701,9 @@ def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL) -> ThetaResult:
 
 def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Weighted theta: objective sum_{u,v} sqrt(w_u w_v) X_uv."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (graph.n,):
-        raise ValueError("weight vector length does not match vertex count")
-    if not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise ValueError("weights must be finite and non-negative")
+    root = np.sqrt(_checked_weights(graph, weights))
     if graph.n == 0:
         return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
-    root = np.sqrt(w)
     c = np.outer(root, root)
     return _theta_from_objective(graph, c, tol)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -442,6 +443,16 @@ def test_chsh_rep3_analyzes_end_to_end(capsys):
     assert report["theta"]["converged"] is True
     assert report["bell_gap_certificate"] is True
     assert report["alpha"]["nodes_explored"] == 43978
+    # pinned as the catalog reports are, in a process with one BLAS thread:
+    # theta's 512 x 512 products round differently on two
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "gamebounds.cli", "analyze",
+                           "chsh", "--rep", "3", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert hashlib.sha256(
+        proc.stdout.encode()).hexdigest()[:16] == "e4239ad1c0cd66cd"
 
 
 def _refuse_to_build(monkeypatch):
@@ -545,11 +556,15 @@ _ONE = {"measurement": 0, "vertex": 0, "matrix": [[1]]}
     (_certificate({**_ONE, "matrix": [[1], [1, 2]]}),
      "certificate entry (0,0) has the wrong shape"),
     (_certificate({**_ONE, "matrix": [[10 ** 400]]}),
-     "certificate entry (0,0) has non-finite entries")],
+     "certificate entry (0,0) has non-finite entries"),
+    # d ** 2 passes numpy's size limit; no entry was stacked
+    (json.dumps({"t": 1, "d": 10 ** 400, "n_vertices": 8,
+                 "projectors": [_ONE]}),
+     "certificate entry (0,0) has the wrong shape")],
     ids=["d0", "t-3", "overflow", "deep", "d-unbacked", "repeated-pair",
          "projectors-object", "entry-list", "entry-string", "missing-matrix",
          "vertex-list", "matrix-string", "matrix-true", "matrix-strings",
-         "matrix-ragged", "matrix-400-digits"])
+         "matrix-ragged", "matrix-400-digits", "d-401-digits"])
 def test_bad_certificates_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -175,6 +175,12 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError, match="symmetric"):
         Graph(2, (2, 0))
+    # Python's IndexError, shift ValueError and TypeError named no edge
+    for edge in [(5, 1), (0, 3), (0, -1), (1.5, 0)]:
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(3, [(0, 1), edge])
+        assert str(info.value) == (
+            f"edge {edge}: endpoints must be integers in 0..2")
 
 
 def _first_fault(n, rows):

@@ -133,10 +133,12 @@ _TABLE_DOC = {"name": "g", "nx": 2, "ny": 2, "na": 2, "nb": 2,
     (json.dumps({**_TABLE_DOC, "predicate": {"table": [True] + [0] * 15}}),
      "predicate.table: entries must be numbers"),
     (json.dumps({**_TABLE_DOC, "distribution": [True, False, False, False]}),
-     "distribution: entries must be numbers")],
+     "distribution: entries must be numbers"),
+    (json.dumps({**_TABLE_DOC, "predicate": {"dsl": 5}}),
+     "predicate.dsl: must be a string")],
     ids=["string-entry", "400-digit-entry", "keyword", "length", "object",
          "nested", "winning-object", "winning-true", "winning-false",
-         "winning-mixed", "table-true", "distribution-true"])
+         "winning-mixed", "table-true", "distribution-true", "dsl-number"])
 def test_bad_documents_exit_1_with_their_message(tmp_path, capsys, text,
                                                  message):
     with pytest.raises(GameFormatError, match=re.escape(message)):

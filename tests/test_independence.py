@@ -522,3 +522,8 @@ def test_graph_rows_and_weight_lengths_are_checked():
     with pytest.raises(ValueError, match="weight vector length does not "
                        "match vertex count"):
         weighted_independence(cycle_graph(5), [1.0] * 4)
+    # weighted_theta's rule: a column of weights is refused by its shape,
+    # where float() of each row raised a bare TypeError
+    with pytest.raises(ValueError, match="weight vector length does not "
+                       "match vertex count"):
+        weighted_independence(cycle_graph(5), np.ones((5, 1)))

@@ -571,6 +571,28 @@ def test_rejected_decomposition_takes_the_n_by_n_route(monkeypatch, corrupt):
     assert np.array_equal(res.primal_matrix, forced.primal_matrix)
 
 
+def test_block_arrays_past_the_schur_bytes_take_the_n_by_n_route(monkeypatch):
+    # magic square: m = 6 and sum n_i^2 = 11, so the block route's three
+    # m x 11 float arrays take 1,584 bytes; a cap of 14 constraints allows
+    # the Schur matrix 1,568 bytes and one of 15 allows 1,800
+    graph = build_game_graph(magic_square())
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_block_bases", lambda colours, c: None)
+        forced = lovasz_theta(graph)
+    monkeypatch.setattr(sdp, "MAX_CONSTRAINTS", 15)
+    blocks = lovasz_theta(graph)
+    assert blocks.m == 6
+    assert sum(n_i ** 2 for n_i, _ in blocks.blocks) == 11
+    for cap in (14, 10):
+        monkeypatch.setattr(sdp, "MAX_CONSTRAINTS", cap)
+        res = lovasz_theta(graph)
+        assert res.blocks == forced.blocks == ((72, 1),)
+        assert res.converged
+        assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
+            forced.value.hex(), forced.dual_bound.hex(), forced.iterations)
+        assert np.array_equal(res.primal_matrix, forced.primal_matrix)
+
+
 @pytest.mark.parametrize("fail_from", [1, 3])
 def test_failed_factorization_still_brackets_theta(monkeypatch, fail_from):
     # every Schur factorization from call fail_from on fails, shifts
