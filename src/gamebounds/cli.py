@@ -95,27 +95,22 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     report and the game graph it was computed on."""
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    gg = pipeline_graph(g, force_weighted)
-    timings["build_graph"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    classical = _classical_value(g, gg)
-    alpha, omega, exact = classical.alpha, classical.value, classical.exact
-    timings["alpha"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bound = _game_graph_bound(gg, tol)
-    theta = bound.theta
-    timings["theta"] = time.perf_counter() - t0
-
-    xor_value = None
-    try:
+    def stage(name, fn, *args):
+        # fn(*args), its wall time recorded under name once it returns
         t0 = time.perf_counter()
-        xor_value = xor_tsirelson_value(g)
-        timings["xor_value"] = time.perf_counter() - t0
+        out = fn(*args)
+        timings[name] = time.perf_counter() - t0
+        return out
+
+    gg = stage("build_graph", pipeline_graph, g, force_weighted)
+    classical = stage("alpha", _classical_value, g, gg)
+    alpha, omega, exact = classical.alpha, classical.value, classical.exact
+    bound = stage("theta", _game_graph_bound, gg, tol)
+    theta = bound.theta
+    try:
+        xor_value = stage("xor_value", xor_tsirelson_value, g)
     except NotXorGame:
-        pass
+        xor_value = None
 
     report = {
         "name": g.name,

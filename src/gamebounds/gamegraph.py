@@ -13,6 +13,7 @@ which refuses more than VERTEX_CAP vertices before it builds one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +52,23 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """The graph on vertices 0..n-1 with the (i, j) pairs of edges; a
-        self-loop, or an endpoint that is not an integer in 0..n-1, raises a
-        ValueError that names it."""
+        """The graph on vertices 0..n-1 with the (i, j) pairs of edges, whose
+        endpoints may be any integers, numpy's included; a self-loop, or an
+        endpoint that is not an integer in 0..n-1, raises a ValueError that
+        names it."""
         rows = [0] * n
         for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             # a try costs nothing until it catches: bad endpoints are found
-            # by the indexing and shifting that good ones need anyway
+            # by the conversion, indexing and shifting that good ones need
+            # anyway; both rows are read before either shift, so an endpoint
+            # past n fails before 1 << it is built
             try:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+                a, b = operator.index(i), operator.index(j)
+                row_a, row_b = rows[a], rows[b]
+                rows[a] = row_a | 1 << b
+                rows[b] = row_b | 1 << a
             except (IndexError, TypeError, ValueError):
                 raise ValueError(f"edge ({i!r}, {j!r}): endpoints must be "
                                  f"integers in 0..{n - 1}") from None

@@ -216,10 +216,15 @@ def independent_set_game(graph, t: int, name: str | None = None) -> Game:
     Both players are asked for one of the t members of a claimed independent
     set.  They lose when x == y but the named vertices differ, or when x != y
     and the named vertices are equal or adjacent.  ``graph`` is a
-    gamegraph.Graph.
+    gamegraph.Graph.  A predicate table of more than TABLE_CAP entries,
+    t^2 n^2 for n vertices, raises SizeCapError before any is built.
     """
     if t < 1:
         raise ValueError("parameter t must be >= 1")
+    if t * t * graph.n * graph.n > TABLE_CAP:
+        raise SizeCapError(
+            f"independent-set game: the predicate table would hold "
+            f"{t}^2 x {graph.n}^2 entries (cap {TABLE_CAP})")
     adj = np.array([[graph.has_edge(v, w) for w in range(graph.n)]
                     for v in range(graph.n)], dtype=bool)
     nv = adj.shape[0]

@@ -115,7 +115,9 @@ class ThetaResult:
     _certify on the per-edge program; gap = dual_bound - value.  m is the
     number of constraints of the program solved (edge classes + 1) and
     blocks its (n_i, m_i) block sizes and multiplicities, ((n, 1),) for the
-    n x n program; both are 0 and () when the graph has no vertex.
+    n x n program.  The graph with no vertex, plain or weighted, gets the
+    zero certificate: value, dual_bound and gap 0.0, no iteration,
+    converged, a 0 x 0 primal_matrix, m 0 and blocks ().
     """
 
     value: float
@@ -416,10 +418,11 @@ def _edge_classes(graph: Graph, vertex_keys: np.ndarray):
 
 
 def _class_average(colours):
-    """w -> w averaged over each class of the pair colouring colours, or
-    None when colours is None."""
+    """w -> w averaged over each class of the pair colouring colours; the
+    identity when colours is None (1-WL separates every vertex, so every
+    pair is its own class)."""
     if colours is None:
-        return None
+        return lambda w: w
     flat = colours.ravel()
     counts = np.bincount(flat)
     return lambda w: (np.bincount(flat, w.ravel()) / counts)[colours]
@@ -435,7 +438,7 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
     cb is c, every row has multiplicity 1 and lift is the identity.
     schur(X, Z^-1, out) writes M_kl = tr(A_k X A_l Z^-1) into out from one
     representative row per class; average, from _class_average, projects X
-    and Z^-1 before the build, and None leaves them as they are."""
+    and Z^-1 onto the pair colouring before the build."""
     n, m = c.shape[0], len(starts) + 1
     bounds = np.append(starts, len(ei))
     sizes = np.diff(bounds)
@@ -461,12 +464,11 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
         return out
 
     def schur(x, zi, out):
-        # lower triangle only, which is all that _cholesky_in_place reads
-        if average is not None:
-            # the iterates lie in the coherent algebra up to rounding;
-            # projecting them onto it makes every edge of a class see the
-            # same row sums, so one representative row per class serves
-            x, zi = average(x), average(zi)
+        # lower triangle only, which is all that _cholesky_in_place reads.
+        # The iterates lie in the coherent algebra up to rounding; projecting
+        # them onto it makes every edge of a class see the same row sums, so
+        # one representative row per class serves
+        x, zi = average(x), average(zi)
         out[0, 0] = np.sum(x * zi)
         w = x @ zi
         out[1:, 0] = class_sums(0.5 * (w[ei, ej] + w[ej, ei]))
@@ -644,8 +646,11 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     """Theta of graph with objective c: one _ipm_sdp solve of the program
     that _block_program describes when some block repeats and its arrays
     fit the Schur matrix's byte cap, and _theta_program describes
-    otherwise, then _certify on the per-edge n x n program."""
+    otherwise, then _certify on the per-edge n x n program.  The graph with
+    no vertex has theta 0, certified by the empty matrix with no step."""
     n = graph.n
+    if n == 0:
+        return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
     if m > MAX_CONSTRAINTS:
@@ -680,9 +685,9 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     edge_b = np.append(1.0, np.zeros(len(ei)))
     sizes = np.diff(np.append(starts, len(ei)))
     edge_y = np.append(y[0], np.repeat(y[1:], sizes))
-    x = lift(x) if average is None else average(lift(x))
+    x = average(lift(x))
     _, edge_mult, edge_map, edge_adj = _theta_program(
-        c, ei, ej, np.arange(len(ei)), None)[:4]
+        c, ei, ej, np.arange(len(ei)), _class_average(None))[:4]
     primal, value, dual_bound = _certify(c, edge_b, edge_map, edge_adj,
                                          edge_mult, x, edge_y)
     gap = dual_bound - value
@@ -693,19 +698,13 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
 
 def lovasz_theta(graph: Graph, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Theta number of a graph, certified by a primal/dual pair."""
-    if graph.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    c = np.ones((graph.n, graph.n))
-    return _theta_from_objective(graph, c, tol)
+    return _theta_from_objective(graph, np.ones((graph.n, graph.n)), tol)
 
 
 def weighted_theta(graph: Graph, weights, tol: float = DEFAULT_TOL) -> ThetaResult:
     """Weighted theta: objective sum_{u,v} sqrt(w_u w_v) X_uv."""
     root = np.sqrt(_checked_weights(graph, weights))
-    if graph.n == 0:
-        return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
-    c = np.outer(root, root)
-    return _theta_from_objective(graph, c, tol)
+    return _theta_from_objective(graph, np.outer(root, root), tol)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,20 @@ def test_graph_validation():
             Graph.from_edges(3, [(0, 1), edge])
         assert str(info.value) == (
             f"edge {edge}: endpoints must be integers in 0..2")
+    # numpy integers are integers; the plain int edge's rows, as Python ints
+    edge = (np.int64(0), np.uint8(5))
+    rows = Graph.from_edges(10, [edge]).rows
+    assert rows == Graph.from_edges(10, [(0, 5)]).rows
+    assert all(type(row) is int for row in rows)
+    # an endpoint far past n is refused before 1 << it is built (12.5 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^edge \(0, 100000000\): "):
+            Graph.from_edges(3, [(0, 10 ** 8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def _first_fault(n, rows):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gamebounds import games
 from gamebounds.games import (Game, GameFormatError, SizeCapError, all_ones,
                               chsh, independent_set_game,
                               magic_square, parallel_repetition, strategy_value,
@@ -205,3 +208,21 @@ def test_bad_games_strategies_and_parameters_are_refused():
         parallel_repetition(chsh(), 0)
     with pytest.raises(ValueError, match="parameter t must be >= 1"):
         independent_set_game(cycle_graph(5), 0)
+
+
+def test_independent_set_game_cap(monkeypatch):
+    # t^2 n^2 entries: 3000 questions on C5 would be a 1.8 GB table
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"3000\^2 x 5\^2 entries"):
+            independent_set_game(cycle_graph(5), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # isg-c5-t3 has 225 entries: refused only below that
+    monkeypatch.setattr(games, "TABLE_CAP", 225)
+    assert independent_set_game(cycle_graph(5), 3).predicate.size == 225
+    monkeypatch.setattr(games, "TABLE_CAP", 224)
+    with pytest.raises(SizeCapError, match=r"3\^2 x 5\^2 entries \(cap 224\)"):
+        independent_set_game(cycle_graph(5), 3)

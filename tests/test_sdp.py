@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,7 +104,8 @@ def _certify_cases(monkeypatch):
                 (starts, sdp._theta_program(c, ei, ej, starts,
                                             sdp._class_average(colours)),
                  None),
-                (per_edge, sdp._theta_program(c, ei, ej, per_edge, None),
+                (per_edge, sdp._theta_program(c, ei, ej, per_edge,
+                                              sdp._class_average(None)),
                  (ei, ej)),
                 (starts, blocks, None)):
             cb, mult, a_map, a_adj = program[:4]
@@ -775,7 +778,7 @@ def _counting_class_average(monkeypatch):
         def counted(w):
             calls.append(w.shape)
             return average(w)
-        return None if average is None else counted
+        return counted
 
     monkeypatch.setattr(sdp, "_class_average", counting)
     return calls
@@ -821,9 +824,15 @@ def test_theta_chsh_graph():
     assert res.value == pytest.approx(2.0 + SQRT2, abs=1e-4)
 
 
-def test_theta_rejects_empty():
-    with pytest.raises(ValueError):
-        lovasz_theta(empty_graph(0))
+def test_theta_of_the_empty_graph_is_the_zero_certificate():
+    plain = lovasz_theta(empty_graph(0))
+    weighted = weighted_theta(empty_graph(0), [])
+    for field in dataclasses.fields(plain):
+        a, b = getattr(plain, field.name), getattr(weighted, field.name)
+        assert np.array_equal(a, b) and type(a) is type(b)
+    assert plain.primal_matrix.shape == (0, 0)
+    assert (plain.value, plain.dual_bound, plain.m, plain.blocks) == (
+        0.0, 0.0, 0, ())
 
 
 def test_weighted_theta_unit_weights():
