@@ -28,7 +28,9 @@ VERTEX_CAP = 512
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with bitset adjacency rows."""
+    """A simple undirected graph with bitset adjacency rows.  The rows may
+    be any integers, numpy's included, and are stored as a tuple of Python
+    ints; a row that is not an integer raises a ValueError that names it."""
 
     n: int
     rows: tuple[int, ...]
@@ -37,6 +39,14 @@ class Graph:
         n = self.n
         if len(self.rows) != n:
             raise ValueError("adjacency row count does not match n")
+        rows = []
+        for i, row in enumerate(self.rows):
+            try:
+                rows.append(operator.index(row))
+            except TypeError:
+                raise ValueError(
+                    f"adjacency row {i} is not an integer") from None
+        object.__setattr__(self, "rows", tuple(rows))
         # errors in row-major order: a row's self-loop, then its bits >= n,
         # then its first entry without a mirror
         bad = next((i for i, row in enumerate(self.rows)

@@ -225,8 +225,9 @@ def independent_set_game(graph, t: int, name: str | None = None) -> Game:
         raise SizeCapError(
             f"independent-set game: the predicate table would hold "
             f"{t}^2 x {graph.n}^2 entries (cap {TABLE_CAP})")
-    adj = np.array([[graph.has_edge(v, w) for w in range(graph.n)]
-                    for v in range(graph.n)], dtype=bool)
+    # gamegraph imports this module
+    from .gamegraph import bit_matrix
+    adj = bit_matrix(graph.rows, graph.n).astype(bool)
     nv = adj.shape[0]
     same_vertex = np.eye(nv, dtype=bool)
     # x == y loses on different vertices, x != y on equal or adjacent ones

@@ -14,28 +14,29 @@ colour refinement on the vertices (weights in the initial colouring): when
 it separates every vertex, every edge is its own class and the program is
 the per-edge one.  Otherwise 2-WL on pairs gives the closure.
 
-The program is described once, as (objective, row multiplicities, constraint
-map a_map with its adjoint a_adj over the class-sorted edges, lift to n x n,
-Schur builder), with b = (1, 0, ..., 0), and one solver takes the
-description, as it takes the XOR program (unit diagonal): a primal-dual
-interior-point method (HKM direction, Mehrotra predictor-corrector) that
-factors the m x m Schur complement every iteration, m = classes + 1.  The
-predictor goes STEP_FRACTION of the way to the PSD boundary and the
-corrector max(STEP_FRACTION, 1 - sigma) of it, with sigma Mehrotra's
-centring weight (Mehrotra 1992): where the affine step predicts the end
-well, sigma is small and the steps come close to the boundary.  Its
-iterates stay primal and dual feasible up to rounding, so each one's
-duality gap is <X, Z> (Helmberg, Rendl, Vanderbei and Wolkowicz 1996): it
-aims for a gap tol wide and stops there, or when a factorization fails,
-STALL_STEPS steps in a row do not shrink the gap below STALL_FACTOR times
-the gap of the last step that did, or MAX_ITERATIONS steps have run,
-keeping the iterate with the smallest gap.  Only that iterate is
-certified, by the caller, with one _certify call, which returns the
-feasible primal and both ends.  The step cap is a fixed constant,
-read at each solve and far above every measured step count; it only bounds
-the time of a pathological solve.  The Schur matrix takes 8 m^2 bytes, so a
-theta program with more than MAX_CONSTRAINTS constraints raises SizeCapError
-as soon as its classes are known, before any m x m array exists.
+The program is described once, as the tuple (c, b, mult, a_map, a_adj,
+schur): objective, right-hand side b = (1, 0, ..., 0), row multiplicities,
+constraint map a_map with its adjoint a_adj over the class-sorted edges and
+Schur builder.  Each builder returns it with the lift to n x n and the block
+sizes, and one solver takes it whole, as it takes the XOR program's (unit
+diagonal): a primal-dual interior-point method (HKM direction, Mehrotra
+predictor-corrector) that factors the m x m Schur complement every
+iteration, m = classes + 1.  The predictor goes STEP_FRACTION of the way to
+the PSD boundary and the corrector max(STEP_FRACTION, 1 - sigma) of it, with
+sigma Mehrotra's centring weight (Mehrotra 1992): where the affine step
+predicts the end well, sigma is small and the steps come close to the
+boundary.  Its iterates stay primal and dual feasible up to rounding, so
+each one's duality gap is <X, Z> (Helmberg, Rendl, Vanderbei and Wolkowicz
+1996): it aims for a gap tol wide and stops there, or when a factorization
+fails, STALL_STEPS steps in a row do not shrink the gap below STALL_FACTOR
+times the gap of the last step that did, or MAX_ITERATIONS steps have run,
+keeping the iterate with the smallest gap.  Only that iterate is certified,
+by the caller, with one _certify call, which returns the feasible primal and
+both ends.  The step cap is a fixed constant, read at each solve and far
+above every measured step count; it only bounds the time of a pathological
+solve.  The Schur matrix takes 8 m^2 bytes, so a theta program with more
+than MAX_CONSTRAINTS constraints raises SizeCapError as soon as its classes
+are known, before any m x m array exists.
 
 The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
@@ -139,10 +140,10 @@ def _affine_projection(a_map, a_adj, m: int):
     return lambda w, r: w + a_adj((r - a_map(w)) / gram)
 
 
-def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray,
-             x: np.ndarray, y: np.ndarray):
-    """(X, lower, upper) for the program _ipm_sdp takes, from any square x
-    and y: lower = <c, X> (rows weighted by mult) is the objective of the
+def _certify(program, x: np.ndarray, y: np.ndarray):
+    """(X, lower, upper) for the program (c, b, mult, a_map, a_adj, schur)
+    that _ipm_sdp takes, from any square x and y; schur is not used.
+    lower = <c, X> (rows weighted by mult) is the objective of the
     feasible X and upper that of a feasible dual, so
     lower <= optimum <= upper up to eigensolver roundoff.  Each solve
     calls it once, on the point it reports: theta on the per-edge program,
@@ -154,6 +155,7 @@ def _certify(c: np.ndarray, b: np.ndarray, a_map, a_adj, mult: np.ndarray,
     a_adj(b) = I and the constraints where b is nonzero have equal norms.
     The dual y + t b, t = lambda_max(c - a_adj(y)), has the PSD slack
     a_adj(y) - c + t I and the objective b.y + (b.b) t."""
+    c, b, mult, a_map, a_adj, _ = program
     n, bb = float(np.sum(mult)), float(b @ b)
     x = _affine_projection(a_map, a_adj, len(b))(0.5 * (x + x.T), b)
     lam_min = float(np.linalg.eigvalsh(x)[0])
@@ -236,11 +238,12 @@ def _factor_schur(schur, x: np.ndarray, zi: np.ndarray,
                 raise
 
 
-def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
-    """One Mehrotra predictor-corrector step along the HKM direction from the
-    interior point (x, y, z), with low the m x m Schur matrix's storage,
-    project the program's _affine_projection and weights the column of
-    row multiplicities that inner products use; returns the new point.
+def _hkm_step(program, project, x, y, z, low):
+    """One Mehrotra predictor-corrector step of the program (c, b, mult,
+    a_map, a_adj, schur) along the HKM direction from the interior point
+    (x, y, z), with project the program's _affine_projection and low the
+    m x m Schur matrix's storage; inner products weight each row by its
+    multiplicity in mult.  Returns the new point.
     Raises LinAlgError when X, Z or the Schur matrix fails to factor.
 
     The affine (predictor) step goes STEP_FRACTION of the way to the PSD
@@ -249,6 +252,8 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
     max(STEP_FRACTION, 1 - sigma) of the way, below 1 even when sigma
     rounds to 0.  A good prediction thus gives a long step, and the
     bracket narrows superlinearly near a well-predicted optimum."""
+    c, b, mult, a_map, a_adj, schur = program
+    weights = mult[:, None]
     n = float(np.sum(weights))
     lxi = np.linalg.inv(np.linalg.cholesky(x))
     lzi = np.linalg.inv(np.linalg.cholesky(z))
@@ -286,10 +291,9 @@ def _hkm_step(c, b, a_map, a_adj, schur, project, weights, x, y, z, low):
     return x + ap * dx, y + ad * dy, 0.5 * (z + z.T)
 
 
-def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
-             target: float, mult: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, int]:
-    """maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
+def _ipm_sdp(program, target: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """For the program (c, b, mult, a_map, a_adj, schur):
+    maximize <c, X> s.t. a_map(X) = b, X PSD, whose dual is minimize b.y
     s.t. Z = a_adj(y) - c PSD; returns (X, y, steps), the kept iterate and
     the number of steps completed.  It certifies nothing: the caller hands
     (X, y), or what it lifts them to, to _certify once.
@@ -317,6 +321,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     MAX_ITERATIONS steps have run, and returns the iterate with the
     smallest gap (the start if no step was taken).
     """
+    c, b, mult, a_map, a_adj, _ = program
     size = c.shape[0]
     weights = mult[:, None]
     project = _affine_projection(a_map, a_adj, len(b))
@@ -328,8 +333,7 @@ def _ipm_sdp(c: np.ndarray, b: np.ndarray, a_map, a_adj, schur,
     progress, stalled, steps = np.inf, 0, 0
     while steps < MAX_ITERATIONS:
         try:
-            x, y, z = _hkm_step(c, b, a_map, a_adj, schur, project, weights,
-                                x, y, z, low)
+            x, y, z = _hkm_step(program, project, x, y, z, low)
         except np.linalg.LinAlgError:
             break
         steps += 1
@@ -430,12 +434,13 @@ def _class_average(colours):
 
 def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
                    starts: np.ndarray, average):
-    """(cb, mult, a_map, a_adj, lift, schur): the theta program with
-    objective c on n x n matrices, whose edges (ei, ej) are sorted by class,
-    class k starting at starts[k].  Constraint 0 is tr X = 1, constraint
-    k + 1 is <A_k, X> = 0 with A_k = sum of (E_ij + E_ji)/2 over the edges
-    of class k.  It is the one-block case of _block_program's description:
-    cb is c, every row has multiplicity 1 and lift is the identity.
+    """(program, lift, blocks): the theta program (c, b, mult, a_map, a_adj,
+    schur) with objective c on n x n matrices, whose edges (ei, ej) are
+    sorted by class, class k starting at starts[k].  Constraint 0 is
+    tr X = 1, constraint k + 1 is <A_k, X> = 0 with A_k = sum of
+    (E_ij + E_ji)/2 over the edges of class k, so b = (1, 0, ..., 0).  It is
+    the one-block case of _block_program's description: every row has
+    multiplicity 1, lift is the identity and blocks is ((n, 1),).
     schur(X, Z^-1, out) writes M_kl = tr(A_k X A_l Z^-1) into out from one
     representative row per class; average, from _class_average, projects X
     and Z^-1 onto the pair colouring before the build."""
@@ -492,7 +497,8 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
                 np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
             rows_out *= 0.25 * sizes[s:e, None]
 
-    return c, np.ones(n), a_map, a_adj, lambda w: w, schur
+    b = np.append(1.0, np.zeros(m - 1))
+    return (c, b, np.ones(n), a_map, a_adj, schur), lambda w: w, ((n, 1),)
 
 
 def _wedderburn(colours: np.ndarray):
@@ -578,11 +584,12 @@ def _block_bases(colours: np.ndarray, c: np.ndarray):
 
 def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
                    starts: np.ndarray):
-    """(cb, mult, a_map, a_adj, lift, schur): the theta program on one copy
-    of each block, given the bases from _block_bases.
+    """(program, lift, blocks): the theta program (c, b, mult, a_map, a_adj,
+    schur) on one copy of each block, given the bases from _block_bases,
+    with b = (1, 0, ..., 0) and blocks the (n_i, m_i) of the bases.
 
     Its matrices are block-diagonal N x N, N = sum of n_i, with row
-    multiplicities mult; cb is the objective c on the blocks, and lift maps
+    multiplicities mult; its objective is c on the blocks, and lift maps
     a block-diagonal W to the n x n sum of m_i P_i W_i P_i^T.  schur(X, Z^-1,
     out) writes M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) into out, with
     B_k,i = P_i^T A_k P_i the class matrices on block i (B_0,i = I); these
@@ -639,7 +646,9 @@ def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,
                       out=products[:, a:e].reshape(m, -1, n_i, n_i))
         np.matmul(weighted, products.T, out=out)
 
-    return np.where(mask, p.T @ c @ p, 0.0), mult, a_map, a_adj, lift, schur
+    b = np.append(1.0, np.zeros(m - 1))
+    return ((np.where(mask, p.T @ c @ p, 0.0), b, mult, a_map, a_adj, schur),
+            lift, tuple((q.shape[1], k) for q, k in bases))
 
 
 def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResult:
@@ -648,8 +657,7 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     fit the Schur matrix's byte cap, and _theta_program describes
     otherwise, then _certify on the per-edge n x n program.  The graph with
     no vertex has theta 0, certified by the empty matrix with no step."""
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return ThetaResult(0.0, 0.0, 0.0, 0, True, np.zeros((0, 0)), 0, ())
     ei, ej, starts, colours = _edge_classes(graph, np.diag(c))
     m = len(starts) + 1
@@ -664,32 +672,23 @@ def _theta_from_objective(graph: Graph, c: np.ndarray, tol: float) -> ThetaResul
     if bases is not None and 24 * m * sum(
             p.shape[1] ** 2 for p, _ in bases) > 8 * MAX_CONSTRAINTS ** 2:
         bases = None
-    if bases is None:
-        program = _theta_program(c, ei, ej, starts, average)
-        blocks = ((n, 1),)
-    else:
-        program = _block_program(c, bases, ei, ej, starts)
-        blocks = tuple((p.shape[1], k) for p, k in bases)
-    cb, mult, a_map, a_adj, lift, schur = program
-    b = np.append(1.0, np.zeros(m - 1))
+    program, lift, blocks = (
+        _theta_program(c, ei, ej, starts, average) if bases is None
+        else _block_program(c, bases, ei, ej, starts))
     scale = max(1.0, float(np.max(np.abs(c))))
     # aim for a duality gap tol wide but certify at 10*tol: the reported ends
     # then sit well inside the certified width (aiming at 10*tol left the
     # CHSH lower end 5.9e-7 below 2 + sqrt(2)), and a solve that stalls just
     # short of tol still certifies
-    x, y, iterations = _ipm_sdp(cb, b, a_map, a_adj, schur, tol * scale,
-                                mult)
+    x, y, iterations = _ipm_sdp(program, tol * scale)
     # the per-edge program's certificate: the lifted primal averaged over the
     # pair colours (still PSD, each class sum spread over its edges), each
     # edge with its class's multiplier; the projection zeroes every edge
-    edge_b = np.append(1.0, np.zeros(len(ei)))
     sizes = np.diff(np.append(starts, len(ei)))
     edge_y = np.append(y[0], np.repeat(y[1:], sizes))
-    x = average(lift(x))
-    _, edge_mult, edge_map, edge_adj = _theta_program(
-        c, ei, ej, np.arange(len(ei)), _class_average(None))[:4]
-    primal, value, dual_bound = _certify(c, edge_b, edge_map, edge_adj,
-                                         edge_mult, x, edge_y)
+    per_edge = _theta_program(c, ei, ej, np.arange(len(ei)),
+                              _class_average(None))[0]
+    primal, value, dual_bound = _certify(per_edge, average(lift(x)), edge_y)
     gap = dual_bound - value
     converged = gap <= 10.0 * tol * scale
     return ThetaResult(value, dual_bound, gap, iterations, converged,
@@ -771,7 +770,7 @@ def xor_tsirelson_value(g: Game, tol: float = 1e-9) -> float:
     # unit diagonal: A_k = E_kk, so M = X o Z^-1; the certified ends bracket
     # the exact correlation optimum, and their midpoint is within half their
     # distance
-    b, mult = np.ones(n), np.ones(n)
-    x, y, _ = _ipm_sdp(c, b, np.diag, np.diag, np.multiply, tol, mult)
-    _, lower, upper = _certify(c, b, np.diag, np.diag, mult, x, y)
+    program = (c, np.ones(n), np.ones(n), np.diag, np.diag, np.multiply)
+    x, y, _ = _ipm_sdp(program, tol)
+    _, lower, upper = _certify(program, x, y)
     return constant + 0.5 * (lower + upper)

@@ -196,6 +196,15 @@ def test_graph_validation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+    # the constructor converts its rows as from_edges converts endpoints,
+    # and names a row that is not an integer
+    rows = Graph(2, (np.int64(2), np.int64(1))).rows
+    assert rows == Graph(2, (2, 1)).rows
+    assert all(type(row) is int for row in rows)
+    for rows in [(1.5, 0), ("a", 0)]:
+        with pytest.raises(ValueError) as info:
+            Graph(2, rows)
+        assert str(info.value) == "adjacency row 0 is not an integer"
 
 
 def _first_fault(n, rows):

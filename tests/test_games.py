@@ -10,7 +10,7 @@ from gamebounds.games import (Game, GameFormatError, SizeCapError, all_ones,
                               xor_game, ClassicalStrategy)
 from gamebounds.gamegraph import cycle_graph
 
-from conftest import eval_predicate, random_boolean_game
+from conftest import eval_predicate, random_boolean_game, random_graph
 
 
 def test_chsh_predicate_entries():
@@ -226,3 +226,19 @@ def test_independent_set_game_cap(monkeypatch):
     monkeypatch.setattr(games, "TABLE_CAP", 224)
     with pytest.raises(SizeCapError, match=r"3\^2 x 5\^2 entries \(cap 224\)"):
         independent_set_game(cycle_graph(5), 3)
+
+
+def test_independent_set_game_reads_the_bit_rows():
+    # the predicate built from the graph's bit rows, against the adjacency
+    # read one has_edge call at a time
+    rng = np.random.default_rng(32)
+    for n, p, t in [(1, 0.5, 1), (6, 0.3, 2), (9, 0.5, 3), (17, 0.7, 2),
+                    (40, 0.2, 1)]:
+        graph = random_graph(rng, n, p)
+        adj = np.array([[graph.has_edge(v, w) for w in range(graph.n)]
+                        for v in range(graph.n)], dtype=bool)
+        same = np.eye(n, dtype=bool)
+        lose = np.where(np.eye(t, dtype=bool)[:, :, None, None], ~same,
+                        same | adj)
+        assert np.array_equal(independent_set_game(graph, t).predicate,
+                              (~lose).astype(float))

@@ -6,6 +6,7 @@ import importlib
 import pathlib
 import pkgutil
 import re
+from fractions import Fraction
 
 import gamebounds
 from gamebounds import dsl, sdp
@@ -88,3 +89,17 @@ def test_readme_step_maximum_is_measured():
               *criterion7_random_graphs(20, games=10)]
     steps += [sdp.lovasz_theta(graph).iterations for graph in graphs]
     assert max(steps) <= int(stated.group(1))
+
+
+def test_library_examples_run(capsys):
+    # the "Library use" blocks, in order, in one namespace, as a reader
+    # would paste them
+    section = re.search(r"\n## Library use\n(.*?)\n## ", README, re.S)
+    assert section is not None
+    blocks = re.findall(r"```python\n(.*?)```", section.group(1), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["exact"].exact == Fraction(5, 8)
+    assert capsys.readouterr().out.startswith("5/8 ")

@@ -86,10 +86,11 @@ def test_theta_result_invariants(monkeypatch):
 
 
 def _certify_cases(monkeypatch):
-    """(c, b, a_map, a_adj, mult, optimum, edges) of C5, K4 and the CHSH
-    graph, each in its class program on n x n matrices, its per-edge
-    program and its block program, and of the XOR programs of odd cycles;
-    edges is (ei, ej) for the per-edge programs and None otherwise."""
+    """(program, optimum, edges) of C5, K4 and the CHSH graph, each in its
+    class program on n x n matrices, its per-edge program and its block
+    program, and of the XOR programs of odd cycles; program is the tuple
+    (c, b, mult, a_map, a_adj, schur) and edges is (ei, ej) for the
+    per-edge programs and None otherwise."""
     cases = []
     for graph, theta in ((cycle_graph(5), SQRT5), (complete_graph(4), 1.0),
                          (to_plain_graph(build_game_graph(chsh())),
@@ -98,35 +99,30 @@ def _certify_cases(monkeypatch):
         ei, ej, starts, colours = _classes(graph)
         per_edge = np.arange(len(ei))
         blocks = sdp._block_program(c, sdp._block_bases(colours, c), ei, ej,
-                                    starts)
-        assert np.max(blocks[1]) > 1
-        for s, program, edges in (
-                (starts, sdp._theta_program(c, ei, ej, starts,
-                                            sdp._class_average(colours)),
-                 None),
-                (per_edge, sdp._theta_program(c, ei, ej, per_edge,
-                                              sdp._class_average(None)),
-                 (ei, ej)),
-                (starts, blocks, None)):
-            cb, mult, a_map, a_adj = program[:4]
-            b = np.zeros(len(s) + 1)
-            b[0] = 1.0
-            cases.append((cb, b, a_map, a_adj, mult, theta, edges))
+                                    starts)[0]
+        assert np.max(blocks[2]) > 1
+        for program, edges in (
+                (sdp._theta_program(c, ei, ej, starts,
+                                    sdp._class_average(colours))[0], None),
+                (sdp._theta_program(c, ei, ej, per_edge,
+                                    sdp._class_average(None))[0], (ei, ej)),
+                (blocks, None)):
+            cases.append((program, theta, edges))
     # the XOR programs as xor_tsirelson_value hands them to the solver;
     # every question pair is won by one parity, so the value is 1/2 plus
     # the correlation optimum
     ipm_sdp = sdp._ipm_sdp
     programs = []
 
-    def spy(c, b, a_map, a_adj, schur, target, mult):
-        programs.append((c, b, a_map, a_adj, mult))
-        return ipm_sdp(c, b, a_map, a_adj, schur, target, mult)
+    def spy(program, target):
+        programs.append(program)
+        return ipm_sdp(program, target)
 
     monkeypatch.setattr(sdp, "_ipm_sdp", spy)
     for n in (3, 5, 9):
         xor_tsirelson_value(_odd_cycle_game(n))
-        cases.append(programs[-1] + (np.cos(np.pi / (4 * n)) ** 2 - 0.5,
-                                     None))
+        cases.append((programs[-1], np.cos(np.pi / (4 * n)) ** 2 - 0.5,
+                      None))
     return cases
 
 
@@ -134,15 +130,14 @@ def test_certify_is_sound_on_any_iterate(monkeypatch):
     # random points, not solver iterates: the primal is feasible and the
     # ends bracket the known optimum whatever x and y are
     rng = np.random.default_rng(17)
-    for c, b, a_map, a_adj, mult, optimum, edges in _certify_cases(
-            monkeypatch):
+    for program, optimum, edges in _certify_cases(monkeypatch):
+        c, b, _, a_map = program[:4]
         size = c.shape[0]
         for scale in (0.0, 1e-3, 1.0, 1e3):
             w = rng.standard_normal((size, size))
             for x in (scale * w, scale * w @ w.T):
                 y = scale * rng.standard_normal(len(b))
-                primal, lower, upper = sdp._certify(c, b, a_map, a_adj,
-                                                    mult, x, y)
+                primal, lower, upper = sdp._certify(program, x, y)
                 assert np.max(np.abs(a_map(primal) - b)) <= 1e-12
                 assert np.linalg.eigvalsh(primal)[0] >= -1e-12
                 if edges is not None:
@@ -165,9 +160,9 @@ def test_each_reported_bound_is_certified_once(monkeypatch):
     calls = []
     certify = sdp._certify
 
-    def counting(c, b, a_map, a_adj, mult, x, y):
+    def counting(program, x, y):
         calls.append(x.shape)
-        return certify(c, b, a_map, a_adj, mult, x, y)
+        return certify(program, x, y)
 
     monkeypatch.setattr(sdp, "_certify", counting)
     gg = build_weighted_game_graph(magic_square())
@@ -726,16 +721,17 @@ def _block_solve(monkeypatch, graph, c):
 
     def spy(*args):
         programs.append(block_program(*args))
+        program, lift, blocks = programs[0]
 
         def schur(x, zi, out):
             calls.append((x.copy(), zi.copy()))
-            programs[0][-1](x, zi, out)
-        return programs[0][:-1] + (schur,)
+            program[5](x, zi, out)
+        return program[:5] + (schur,), lift, blocks
 
     with monkeypatch.context() as patch:
         patch.setattr(sdp, "_block_program", spy)
         res = sdp._theta_from_objective(graph, c, sdp.DEFAULT_TOL)
-    return res, programs[0][4], programs[0][5], calls
+    return res, programs[0][1], programs[0][0][5], calls
 
 
 def test_block_schur_matches_the_lifted_builder(monkeypatch, chsh3_graph):
@@ -755,7 +751,7 @@ def test_block_schur_matches_the_lifted_builder(monkeypatch, chsh3_graph):
         assert len(res.blocks) > 1
         ei, ej, starts, colours = sdp._edge_classes(graph, np.diag(c))
         schur = sdp._theta_program(c, ei, ej, starts,
-                                   sdp._class_average(colours))[5]
+                                   sdp._class_average(colours))[0][5]
         m = res.m
         low = np.tril_indices(m)
         # the start point and a mid-solve iterate
@@ -1061,3 +1057,21 @@ def test_weighted_theta_checks_the_weight_length():
     with pytest.raises(ValueError, match="weight vector length does not "
                        "match vertex count"):
         weighted_theta(cycle_graph(5), [1.0] * 4)
+
+
+def test_every_program_meets_the_solver_contract(monkeypatch):
+    # _ipm_sdp's start point, _affine_projection and _certify's lambda_min
+    # shift rely on three facts of every program they take: a_adj(b) = I,
+    # a_map(I) = (sum of mult / b.b) b and mutually orthogonal constraint
+    # matrices, so that a_map(a_adj(e_k)) is zero off entry k
+    for program, _, _ in _certify_cases(monkeypatch):
+        c, b, mult, a_map, a_adj, _ = program
+        eye = np.eye(c.shape[0])
+        assert np.max(np.abs(a_adj(b) - eye)) <= 1e-12
+        assert np.max(np.abs(a_map(eye) - np.sum(mult) / (b @ b) * b)) <= (
+            1e-12 * np.sum(mult))
+        for k, e_k in enumerate(np.eye(len(b))):
+            image = a_map(a_adj(e_k))
+            assert image[k] > 0.0
+            assert np.max(np.abs(np.delete(image, k)), initial=0.0) <= (
+                1e-12 * image[k])
