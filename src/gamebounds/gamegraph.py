@@ -28,15 +28,17 @@ VERTEX_CAP = 512
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with bitset adjacency rows.  The rows may
-    be any integers, numpy's included, and are stored as a tuple of Python
-    ints; a row that is not an integer raises a ValueError that names it."""
+    """A simple undirected graph with bitset adjacency rows.  The vertex
+    count and the rows may be any integers, numpy's included, and are stored
+    as Python ints; a count that is not a non-negative integer, or a row
+    that is not an integer, raises a ValueError that names it."""
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n
+        n = _vertex_count(self.n)
+        object.__setattr__(self, "n", n)
         if len(self.rows) != n:
             raise ValueError("adjacency row count does not match n")
         rows = []
@@ -65,7 +67,8 @@ class Graph:
         """The graph on vertices 0..n-1 with the (i, j) pairs of edges, whose
         endpoints may be any integers, numpy's included; a self-loop, or an
         endpoint that is not an integer in 0..n-1, raises a ValueError that
-        names it."""
+        names it, as does a count that is not a non-negative integer."""
+        n = _vertex_count(n)
         rows = [0] * n
         for i, j in edges:
             if i == j:
@@ -103,6 +106,18 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
+
+
+def _vertex_count(n) -> int:
+    """n as a Python int; a ValueError names it unless it is a non-negative
+    integer, numpy's included."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"vertex count {n!r} is not a non-negative integer")
+    return count
 
 
 def _checked_weights(g: Graph, weights) -> np.ndarray:
@@ -154,7 +169,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, tuple([0] * n))
+    return Graph.from_edges(n, ())
 
 
 @dataclass(frozen=True)

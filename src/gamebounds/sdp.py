@@ -42,18 +42,21 @@ The closure splits into simple blocks, each repeated on the diagonal
 (Wedderburn; computed numerically as in Murota, Kanno, Kojima and Kojima
 2010, used for SDPs by de Klerk, Dobre and Pasechnik 2011): in a suitable
 orthonormal basis every matrix of the algebra is the direct sum of n_i x n_i
-blocks X_i, block i repeated m_i times, with sum n_i m_i = n.  Two builders
-give the description, and the input picks one.  When some block repeats
-and the decomposition passes its check (_block_bases), _block_program
-describes the program on one copy of each block: block-diagonal matrices of
-N = sum n_i rows, each row weighted by its block's m_i, and the Schur matrix
-M_kl = sum_i m_i tr(B_k,i X_i B_l,i Z_i^-1) built from the class matrices
-B_k,i on the blocks.  Otherwise (1-WL separates the graph, no block
-repeats, the check fails, or the three m x sum n_i^2 arrays of the block
-program would take more than the 8 MAX_CONSTRAINTS^2 bytes allowed the
-Schur matrix) _theta_program describes the n x n program, the one-block
-case, whose Schur builder computes one representative row per class.  No
-step lifts an iterate.
+blocks X_i, block i repeated m_i times, with sum n_i m_i = n.  A block is
+one pair (P_i, m_i), P_i the orthonormal n x n_i basis of its first copy,
+which is all that the block program, its lift and the certificate read.
+Two builders give the description, and the input picks one.  When some
+block repeats and the decomposition passes its check (_block_bases: the
+counts, and a random element of the algebra maps the span of each P_i into
+itself), _block_program describes the program on one copy of each block:
+block-diagonal matrices of N = sum n_i rows, each row weighted by its
+block's m_i, and the Schur matrix M_kl = sum_i m_i tr(B_k,i X_i B_l,i
+Z_i^-1) built from the class matrices B_k,i on the blocks.  Otherwise
+(1-WL separates the graph, no block repeats, the check fails, or the three
+m x sum n_i^2 arrays of the block program would take more than the
+8 MAX_CONSTRAINTS^2 bytes allowed the Schur matrix) _theta_program
+describes the n x n program, the one-block case, whose Schur builder
+computes one representative row per class.  No step lifts an iterate.
 
 The solve ends in _certify on the per-edge n x n program, whatever the
 classes or blocks: the lifted primal, averaged over the pair colours, and
@@ -503,19 +506,21 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
 
 def _wedderburn(colours: np.ndarray):
     """The simple components of the matrix algebra spanned by the symmetric
-    pair colouring colours, as a list of (copies, n, size) arrays whose
-    columns together form an orthonormal basis of R^n; an element of the
-    algebra acts on every copy of a component as one size x size block.
-    None when every eigenvalue of the random element e1 below is simple
-    (no block repeats) or when the eigenspaces of a component differ in
-    dimension; any other result has a component of two or more copies.
+    pair colouring colours, as a list of pairs (P, m): P is an n x size
+    orthonormal basis of the component's first copy and m its number of
+    copies, and an element of the algebra acts on every copy as one
+    size x size block.  None when every eigenvalue of the random element e1
+    below is simple (no block repeats) or when the eigenspaces of a
+    component differ in dimension; any other result has a component of two
+    or more copies.
 
     Murota, Kanno, Kojima and Kojima (2010): each eigenspace of a random
     symmetric element e1 lies in one simple component, with the
     component's multiplicity as its dimension; a second random element e2
     links the eigenspaces of one component and no others, and maps a basis
     of its first eigenspace onto aligned bases of the others.  Column r of
-    every eigenspace of a component then spans its copy r.
+    every eigenspace of a component then spans its copy r, and P holds
+    column 0 of each.
     """
     rng = np.random.default_rng(0)
     e1, e2 = rng.standard_normal((2, int(colours.max()) + 1))[:, colours]
@@ -534,7 +539,7 @@ def _wedderburn(colours: np.ndarray):
         if np.array_equal(joined, linked):
             break
         linked = joined
-    copies = []
+    blocks = []
     # the first eigenspace of each component; np.unique would do, but with no
     # return options it imports numpy.ma
     for first in np.flatnonzero(np.bincount(np.argmax(linked, axis=1))):
@@ -543,21 +548,12 @@ def _wedderburn(colours: np.ndarray):
         if any(v.shape[1] != base.shape[1] for v in members):
             return None
         image = e2 @ base
+        # q[:, r] is the basis of copy r, one column from each eigenspace
         q = np.stack([base] + [v @ (v.T @ image) for v in members[1:]],
                      axis=2)
         q /= np.linalg.norm(q, axis=0)
-        copies.append(q.transpose(1, 0, 2))
-    return copies
-
-
-def _rebuild(copies, w: np.ndarray) -> np.ndarray:
-    """The matrix that has, on every copy of each component in copies, the
-    block of w on its first copy; w itself when w lies in the algebra."""
-    out = np.zeros_like(w)
-    for q in copies:
-        block = q[0].T @ w @ q[0]
-        out += np.concatenate(q @ block, axis=1) @ np.concatenate(q, axis=1).T
-    return out
+        blocks.append((q[:, 0], q.shape[1]))
+    return blocks
 
 
 def _block_bases(colours: np.ndarray, c: np.ndarray):
@@ -566,20 +562,22 @@ def _block_bases(colours: np.ndarray, c: np.ndarray):
     copy of block i and m_i its multiplicity.  None unless some block
     repeats and the decomposition checks out: sum of n_i m_i is n, sum of
     n_i (n_i + 1) / 2 is the colour count (so the symmetric blocks span
-    exactly the algebra) and a third random element of the algebra, plus
-    c, is rebuilt from its blocks."""
-    copies = _wedderburn(colours)
-    if copies is None:
+    exactly the algebra) and a third random element A of the algebra, plus
+    c, maps each span into itself, |A P_i - P_i (P_i^T A P_i)| <= 1e-9 |A|.
+    Only these bases and multiplicities reach the block program, its lift
+    and the certificate, so the other copies are not checked."""
+    blocks = _wedderburn(colours)
+    if blocks is None:
         return None
     n, count = colours.shape[0], int(colours.max()) + 1
-    check = np.random.default_rng(1).standard_normal(count)[colours] + c
-    if (sum(q.shape[0] * q.shape[2] for q in copies) != n
-            or sum(q.shape[2] * (q.shape[2] + 1) // 2 for q in copies) != count
-            or np.linalg.norm(_rebuild(copies, check) - check)
-            > 1e-9 * np.linalg.norm(check)):
+    a = np.random.default_rng(1).standard_normal(count)[colours] + c
+    if (sum(p.shape[1] * m for p, m in blocks) != n
+            or sum(p.shape[1] * (p.shape[1] + 1) // 2
+                   for p, _ in blocks) != count
+            or max(np.linalg.norm(a @ p - p @ (p.T @ a @ p))
+                   for p, _ in blocks) > 1e-9 * np.linalg.norm(a)):
         return None
-    return sorted(((q[0], len(q)) for q in copies),
-                  key=lambda basis: basis[0].shape[1])
+    return sorted(blocks, key=lambda block: block[0].shape[1])
 
 
 def _block_program(c: np.ndarray, bases, ei: np.ndarray, ej: np.ndarray,

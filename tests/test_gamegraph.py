@@ -205,6 +205,22 @@ def test_graph_validation():
         with pytest.raises(ValueError) as info:
             Graph(2, rows)
         assert str(info.value) == "adjacency row 0 is not an integer"
+    # the vertex count goes through one integer rule: numpy integers are
+    # stored as Python ints, and a float or negative count is named
+    cycle = cycle_graph(70)
+    assert Graph(np.int64(70), cycle.rows) == cycle
+    assert Graph.from_edges(np.int64(70), [(0, 69)]).rows == (
+        Graph.from_edges(70, [(0, 69)]).rows)
+    assert type(Graph(np.int64(3), (0, 0, 0)).n) is int
+    for build, count in [(lambda: Graph(2.0, (0, 0)), "2.0"),
+                         (lambda: Graph.from_edges(3.0, [(0, 1)]), "3.0"),
+                         (lambda: gamegraph.empty_graph(2.0), "2.0"),
+                         (lambda: Graph(-1, ()), "-1"),
+                         (lambda: Graph.from_edges(-2, []), "-2")]:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == (
+            f"vertex count {count} is not a non-negative integer")
 
 
 def _first_fault(n, rows):

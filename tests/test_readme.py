@@ -91,6 +91,23 @@ def test_readme_step_maximum_is_measured():
     assert max(steps) <= int(stated.group(1))
 
 
+def test_readme_block_figures_are_measured():
+    # "Numerical contracts" gives the blocks of two game graphs: vertices,
+    # block count, largest n_i and the rows, sum of n_i
+    words = (r"`isg-c5-t3` \(n = (\d+)\) has (\d+) distinct blocks of "
+             r"at most (\d+) × \d+ \((\d+) rows\), and CHSH⊗3 \(n = (\d+)\) "
+             r"(\d+) of at most (\d+) × \d+ \((\d+) rows\)")
+    stated = re.search(words.replace(" ", r"\s+"), README)
+    assert stated is not None
+    measured = []
+    for game in (independent_set_game(cycle_graph(5), 3),
+                 parallel_repetition(chsh(), 3)):
+        graph = build_game_graph(game)
+        sizes = [n_i for n_i, _ in sdp.lovasz_theta(graph).blocks]
+        measured += [graph.n, len(sizes), max(sizes), sum(sizes)]
+    assert [int(figure) for figure in stated.groups()] == measured
+
+
 def test_library_examples_run(capsys):
     # the "Library use" blocks, in order, in one namespace, as a reader
     # would paste them

@@ -472,19 +472,33 @@ def chsh3_graph():
 
 
 def test_block_decomposition_rebuilds_the_program(chsh3_graph):
-    cases = _catalog_graphs() + [(chsh3_graph, np.ones((512, 512)))]
+    # what _theta_from_objective reads of a decomposition: the first-copy
+    # bases split n, are orthonormal, and the lifted block program averages
+    # back to the objective, to I and to every class matrix
+    base = random_graph(np.random.default_rng(7), 20)
+    three = disjoint_union(disjoint_union(base, base), base)
+    cases = _catalog_graphs() + [(chsh3_graph, np.ones((512, 512))),
+                                 (three, np.ones((60, 60)))]
     for graph, c in cases:
         ei, ej, starts, colours = sdp._edge_classes(graph, np.diag(c))
-        copies = sdp._wedderburn(colours)
-        assert sum(q.shape[0] * q.shape[2] for q in copies) == graph.n
-        matrices = [c]
-        for s, e in zip(starts, np.append(starts[1:], len(ei))):
+        bases = sdp._block_bases(colours, c)
+        assert sum(p.shape[1] * m for p, m in bases) == graph.n
+        p = np.concatenate([p for p, _ in bases], axis=1)
+        assert np.allclose(p.T @ p, np.eye(p.shape[1]), rtol=0, atol=1e-10)
+        program, lift, _ = sdp._block_program(c, bases, ei, ej, starts)
+        average, a_adj = sdp._class_average(colours), program[4]
+        unit = np.eye(len(starts) + 1)
+        matrices = [(c, program[0]), (np.eye(graph.n), a_adj(unit[0]))]
+        ends = np.append(starts[1:], len(ei))
+        for k, (s, e) in enumerate(zip(starts, ends), start=1):
             a = np.zeros((graph.n, graph.n))
             a[ei[s:e], ej[s:e]] = a[ej[s:e], ei[s:e]] = 0.5
-            matrices.append(a)
-        for a in matrices:
-            error = np.linalg.norm(sdp._rebuild(copies, a) - a)
+            matrices.append((a, a_adj(unit[k])))
+        for a, block in matrices:
+            error = np.linalg.norm(average(lift(block)) - a)
             assert error <= 1e-10 * np.linalg.norm(a)
+    # the last case, three copies of one graph
+    assert sorted((p.shape[1], m) for p, m in bases) == [(20, 1), (20, 2)]
 
 
 def test_theta_result_records_its_program():
@@ -534,18 +548,15 @@ def test_corrupted_blocks_still_bracket_theta(monkeypatch):
         assert not res.converged
 
 
-def _drop_last_component(copies, rng):
-    return copies[:-1]
+def _drop_last_component(blocks, rng):
+    return blocks[:-1]
 
 
-def _random_bases(copies, rng):
-    # orthonormal columns of the same shape as the first component's
-    copies, q = list(copies), copies[0]
-    basis = np.linalg.qr(rng.standard_normal(
-        (q.shape[1], q.shape[0] * q.shape[2])))[0]
-    copies[0] = basis.reshape(q.shape[1], q.shape[0], q.shape[2]).transpose(
-        1, 0, 2)
-    return copies
+def _random_bases(blocks, rng):
+    # orthonormal columns of the same shape as the first basis
+    blocks, (p, m) = list(blocks), blocks[0]
+    blocks[0] = (np.linalg.qr(rng.standard_normal(p.shape))[0], m)
+    return blocks
 
 
 @pytest.mark.parametrize("corrupt", [_drop_last_component, _random_bases])
