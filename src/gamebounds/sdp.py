@@ -100,8 +100,10 @@ SCHUR_SHIFTS = (1e-12, 1e-10)
 # the last step that did; STALL_STEPS steps without progress end a solve
 STALL_STEPS = 3
 STALL_FACTOR = 0.9
-# row blocks of the Schur matrix are built this many entries at a time, and
-# the in-place Cholesky works on blocks of _BLOCK columns
+# row blocks of the n x n program's Schur matrix are built this many entries
+# at a time (besides X and Z^-1 at every edge endpoint, which that builder
+# gathers once per build only where they take no more bytes than the Schur
+# matrix), and the in-place Cholesky works on blocks of _BLOCK columns
 _SCHUR_BLOCK_ENTRIES = 1 << 14
 _BLOCK = 64
 
@@ -157,7 +159,10 @@ def _certify(program, x: np.ndarray, y: np.ndarray):
     with n = sum(mult), which is feasible as a_map(I) = (n / b.b) b when
     a_adj(b) = I and the constraints where b is nonzero have equal norms.
     The dual y + t b, t = lambda_max(c - a_adj(y)), has the PSD slack
-    a_adj(y) - c + t I and the objective b.y + (b.b) t."""
+    a_adj(y) - c + t I and the objective b.y + (b.b) t.  Where the two terms
+    cancel below lower (an objective of the size of the solver's gap), the
+    same bound is taken from y - (b.y / b.b) b, which is orthogonal to b, so
+    its objective is the one term (b.b) t."""
     c, b, mult, a_map, a_adj, _ = program
     n, bb = float(np.sum(mult)), float(b @ b)
     x = _affine_projection(a_map, a_adj, len(b))(0.5 * (x + x.T), b)
@@ -165,8 +170,12 @@ def _certify(program, x: np.ndarray, y: np.ndarray):
     if lam_min < 0.0:
         x[np.diag_indices(x.shape[0])] -= lam_min
         x /= 1.0 - lam_min * n / bb
-    lam_max = float(np.linalg.eigvalsh(c - a_adj(y))[-1])
-    return x, float(np.sum(c * x * mult[:, None])), float(b @ y) + bb * lam_max
+    lower = float(np.sum(c * x * mult[:, None]))
+    upper = float(b @ y) + bb * float(np.linalg.eigvalsh(c - a_adj(y))[-1])
+    if upper < lower:
+        y = y - (float(b @ y) / bb) * b
+        upper = bb * float(np.linalg.eigvalsh(c - a_adj(y))[-1])
+    return x, lower, upper
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -446,7 +455,14 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
     multiplicity 1, lift is the identity and blocks is ((n, 1),).
     schur(X, Z^-1, out) writes M_kl = tr(A_k X A_l Z^-1) into out from one
     representative row per class; average, from _class_average, projects X
-    and Z^-1 onto the pair colouring before the build."""
+    and Z^-1 onto the pair colouring before the build.  A block of rows
+    reads X and Z^-1 at its representative edges' endpoints (rows) and at
+    every edge's endpoints (columns).  With E edges, where the four n x E
+    arrays of X and Z^-1 at every edge endpoint hold no more entries than
+    the Schur matrix (4 n E <= m^2, so m >> n), they are gathered once per
+    build and each block takes its rows from them; otherwise each block
+    gathers its rows first.  Both orders form the same products in the
+    same order, so the lower triangle is the same bit for bit."""
     n, m = c.shape[0], len(starts) + 1
     bounds = np.append(starts, len(ei))
     sizes = np.diff(bounds)
@@ -471,6 +487,21 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
         f[fij] = f[fji] = 0.5 * np.repeat(y[1:], sizes)
         return out
 
+    # gather(v)(r, side, f) is v at rows r and at the endpoints
+    # ends[side][:f] of the first f edges
+    ends = (ei, ej)
+
+    def gather_rows(v):
+        return lambda r, side, f: v[r][:, ends[side][:f]]
+
+    def gather_columns(v):
+        # take keeps the rows contiguous (v[:, ei] would not), which makes
+        # the row gathers about three times faster
+        columns = [v.take(e, axis=1) for e in ends]
+        return lambda r, side, f: columns[side][r, :f]
+
+    gather = gather_columns if 4 * n * len(ei) <= m * m else gather_rows
+
     def schur(x, zi, out):
         # lower triangle only, which is all that _cholesky_in_place reads.
         # The iterates lie in the coherent algebra up to rounding; projecting
@@ -483,19 +514,17 @@ def _theta_program(c: np.ndarray, ei: np.ndarray, ej: np.ndarray,
         # M_kl = |k| sum over f = (p, q) in class l of (X_jp Zi_iq +
         # X_jq Zi_ip + X_ip Zi_jq + X_iq Zi_jp) / 4, with (i, j) the first
         # edge of class k, built a block of rows at a time
+        x_at, zi_at = gather(x), gather(zi)
         rows = max(1, _SCHUR_BLOCK_ENTRIES // (len(ei) + 1))
         for s in range(0, m - 1, rows):
             e = min(s + rows, m - 1)
-            i, j = ei[starts[s:e]], ej[starts[s:e]]
-            fk, fl = ei[:bounds[e]], ej[:bounds[e]]
-            xi, xj, zi_i, zi_j = x[i], x[j], zi[i], zi[j]
+            i, j, f = ei[starts[s:e]], ej[starts[s:e]], bounds[e]
             rows_out = out[1 + s:1 + e, 1:1 + e]
-            block = (rows_out if singletons
-                     else np.empty((e - s, bounds[e])))
-            np.multiply(xj[:, fk], zi_i[:, fl], out=block)
-            block += xj[:, fl] * zi_i[:, fk]
-            block += xi[:, fk] * zi_j[:, fl]
-            block += xi[:, fl] * zi_j[:, fk]
+            block = rows_out if singletons else np.empty((e - s, f))
+            np.multiply(x_at(j, 0, f), zi_at(i, 1, f), out=block)
+            block += x_at(j, 1, f) * zi_at(i, 0, f)
+            block += x_at(i, 0, f) * zi_at(j, 1, f)
+            block += x_at(i, 1, f) * zi_at(j, 0, f)
             if not singletons:
                 np.add.reduceat(block, starts[:e], axis=1, out=rows_out)
             rows_out *= 0.25 * sizes[s:e, None]

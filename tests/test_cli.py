@@ -240,6 +240,23 @@ def test_analyze_weighted_flag(capsys):
     assert abs(report["theta_over_k"] - 0.8535533905932737) < 1e-4
 
 
+def test_theta_bound_of_a_tiny_objective_stays_above_the_classical_value(
+        tmp_path, capsys):
+    # a 1 x 2 XOR game that wins only on the question pair of weight 1e-100:
+    # the theta dual end once cancelled to 0, below omega_classical
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "name": "tiny", "nx": 1, "ny": 2, "na": 2, "nb": 2,
+        "predicate": {"winning": [[0, 1, 0, 0], [0, 1, 1, 1]]},
+        "distribution": [1.0, 1e-100]}))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["omega_classical"] == 1e-100
+    assert report["theta"]["dual_bound"] >= report["omega_classical"]
+    assert report["theta_over_k"] >= report["omega_classical"]
+
+
 def test_analyze_file_and_parse_error(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text('{"name": "broken"')

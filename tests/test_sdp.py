@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
 
 from conftest import criterion7_random_graphs, disjoint_union, random_graph
+from schur_oracle import theta_schur
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -145,6 +147,15 @@ def test_certify_is_sound_on_any_iterate(monkeypatch):
                     assert not np.any(primal[edges[::-1]])
                 assert lower <= optimum + 1e-12
                 assert upper >= optimum - 1e-12
+
+
+def test_dual_end_does_not_cancel_below_the_primal_end():
+    # theta is 1e-100 (X = E_55 is feasible), the size of the solver's gap:
+    # b.y + (b.b) lambda_max cancelled to 0, below the primal end; taken
+    # orthogonal to b, the dual end is the one term
+    res = weighted_theta(cycle_graph(5), [0, 0, 0, 0, 1e-100])
+    assert res.value <= 1e-100 <= res.dual_bound
+    assert res.converged
 
 
 def _complement(graph):
@@ -680,22 +691,90 @@ def test_corrector_stops_short_of_the_boundary_when_sigma_underflows(
 
 def test_n_by_n_path_is_pinned():
     # graphs on which no block repeats take the n x n program, pinned bit
-    # for bit: three that 1-WL separates and the battery's random-game-1
-    # (312 classes, every block of multiplicity 1)
-    graphs = criterion7_random_graphs(20, games=2)
+    # for bit: three that 1-WL separates, the battery's random-game-1 (312
+    # classes, every block of multiplicity 1) and random-game-2 (389 edges,
+    # one per class: the largest such solve of the battery)
+    graphs = criterion7_random_graphs(20, games=3)
     pins = [(graphs[0], "0x1.ffffffb6ded19p+1", "0x1.000000073c802p+2", 7),
             (graphs[1], "0x1.7fffff93c7cc6p+1", "0x1.80000011c9155p+1", 13),
             (graphs[4], "0x1.7fffffdf5378bp+1", "0x1.8000000e33a10p+1", 7),
-            (graphs[21], "0x1.1fffffe9a0e0ap+3", "0x1.200000000c8c5p+3", 9)]
+            (graphs[21], "0x1.1fffffe9a0e0ap+3", "0x1.200000000c8c5p+3", 9),
+            (graphs[22], "0x1.1fffffdd878c6p+3", "0x1.20000000b07afp+3", 8)]
     for graph, value, dual_bound, iterations in pins:
         res = lovasz_theta(graph)
         assert (res.value.hex(), res.dual_bound.hex(), res.iterations) == (
             value, dual_bound, iterations)
     assert _classes(graphs[21])[3] is not None
+    assert _classes(graphs[22])[3] is None
     assert xor_tsirelson_value(_odd_cycle_game(9)).hex() == (
         "0x1.fc1c5c6408910p-1")
     assert xor_tsirelson_value(_odd_cycle_game(15)).hex() == (
         "0x1.fe98fca7b6aedp-1")
+
+
+def _n_by_n_builds(monkeypatch, graph):
+    """Solve theta on graph by the n x n program, its decomposition refused;
+    returns the program's Schur builder and the (X, Z^-1) of every build."""
+    builders, calls = [], []
+    theta_program = sdp._theta_program
+
+    def spy(*args):
+        program, lift, blocks = theta_program(*args)
+        builders.append(program[5])
+
+        def schur(x, zi, out):
+            calls.append((x.copy(), zi.copy()))
+            builders[0](x, zi, out)
+        return program[:5] + (schur,), lift, blocks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sdp, "_block_bases", lambda colours, c: None)
+        patch.setattr(sdp, "_theta_program", spy)
+        lovasz_theta(graph)
+    return builders[0], calls
+
+
+def test_schur_build_matches_the_rows_first_oracle(monkeypatch, chsh3_graph):
+    # X and Z^-1 gathered at the edge endpoints once per build on the
+    # battery's random-game-2 (one edge per class) and random-game-1
+    # (classes); a block of rows at a time on a small graph that 1-WL
+    # separates and on CHSH^3's classes forced onto n x n.  Either way the
+    # lower triangle is the oracle's bit for bit
+    graphs = criterion7_random_graphs(20, games=3)
+    cases = [(graphs[22], True), (graphs[21], True), (graphs[0], False),
+             (chsh3_graph, False)]
+    for graph, columns_first in cases:
+        ei, ej, starts, colours = _classes(graph)
+        m = len(starts) + 1
+        assert (4 * graph.n * len(ei) <= m * m) == columns_first
+        schur, calls = _n_by_n_builds(monkeypatch, graph)
+        oracle = theta_schur(ei, ej, starts, sdp._class_average(colours))
+        low = np.tril_indices(m)
+        # the start point and a mid-solve iterate
+        for x, zi in (calls[0], calls[len(calls) // 2]):
+            built, expected = np.zeros((m, m)), np.zeros((m, m))
+            schur(x, zi, built)
+            oracle(x, zi, expected)
+            assert np.array_equal(built[low], expected[low])
+
+
+def test_schur_build_with_many_edges_per_constraint_stays_small(chsh3_graph):
+    # CHSH^3's classes on n x n: m = 17 but 26,880 edges, so X and Z^-1 at
+    # the edge endpoints would take 440 MB; gathered a block of rows at a
+    # time, one build peaks at about 7.2 MB, mostly the averaged n x n
+    # iterates and their product
+    ei, ej, starts, colours = _classes(chsh3_graph)
+    n, m = chsh3_graph.n, len(starts) + 1
+    schur = sdp._theta_program(np.ones((n, n)), ei, ej, starts,
+                               sdp._class_average(colours))[0][5]
+    x, zi, out = np.eye(n) / n, np.eye(n), np.zeros((m, m))
+    tracemalloc.start()
+    try:
+        schur(x, zi, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_cholesky_solves_on_either_path():
