@@ -28,7 +28,7 @@ from .quantum import (InvalidQuantumIndependentSet, QuantumIndependentSet,
                       lift_qis_to_strategy, qis_from_dict, strategy_to_dict,
                       verify_quantum_independent_set, winning_probability)
 from .sdp import (DEFAULT_TOL, NotXorGame, _game_graph_bound,
-                  xor_tsirelson_value)
+                  xor_structure, xor_tsirelson_value)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,10 +89,21 @@ def _load_qis(path: str) -> QuantumIndependentSet:
         raise ValueError("certificate document is nested too deeply") from None
 
 
+def _xor_value(g: Game, exact) -> float:
+    """Entangled value of the XOR game g; NotXorGame if g is not one.  A
+    classical value of exactly 1 forces it to 1, with no solve."""
+    if exact == 1:
+        xor_structure(g)
+        return 1.0
+    return xor_tsirelson_value(g)
+
+
 def build_report(g: Game, tol: float, force_weighted: bool,
                  with_timings: bool) -> tuple[dict, GameGraph]:
     """Run the full pipeline game -> graph -> alpha -> theta; returns the
-    report and the game graph it was computed on."""
+    report and the game graph it was computed on.  Theta gets the classical
+    witness, so where it closes the sandwich on a 0/1 game the theta block
+    is exact with no solve (sdp._game_graph_bound): 0 iterations, gap 0."""
     timings: dict[str, float] = {}
 
     def stage(name, fn, *args):
@@ -105,10 +116,10 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     gg = stage("build_graph", pipeline_graph, g, force_weighted)
     classical = stage("alpha", _classical_value, g, gg)
     alpha, omega, exact = classical.alpha, classical.value, classical.exact
-    bound = stage("theta", _game_graph_bound, gg, tol)
+    bound = stage("theta", _game_graph_bound, gg, tol, alpha.witness)
     theta = bound.theta
     try:
-        xor_value = stage("xor_value", xor_tsirelson_value, g)
+        xor_value = stage("xor_value", _xor_value, g, exact)
     except NotXorGame:
         xor_value = None
 

@@ -123,7 +123,9 @@ class ThetaResult:
     blocks its (n_i, m_i) block sizes and multiplicities, ((n, 1),) for the
     n x n program.  The graph with no vertex, plain or weighted, gets the
     zero certificate: value, dual_bound and gap 0.0, no iteration,
-    converged, a 0 x 0 primal_matrix, m 0 and blocks ().
+    converged, a 0 x 0 primal_matrix, m 0 and blocks ().  A theta that
+    _game_graph_bound finds forced is exact with no solve: gap 0.0, no
+    iteration, converged, m 0 and blocks ().
     """
 
     value: float
@@ -750,10 +752,27 @@ def quantum_upper_bound(g: Game, tol: float = DEFAULT_TOL) -> QuantumBoundResult
     return _game_graph_bound(pipeline_graph(g), tol)
 
 
-def _game_graph_bound(gg: GameGraph, tol: float) -> QuantumBoundResult:
-    """quantum_upper_bound on a pipeline graph already built."""
+def _game_graph_bound(gg: GameGraph, tol: float,
+                      witness: tuple[int, ...] = ()) -> QuantumBoundResult:
+    """quantum_upper_bound on a pipeline graph already built.
+
+    ``witness`` is an independent set S of gg, such as the classical
+    search's.  On a 0/1 graph whose k' question pairs (x, y) with a winning
+    answer pair number |S| > 0, theta = k' is forced, with no solve: S
+    gives the primal 1_S 1_S^T / |S| of objective |S|, and the k' question
+    pair cliques cover the graph, so y_0 = k' with slack k' P - J >= 0 (P
+    the same-question-pair indicator, nonzero on the diagonal and on edges
+    only) is a dual of objective k' (Knuth, the sandwich theorem, 1994).
+    """
     weights, divisor = gg.objective()
-    theta = weighted_theta(gg, weights, tol)
+    pairs = len(witness)
+    if gg.weights is None and 0 < pairs == len({v[:2] for v in gg.vertices}):
+        s = np.zeros(gg.n)
+        s[list(witness)] = 1.0
+        theta = ThetaResult(float(pairs), float(pairs), 0.0, 0, True,
+                            np.outer(s, s) / pairs, 0, ())
+    else:
+        theta = weighted_theta(gg, weights, tol)
     return QuantumBoundResult(theta.dual_bound / divisor, theta, gg)
 
 

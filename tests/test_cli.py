@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from gamebounds import cli, gamegraph, independence, sdp
+from gamebounds import cli, gamegraph, games, independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
 from gamebounds.gameio import load_game
 from gamebounds.games import chsh, parallel_repetition
@@ -79,8 +79,9 @@ def test_text_report_ends_with_the_timings(capsys):
 
 def test_text_report_warns_of_a_solver_failure(capsys, monkeypatch):
     # a bound below omega can only come from a faulty solver
-    def below_omega(gg, tol):
-        return dataclasses.replace(sdp._game_graph_bound(gg, tol), bound=0.5)
+    def below_omega(gg, tol, witness):
+        return dataclasses.replace(sdp._game_graph_bound(gg, tol, witness),
+                                   bound=0.5)
 
     monkeypatch.setattr(cli, "_game_graph_bound", below_omega)
     code, out, _ = run_cli(capsys, "analyze", "chsh")
@@ -123,12 +124,13 @@ def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
 
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_unconverged_theta_certifies_no_bell_gap(capsys, monkeypatch, steps):
-    # theta/k = omega on isg-c5-t2.  A few interior-point steps leave the
-    # upper end of the bracket above omega + 10 * tol; the gap flag reads
-    # the lower end, the objective of a feasible primal matrix, so it stays
-    # false
+    # weighted theta = omega = 1 on isg-c5-t2, which the weighted pipeline
+    # solves.  A few interior-point steps leave the upper end of the bracket
+    # above omega + 10 * tol; the gap flag reads the lower end, the
+    # objective of a feasible primal matrix, so it stays false
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", steps)
-    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--json")
+    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--weighted",
+                           "--json")
     assert code == 2
     report = json.loads(out)
     assert report["theta"]["converged"] is False
@@ -144,17 +146,56 @@ def test_unconverged_theta_certifies_no_bell_gap(capsys, monkeypatch, steps):
          "magic-square-weighted", "chsh-rep2"])
 def test_catalog_theta_takes_interior_point_steps(capsys, argv):
     # the interior-point solver closes each bracket on the class-indexed
-    # program in well under 25 Newton steps
+    # program in well under 25 Newton steps.  isg-c5-t2's classical witness
+    # meets all of its question pairs, which forces theta with no step
     code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
     assert code == 0
     theta = json.loads(out)["theta"]
     assert theta["converged"] is True
+    forced = argv == ["isg-c5-t2"]
+    assert (theta["iterations"] == 0) == forced
     assert theta["iterations"] < 25
+
+
+def _no_sdp(*args):
+    raise AssertionError("an SDP was solved")
+
+
+@pytest.mark.parametrize("f", [np.zeros((2, 2), int), np.zeros((3, 3), int)],
+                         ids=["2x2", "3x3"])
+def test_certain_xor_game_is_forced_without_an_sdp(monkeypatch, f):
+    # f = 0 is won with certainty by a = b, so theta = k and the XOR value 1
+    # need no solve, and the XOR value no longer falls below omega
+    monkeypatch.setattr(sdp, "_ipm_sdp", _no_sdp)
+    report, _ = build_report(games.xor_game(f), sdp.DEFAULT_TOL, False, False)
+    assert report["omega_exact"] == "1/1"
+    assert report["xor_value"] == 1.0 == report["theta_over_k"]
+    assert report["theta"]["iterations"] == 0
+    _validate_against_schema(json.loads(cli._to_json(report)))
+
+
+def test_forced_game_that_is_not_xor_has_no_xor_value(monkeypatch):
+    monkeypatch.setattr(sdp, "_ipm_sdp", _no_sdp)
+    report, _ = build_report(CATALOG["isg-c5-t2"](), sdp.DEFAULT_TOL, False,
+                             False)
+    assert report["omega_exact"] == "1/1" and report["xor_value"] is None
+
+
+def test_unstructured_game_won_with_certainty_takes_no_theta_step():
+    # the (4, 4, 4, 4), p = 0.6 game of default_rng(11): 160 vertices, one
+    # constraint per edge (m = 4,349), 12 interior-point steps when solved
+    lam = np.random.default_rng(11).random((4, 4, 4, 4)) < 0.6
+    g = games.Game("random", 4, 4, 4, 4, lam.astype(float),
+                   games.uniform_distribution(4, 4))
+    report, gg = build_report(g, sdp.DEFAULT_TOL, False, False)
+    assert gg.n == 160
+    assert report["theta"] == {"value": 16.0, "dual_bound": 16.0, "gap": 0.0,
+                               "iterations": 0, "converged": True}
 
 
 @pytest.mark.parametrize("argv, digest", [
     (["chsh"], "9caa95be44bbfcc5"),
-    (["isg-c5-t2"], "40763c7e602b7a9c"),
+    (["isg-c5-t2"], "34a7d8984f100af6"),
     (["isg-c5-t3"], "0adbd97fae0b8d5d"),
     (["magic-square"], "1ba2346abbabc126"),
     (["magic-square", "--weighted"], "c949064d97f1a380"),
@@ -180,7 +221,7 @@ def test_dsl_document_report_is_pinned(tmp_path, capsys):
          "distribution": "uniform"}))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "c9e83f034c1fc62f"
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "c29bf4e066c78eda"
 
 
 _MAGIC_SQUARE_WITNESS = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0),

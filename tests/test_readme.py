@@ -35,12 +35,20 @@ def test_every_option_in_the_readme_is_accepted():
     assert sorted(named - accepted) == []
 
 
-def test_quick_start_transcript_is_the_output(capsys):
-    transcript = re.search(r"```sh\n\$ gamebounds analyze chsh\n(.*?)```",
+def _assert_transcript_is_the_output(capsys, game):
+    transcript = re.search(rf"```sh\n\$ gamebounds analyze {game}\n(.*?)```",
                            README, re.S)
     assert transcript is not None
-    assert main(["analyze", "chsh"]) == 0
+    assert main(["analyze", game]) == 0
     assert capsys.readouterr().out == transcript.group(1)
+
+
+def test_quick_start_transcript_is_the_output(capsys):
+    _assert_transcript_is_the_output(capsys, "chsh")
+
+
+def test_forced_theta_transcript_is_the_output(capsys):
+    _assert_transcript_is_the_output(capsys, "isg-c5-t2")
 
 
 def test_every_limit_constant_is_in_the_readme():

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 from gamebounds import sdp
-from gamebounds.games import (SizeCapError, all_ones, chsh,
+from gamebounds.games import (Game, SizeCapError, all_ones, chsh,
                               independent_set_game, magic_square,
-                              parallel_repetition, xor_game)
+                              parallel_repetition, uniform_distribution,
+                              xor_game)
 from gamebounds.gamegraph import (Graph, bit_matrix, build_game_graph,
                                   build_weighted_game_graph, complete_graph,
                                   cycle_graph, empty_graph,
                                   pipeline_graph, to_plain_graph)
-from gamebounds.independence import independence_number, weighted_independence
+from gamebounds.independence import (_classical_value, classical_value,
+                                     independence_number, weighted_independence)
 from gamebounds.sdp import (NotXorGame, lovasz_theta, quantum_upper_bound,
                             weighted_theta, xor_tsirelson_value)
 
-from conftest import criterion7_random_graphs, disjoint_union, random_graph
+from conftest import (criterion7_random_graphs, disjoint_union,
+                      random_boolean_game, random_graph)
 from schur_oracle import theta_schur
 
 SQRT2 = np.sqrt(2.0)
@@ -1054,6 +1057,93 @@ def test_quantum_upper_bound_weighted_dispatch():
     # uniform weighting of the same graph reproduces theta/k
     uniform = quantum_upper_bound(chsh())
     assert abs(res.bound - uniform.bound) > 1e-3  # skew actually matters
+
+
+# --- theta forced by the classical witness ---------------------------------
+
+def _unwinnable_pair_game():
+    """Won on a == b, except that no answer pair wins question pair (1, 1):
+    k' = 3 question pairs with a winning answer pair, of k = 4."""
+    lam = np.zeros((2, 2, 2, 2))
+    lam[:, :, [0, 1], [0, 1]] = 1.0
+    lam[1, 1] = 0.0
+    return Game("unwinnable-pair", 2, 2, 2, 2, lam, uniform_distribution(2, 2))
+
+
+def _certain_random_games(count):
+    """The first count uniform games, drawn as the benchmark's
+    _random_uniform_game draws them, whose classical value is exactly 1."""
+    rng = np.random.default_rng(35)
+    out = []
+    while len(out) < count:
+        g = random_boolean_game(rng)
+        if classical_value(g).exact == 1:
+            out.append(g)
+    return out
+
+
+_FORCED_GAMES = [independent_set_game(cycle_graph(5), 2),
+                 _unwinnable_pair_game(), *_certain_random_games(3),
+                 xor_game(np.zeros((3, 3), int))]
+_FORCED_IDS = ["isg-c5-t2", "unwinnable-pair", "certain-0", "certain-1",
+               "certain-2", "xor-zero-3x3"]
+
+
+def _forced_bound(g):
+    """The pipeline graph of g, the classical witness S and the bound that
+    _game_graph_bound gives with it."""
+    gg = pipeline_graph(g)
+    witness = _classical_value(g, gg).alpha.witness
+    return gg, witness, sdp._game_graph_bound(gg, sdp.DEFAULT_TOL, witness)
+
+
+@pytest.mark.parametrize("game", _FORCED_GAMES, ids=_FORCED_IDS)
+def test_forced_theta_is_certified_by_the_witness_and_the_pair_cliques(game):
+    gg, witness, bound = _forced_bound(game)
+    pair = [v[:2] for v in gg.vertices]
+    k_prime = len(set(pair))
+    theta = bound.theta
+    assert (theta.value, theta.dual_bound, theta.gap, theta.iterations,
+            theta.converged, theta.m, theta.blocks) == (
+        float(k_prime), float(k_prime), 0.0, 0, True, 0, ())
+    assert bound.bound == k_prime / game.k
+    # S is independent, by bit rows, and meets every question pair once
+    chosen = sum(1 << v for v in witness)
+    assert not any(gg.rows[v] & chosen for v in witness)
+    assert len(witness) == k_prime
+    # the primal 1_S 1_S^T / |S|: exactly 0 on every edge, PSD, trace 1
+    x = theta.primal_matrix
+    edge = bit_matrix(gg.rows, gg.n).astype(bool)
+    assert not np.any(x[edge])
+    assert np.linalg.eigvalsh(x)[0] >= -1e-12
+    assert abs(np.trace(x) - 1.0) <= gg.n * np.spacing(1.0)
+    # the dual y_0 = k': the slack Z = k' P - J is PSD, and k' P = Z + J,
+    # the dual's a_adj(y), is zero off the diagonal and the edges
+    same_pair = np.array([[p == q for q in pair] for p in pair])
+    z = k_prime * same_pair - np.ones((gg.n, gg.n))
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * k_prime
+    assert not np.any(same_pair & ~edge & ~np.eye(gg.n, dtype=bool))
+
+
+@pytest.mark.parametrize("game", _FORCED_GAMES[:5], ids=_FORCED_IDS[:5])
+def test_solved_theta_brackets_the_forced_value(game):
+    # quantum_upper_bound still solves, and its certified bracket holds k'/k
+    gg, _, forced = _forced_bound(game)
+    solved = quantum_upper_bound(game)
+    assert solved.theta.iterations > 0
+    assert (solved.theta.value / game.k <= forced.bound
+            <= solved.theta.dual_bound / game.k)
+
+
+def test_forced_rule_needs_a_witness_and_the_plain_graph():
+    # without a witness, or on the weighted graph, theta is solved
+    g = independent_set_game(cycle_graph(5), 2)
+    gg, witness, forced = _forced_bound(g)
+    assert forced.theta.iterations == 0
+    assert sdp._game_graph_bound(gg, sdp.DEFAULT_TOL).theta.iterations > 0
+    weighted = pipeline_graph(g, True)
+    assert sdp._game_graph_bound(weighted, sdp.DEFAULT_TOL,
+                                 witness).theta.iterations > 0
 
 
 def _odd_cycle_game(n):
