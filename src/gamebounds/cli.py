@@ -89,21 +89,21 @@ def _load_qis(path: str) -> QuantumIndependentSet:
         raise ValueError("certificate document is nested too deeply") from None
 
 
-def _xor_value(g: Game, exact) -> float:
+def _xor_value(g: Game, bound: float, omega: float) -> float:
     """Entangled value of the XOR game g; NotXorGame if g is not one.  A
-    classical value of exactly 1 forces it to 1, with no solve."""
-    if exact == 1:
+    certified upper bound equal to the classical value omega forces omega."""
+    if bound == omega:
         xor_structure(g)
-        return 1.0
+        return omega
     return xor_tsirelson_value(g)
 
 
 def build_report(g: Game, tol: float, force_weighted: bool,
                  with_timings: bool) -> tuple[dict, GameGraph]:
     """Run the full pipeline game -> graph -> alpha -> theta; returns the
-    report and the game graph it was computed on.  Theta gets the classical
-    witness, so where it closes the sandwich on a 0/1 game the theta block
-    is exact with no solve (sdp._game_graph_bound): 0 iterations, gap 0."""
+    report and its game graph.  Theta gets the classical witness: where that
+    closes the sandwich (sdp._game_graph_bound), theta is exact with no solve
+    and theta_over_k, and an XOR game's xor_value, equal omega_classical."""
     timings: dict[str, float] = {}
 
     def stage(name, fn, *args):
@@ -119,7 +119,7 @@ def build_report(g: Game, tol: float, force_weighted: bool,
     bound = stage("theta", _game_graph_bound, gg, tol, alpha.witness)
     theta = bound.theta
     try:
-        xor_value = stage("xor_value", _xor_value, g, exact)
+        xor_value = stage("xor_value", _xor_value, g, bound.bound, omega)
     except NotXorGame:
         xor_value = None
 

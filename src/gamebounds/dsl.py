@@ -150,11 +150,6 @@ def parse_expr(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
-def eval_expr(node, env: dict[str, int]) -> int:
-    """Evaluate an AST over integer variable bindings."""
-    return int(_evaluate(node, env, True))
-
-
 def _evaluate(node, env, live):
     """node's value over bindings that are ints or broadcasting object arrays
     of ints; only entries where live holds raise, the rest are arbitrary."""

@@ -124,8 +124,8 @@ class ThetaResult:
     n x n program.  The graph with no vertex, plain or weighted, gets the
     zero certificate: value, dual_bound and gap 0.0, no iteration,
     converged, a 0 x 0 primal_matrix, m 0 and blocks ().  A theta that
-    _game_graph_bound finds forced is exact with no solve: gap 0.0, no
-    iteration, converged, m 0 and blocks ().
+    _game_graph_bound forces, on either pipeline graph, has no solve: value
+    = dual_bound, gap 0.0, no iteration, converged, m 0 and blocks ().
     """
 
     value: float
@@ -757,20 +757,24 @@ def _game_graph_bound(gg: GameGraph, tol: float,
     """quantum_upper_bound on a pipeline graph already built.
 
     ``witness`` is an independent set S of gg, such as the classical
-    search's.  On a 0/1 graph whose k' question pairs (x, y) with a winning
-    answer pair number |S| > 0, theta = k' is forced, with no solve: S
-    gives the primal 1_S 1_S^T / |S| of objective |S|, and the k' question
-    pair cliques cover the graph, so y_0 = k' with slack k' P - J >= 0 (P
-    the same-question-pair indicator, nonzero on the diagonal and on edges
-    only) is a dual of objective k' (Knuth, the sandwich theorem, 1994).
+    search's.  With gg.objective()'s weights w, u = sqrt(w) and the question
+    pair cliques C, y_0 = T = sum_C max_C w is a dual: B - u u^T >= 0 by
+    Cauchy-Schwarz, B the direct sum of (T / max_C w) u_C u_C^T +
+    diag(T (1 - w / max_C w)), nonzero on the diagonal and edges only.  Where
+    S holds a vertex of weight exactly max_C w in every C, the primal
+    u_S u_S^T / w(S) meets it: theta = w(S), summed in S's order, with no
+    solve (Knuth, the sandwich theorem, 1994).
     """
     weights, divisor = gg.objective()
-    pairs = len(witness)
-    if gg.weights is None and 0 < pairs == len({v[:2] for v in gg.vertices}):
-        s = np.zeros(gg.n)
-        s[list(witness)] = 1.0
-        theta = ThetaResult(float(pairs), float(pairs), 0.0, 0, True,
-                            np.outer(s, s) / pairs, 0, ())
+    top: dict[tuple[int, int], float] = {}
+    for v, w in zip(gg.vertices, weights):
+        top[v[:2]] = max(w, top.get(v[:2], w))
+    if 0 < len(witness) == len(top) and all(
+            weights[s] == top[gg.vertices[s][:2]] for s in witness):
+        u = np.sqrt(weights) * np.isin(np.arange(gg.n), witness)
+        total = float(sum(weights[s] for s in witness))
+        theta = ThetaResult(total, total, 0.0, 0, True,
+                            np.outer(u, u) / total, 0, ())
     else:
         theta = weighted_theta(gg, weights, tol)
     return QuantumBoundResult(theta.dual_bound / divisor, theta, gg)

@@ -11,7 +11,7 @@ import pytest
 
 from gamebounds import cli, gamegraph, games, independence, sdp
 from gamebounds.cli import CATALOG, build_report, main
-from gamebounds.gameio import load_game
+from gamebounds.gameio import load_game, serialize_game
 from gamebounds.games import chsh, parallel_repetition
 from gamebounds.gamegraph import build_game_graph, parse_dimacs
 from gamebounds.independence import classical_value
@@ -122,15 +122,27 @@ def test_loose_tol_prints_an_upper_bound(capsys, game, tol):
     assert report["solver_failure"] is False
 
 
+def _unforced_weighted_game():
+    """A weighted-pipeline game of 8 vertices with omega = weighted theta =
+    7/8 that the forced rule leaves to the solver: its question-pair
+    cliques' heaviest vertices weigh T = 1 in all."""
+    lam = np.array([[[[1, 1], [0, 0]], [[1, 0], [1, 1]]],
+                    [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]], dtype=float)
+    return games.Game("unforced-weighted", 2, 2, 2, 2, lam,
+                      np.array([[1, 2], [1, 4]]) / 8)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
-def test_unconverged_theta_certifies_no_bell_gap(capsys, monkeypatch, steps):
-    # weighted theta = omega = 1 on isg-c5-t2, which the weighted pipeline
+def test_unconverged_theta_certifies_no_bell_gap(tmp_path, capsys,
+                                                 monkeypatch, steps):
+    # weighted theta = omega = 7/8 on a game that the weighted pipeline
     # solves.  A few interior-point steps leave the upper end of the bracket
     # above omega + 10 * tol; the gap flag reads the lower end, the
     # objective of a feasible primal matrix, so it stays false
+    path = tmp_path / "unforced.json"
+    path.write_text(serialize_game(_unforced_weighted_game()))
     monkeypatch.setattr(sdp, "MAX_ITERATIONS", steps)
-    code, out, _ = run_cli(capsys, "analyze", "isg-c5-t2", "--weighted",
-                           "--json")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 2
     report = json.loads(out)
     assert report["theta"]["converged"] is False
@@ -161,17 +173,36 @@ def _no_sdp(*args):
     raise AssertionError("an SDP was solved")
 
 
-@pytest.mark.parametrize("f", [np.zeros((2, 2), int), np.zeros((3, 3), int)],
-                         ids=["2x2", "3x3"])
-def test_certain_xor_game_is_forced_without_an_sdp(monkeypatch, f):
-    # f = 0 is won with certainty by a = b, so theta = k and the XOR value 1
-    # need no solve, and the XOR value no longer falls below omega
+@pytest.mark.parametrize("game", [
+    games.xor_game(np.zeros((2, 2), int)),
+    games.xor_game(np.zeros((3, 3), int)),
+    games.xor_game(np.zeros((2, 2), int),
+                   np.array([[0.5, 0.25], [0.125, 0.125]]))],
+    ids=["2x2", "3x3", "2x2-weighted"])
+def test_certain_xor_game_is_forced_without_an_sdp(monkeypatch, game):
+    # f = 0 is won with certainty by a = b, so theta = k (the total weight 1
+    # on the weighted pipeline) and the XOR value 1 need no solve, and the
+    # XOR value no longer falls below omega
     monkeypatch.setattr(sdp, "_ipm_sdp", _no_sdp)
-    report, _ = build_report(games.xor_game(f), sdp.DEFAULT_TOL, False, False)
-    assert report["omega_exact"] == "1/1"
-    assert report["xor_value"] == 1.0 == report["theta_over_k"]
+    report, _ = build_report(game, sdp.DEFAULT_TOL, False, False)
+    assert report["omega_exact"] == (None if report["weighted_pipeline"]
+                                     else "1/1")
+    assert (report["xor_value"] == report["omega_classical"]
+            == report["theta_over_k"] == 1.0)
     assert report["theta"]["iterations"] == 0
     _validate_against_schema(json.loads(cli._to_json(report)))
+
+
+def test_xor_value_is_solved_unless_the_bound_meets_omega():
+    # omega* = omega = 13/14 here, but theta is solved and its certified
+    # bound lies above omega by the solver's gap, which leaves the sandwich
+    # open: the XOR value is the SDP's
+    g = games.xor_game(np.array([[1, 1, 0], [0, 1, 1]]),
+                       np.array([[2, 2, 2], [3, 1, 4]]) / 14)
+    report, _ = build_report(g, sdp.DEFAULT_TOL, False, False)
+    assert report["theta"]["iterations"] > 0
+    assert 0.0 < report["theta_over_k"] - report["omega_classical"] < 1e-6
+    assert report["xor_value"] == sdp.xor_tsirelson_value(g)
 
 
 def test_forced_game_that_is_not_xor_has_no_xor_value(monkeypatch):
@@ -200,9 +231,12 @@ def test_unstructured_game_won_with_certainty_takes_no_theta_step():
     (["magic-square"], "1ba2346abbabc126"),
     (["magic-square", "--weighted"], "c949064d97f1a380"),
     (["chsh", "--rep", "2"], "f51c4f919d349d9d"),
-    (["chsh", "--weighted"], "2de67e2b574df23a")],
+    (["chsh", "--weighted"], "2de67e2b574df23a"),
+    (["isg-c5-t2", "--weighted"], "9bb1ef50c7c620fe"),
+    (["isg-c5-t3", "--weighted"], "c3d3e7c117c21d10")],
     ids=["chsh", "isg-c5-t2", "isg-c5-t3", "magic-square",
-         "magic-square-weighted", "chsh-rep2", "chsh-weighted"])
+         "magic-square-weighted", "chsh-rep2", "chsh-weighted",
+         "isg-c5-t2-weighted", "isg-c5-t3-weighted"])
 def test_catalog_reports_are_pinned(capsys, argv, digest):
     # the sha256 prefix of each catalog report: a change that moves any
     # printed bit has to re-pin it and list what moved
@@ -284,7 +318,9 @@ def test_analyze_weighted_flag(capsys):
 def test_theta_bound_of_a_tiny_objective_stays_above_the_classical_value(
         tmp_path, capsys):
     # a 1 x 2 XOR game that wins only on the question pair of weight 1e-100:
-    # the theta dual end once cancelled to 0, below omega_classical
+    # the theta dual end once cancelled to 0, below omega_classical, and the
+    # XOR midpoint fell below it too.  Its witness meets the one question
+    # pair, so both are now forced to omega
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({
         "name": "tiny", "nx": 1, "ny": 2, "na": 2, "nb": 2,
@@ -296,6 +332,7 @@ def test_theta_bound_of_a_tiny_objective_stays_above_the_classical_value(
     assert report["omega_classical"] == 1e-100
     assert report["theta"]["dual_bound"] >= report["omega_classical"]
     assert report["theta_over_k"] >= report["omega_classical"]
+    assert report["xor_value"] == report["omega_classical"]
 
 
 def test_analyze_file_and_parse_error(tmp_path, capsys):

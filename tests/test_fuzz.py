@@ -1,6 +1,7 @@
 """Property tests: any game document, certificate or DIMACS graph either runs
 or is refused with exit code 1 and a single error line, never a traceback;
-any DSL predicate evaluates or raises DslError."""
+any DSL predicate evaluates or raises DslError; a theta forced by the
+classical witness lies in the solved bracket."""
 
 import json
 
@@ -8,11 +9,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gamebounds.cli import main
+from gamebounds import sdp
+from gamebounds.cli import build_report, main
 from gamebounds.dsl import DslError, parse_predicate_dsl
-from gamebounds.games import chsh
-from gamebounds.gamegraph import build_game_graph
-from gamebounds.independence import classical_value
+from gamebounds.games import Game, chsh, uniform_distribution, xor_game
+from gamebounds.gamegraph import build_game_graph, pipeline_graph
+from gamebounds.independence import _classical_value, classical_value
 from gamebounds.quantum import qis_from_vertex_set, qis_to_dict
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -160,3 +162,44 @@ def test_any_dimacs_graph_verifies_or_exits_1(tmp_path, capsys, text):
     graph_path.write_text(text, encoding="utf-8")
     _runs_or_exits_1(capsys, ["verify-qis", "chsh", str(qis_path), "--graph",
                               str(graph_path)], (0, 3))
+
+
+@st.composite
+def small_games(draw):
+    """Games of at most 3 x 3 questions, uniform or not: half XOR games, half
+    with 1 or 2 answers a side and predicate entries 0, 1/2 or 1."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(st.integers(1, 4), min_size=nx * ny, max_size=nx * ny)
+    pi = draw(st.none() | cells.map(
+        lambda raw: np.reshape(raw, (nx, ny)) / sum(raw)))
+    if draw(st.booleans()):
+        f = draw(st.lists(st.integers(0, 1), min_size=nx * ny,
+                          max_size=nx * ny))
+        return xor_game(np.reshape(f, (nx, ny)), pi)
+    na, nb = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    size = nx * ny * na * nb
+    lam = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=size,
+                        max_size=size))
+    return Game("fuzz", nx, ny, na, nb, np.reshape(lam, (nx, ny, na, nb)),
+                uniform_distribution(nx, ny) if pi is None else pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_games(), weighted=st.booleans())
+def test_a_forced_theta_lies_in_the_solved_bracket(g, weighted):
+    tol = sdp.DEFAULT_TOL
+    gg = pipeline_graph(g, weighted)
+    classical = _classical_value(g, gg)
+    forced = sdp._game_graph_bound(gg, tol, classical.alpha.witness)
+    if gg.n == 0 or forced.theta.m != 0:  # not forced
+        return
+    solved = sdp._game_graph_bound(gg, tol).theta
+    assert (solved.value - 10.0 * tol <= forced.theta.value
+            <= solved.dual_bound + 10.0 * tol)
+    # the sandwich closes: the bound is the classical value, and so is the
+    # entangled value of an XOR game
+    assert forced.bound == classical.value
+    report, _ = build_report(g, tol, weighted, False)
+    assert report["theta_over_k"] == report["omega_classical"]
+    if report["xor_value"] is not None:
+        assert report["xor_value"] >= report["omega_classical"]

@@ -1087,42 +1087,70 @@ _FORCED_GAMES = [independent_set_game(cycle_graph(5), 2),
                  xor_game(np.zeros((3, 3), int))]
 _FORCED_IDS = ["isg-c5-t2", "unwinnable-pair", "certain-0", "certain-1",
                "certain-2", "xor-zero-3x3"]
+# (game, weighted): the uniform games above on the 0/1 graph, then isg-c5-t2
+# and a non-uniform f = 0 XOR game on the weighted graph
+_FORCED_CASES = [*((g, False) for g in _FORCED_GAMES),
+                 (independent_set_game(cycle_graph(5), 2), True),
+                 (xor_game(np.zeros((2, 2), int),
+                           np.array([[0.5, 0.25], [0.125, 0.125]])), False)]
+_FORCED_CASE_IDS = [*_FORCED_IDS, "isg-c5-t2-weighted",
+                    "xor-zero-2x2-weighted"]
 
 
-def _forced_bound(g):
-    """The pipeline graph of g, the classical witness S and the bound that
-    _game_graph_bound gives with it."""
-    gg = pipeline_graph(g)
-    witness = _classical_value(g, gg).alpha.witness
-    return gg, witness, sdp._game_graph_bound(gg, sdp.DEFAULT_TOL, witness)
+def _forced_bound(g, weighted=False):
+    """The pipeline graph of g, the classical search's independent set S and
+    the bound that _game_graph_bound gives with S as its witness."""
+    gg = pipeline_graph(g, weighted)
+    alpha = _classical_value(g, gg).alpha
+    return gg, alpha, sdp._game_graph_bound(gg, sdp.DEFAULT_TOL, alpha.witness)
 
 
-@pytest.mark.parametrize("game", _FORCED_GAMES, ids=_FORCED_IDS)
-def test_forced_theta_is_certified_by_the_witness_and_the_pair_cliques(game):
-    gg, witness, bound = _forced_bound(game)
+@pytest.mark.parametrize("game, weighted", _FORCED_CASES, ids=_FORCED_CASE_IDS)
+def test_forced_theta_is_certified_by_the_witness_and_the_pair_cliques(
+        game, weighted):
+    gg, alpha, bound = _forced_bound(game, weighted)
+    witness = alpha.witness
+    weights, divisor = gg.objective()
+    w = np.array(weights)
     pair = [v[:2] for v in gg.vertices]
-    k_prime = len(set(pair))
+    same_pair = np.array([[p == q for q in pair] for p in pair])
+    # the heaviest weight of each vertex's question-pair clique, and their
+    # sum T over the cliques
+    top = np.max(np.where(same_pair, w, 0.0), axis=1)
+    heaviest = dict(zip(pair, top))
+    total = sum(heaviest.values())
     theta = bound.theta
-    assert (theta.value, theta.dual_bound, theta.gap, theta.iterations,
-            theta.converged, theta.m, theta.blocks) == (
-        float(k_prime), float(k_prime), 0.0, 0, True, 0, ())
-    assert bound.bound == k_prime / game.k
-    # S is independent, by bit rows, and meets every question pair once
+    assert (theta.gap, theta.iterations, theta.converged, theta.m,
+            theta.blocks) == (0.0, 0, True, 0, ())
+    # every weight here is dyadic, so T sums exactly in any order
+    assert theta.value == theta.dual_bound == alpha.value == total
+    assert bound.bound == alpha.value / divisor
+    # S is independent, by bit rows, and holds a heaviest vertex of every
+    # question pair
     chosen = sum(1 << v for v in witness)
     assert not any(gg.rows[v] & chosen for v in witness)
-    assert len(witness) == k_prime
-    # the primal 1_S 1_S^T / |S|: exactly 0 on every edge, PSD, trace 1
+    assert sorted(pair[v] for v in witness) == sorted(heaviest)
+    assert all(w[v] == top[v] for v in witness)
+    # the primal u_S u_S^T / w(S): exactly 0 on every edge, PSD, trace 1;
+    # on the 0/1 graph it is 1_S 1_S^T / k', bit for bit
     x = theta.primal_matrix
     edge = bit_matrix(gg.rows, gg.n).astype(bool)
     assert not np.any(x[edge])
     assert np.linalg.eigvalsh(x)[0] >= -1e-12
     assert abs(np.trace(x) - 1.0) <= gg.n * np.spacing(1.0)
-    # the dual y_0 = k': the slack Z = k' P - J is PSD, and k' P = Z + J,
-    # the dual's a_adj(y), is zero off the diagonal and the edges
-    same_pair = np.array([[p == q for q in pair] for p in pair])
-    z = k_prime * same_pair - np.ones((gg.n, gg.n))
-    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * k_prime
-    assert not np.any(same_pair & ~edge & ~np.eye(gg.n, dtype=bool))
+    if gg.weights is None:
+        s = np.zeros(gg.n)
+        s[list(witness)] = 1.0
+        assert np.array_equal(x, np.outer(s, s) / len(witness))
+    # the dual y_0 = T: B = a_adj(y), the direct sum over the cliques C of
+    # (T / max_C w) u_C u_C^T + diag(T (1 - w / max_C w)), has diagonal T,
+    # is zero off the diagonal and the edges, and B - u u^T is PSD
+    u = np.sqrt(w)
+    b = (same_pair * np.outer(u, u) * (total / top)[:, None]
+         + np.diag(total * (1.0 - w / top)))
+    assert np.all(np.abs(np.diag(b) - total) <= 2 * np.spacing(total))
+    assert not np.any(b[~edge & ~np.eye(gg.n, dtype=bool)])
+    assert np.linalg.eigvalsh(b - np.outer(u, u))[0] >= -1e-12 * total
 
 
 @pytest.mark.parametrize("game", _FORCED_GAMES[:5], ids=_FORCED_IDS[:5])
@@ -1135,15 +1163,38 @@ def test_solved_theta_brackets_the_forced_value(game):
             <= solved.theta.dual_bound / game.k)
 
 
-def test_forced_rule_needs_a_witness_and_the_plain_graph():
-    # without a witness, or on the weighted graph, theta is solved
+def _lighter_vertex_game():
+    """One question x, two questions y, one answer b: a = 0 wins y = 0 at
+    weight 1, a = 1 wins y = 0 at weight 1/2 and y = 1 at weight 1.  The
+    best strategy, a = 1, meets both question pairs, one of them with its
+    lighter vertex: omega = theta = 3/4 against T = 1."""
+    lam = np.zeros((1, 2, 2, 1))
+    lam[0, 0, :, 0] = [1.0, 0.5]
+    lam[0, 1, 1, 0] = 1.0
+    return Game("lighter-vertex", 1, 2, 2, 1, lam, uniform_distribution(1, 2))
+
+
+def test_forced_rule_needs_a_witness_and_the_heaviest_vertex_of_every_pair():
+    # without a witness theta is solved.  isg-c5-t2's witness holds a
+    # heaviest vertex of every question pair on either pipeline graph; the
+    # weighted witnesses of magic-square (w(S) = 8/9 against T = 1), chsh
+    # (3/4 against 1) and the lighter-vertex game (3/4 against 1) do not
     g = independent_set_game(cycle_graph(5), 2)
-    gg, witness, forced = _forced_bound(g)
+    gg, _, forced = _forced_bound(g)
     assert forced.theta.iterations == 0
     assert sdp._game_graph_bound(gg, sdp.DEFAULT_TOL).theta.iterations > 0
-    weighted = pipeline_graph(g, True)
-    assert sdp._game_graph_bound(weighted, sdp.DEFAULT_TOL,
-                                 witness).theta.iterations > 0
+    weighted = _forced_bound(g, True)[2].theta
+    assert [weighted.value, weighted.dual_bound] == [1.0, 1.0]
+    assert weighted.iterations == 0
+    for game, value in ((magic_square(), 8 / 9), (chsh(), 0.75),
+                        (_lighter_vertex_game(), 0.75)):
+        gg, alpha, bound = _forced_bound(game, True)
+        assert alpha.value == pytest.approx(value, abs=1e-15)
+        assert bound.theta.iterations > 0
+    # the lighter-vertex witness meets both question pairs: only the weight
+    # comparison keeps it from forcing theta (3/4 here) with no solve
+    assert len({gg.vertices[v][:2] for v in alpha.witness}) == 2
+    assert bound.theta.dual_bound == pytest.approx(0.75, abs=1e-6)
 
 
 def _odd_cycle_game(n):
